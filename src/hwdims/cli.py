@@ -500,9 +500,14 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
 
 def cmd_decompose(cfg: RunConfig, out: Path) -> int:
     ts = load_series(cfg)
-    result = mstl(ts, LoessConfig())
+    loess = LoessConfig()
+    result = mstl(ts, loess)
     if not result.converged:
-        log.warning("decomposition hit the iteration cap before converging")
+        log.warning(
+            "decomposition hit the iteration cap before converging: last change %.3g, "
+            "tolerance %.3g", result.last_delta,
+            loess.convergence_tol * float(np.max(np.abs(ts.values))),
+        )
     written = stlplot_export(result, out)
     log.info("decompose: wrote %d files to %s", len(written), out)
     return 0

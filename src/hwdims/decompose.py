@@ -13,6 +13,14 @@ whether moving seasonalities are registered.
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
 multiplicative decomposition should log-transform first.
+
+Every smoother is a degree-1 Loess fit with tricube weights. Interior
+windows that touch no excluded point are a single convolution; all other
+fits (series edges, windows that touch an excluded block, and every point
+of the cycle-subseries with their one-cycle extensions) are exact weighted
+fits, solved in batches by :func:`_fit_grid`. The scalar :func:`_fit_point`
+defines those fits: it is the reference the batched kernel is tested
+against, and the fallback for a window whose points are all excluded.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class LoessConfig:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
+    """Components of :func:`mstl`. ``last_delta`` is the largest change of a
+    regular component in the last outer iteration; the loop converged when
+    it fell to ``convergence_tol`` times the series' largest absolute value."""
+
     series: TimeSeries
     trend: np.ndarray
     seasonals: dict[str, np.ndarray]
@@ -54,6 +66,7 @@ class DecompositionResult:
     remainder: np.ndarray
     converged: bool
     iterations: int
+    last_delta: float
 
     def reconstruction(self) -> np.ndarray:
         total = self.trend + self.remainder
@@ -71,6 +84,12 @@ class DecompositionResult:
 def _odd_at_least(x: float) -> int:
     w = max(3, int(math.ceil(x)))
     return w if w % 2 == 1 else w + 1
+
+
+# Elements of one gathered (rows, points, window) block in _fit_grid. At
+# 128 KiB per float array the block's temporaries stay near 1 MB, while the
+# per-block numpy overhead stays small next to the arithmetic.
+_GATHER_BLOCK = 1 << 14
 
 
 def _fit_point(y: np.ndarray, x0: float, window: int,
@@ -111,30 +130,103 @@ def _fit_point(y: np.ndarray, x0: float, window: int,
     return yb + slope * (x0 - xb)
 
 
+def _fit_grid(Y: np.ndarray, x0s, window: int,
+              excluded: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_fit_point` for every row of ``Y`` (k, L) at every coordinate of
+    ``x0s``, returned as a (k, len(x0s)) array.
+
+    Each fit is one row of a gathered (k, points, window) block with masked
+    tricube weights: the window placement, the bandwidth (the largest distance
+    over the kept points of that row) and the degenerate branches are those of
+    :func:`_fit_point`, which still handles any (row, x0) whose window keeps no
+    point. ``excluded`` is a (k, L) mask or ``None``.
+    """
+    k, n = Y.shape
+    x0s = np.asarray(x0s, dtype=float)
+    w = min(window, n)
+    if window >= n:
+        lo = np.zeros(len(x0s), dtype=np.int64)
+    else:
+        half = (window - 1) // 2
+        lo = np.clip(np.floor(x0s).astype(np.int64) - half, 0, n - window)
+    out = np.empty((k, len(x0s)))
+    span = np.arange(w)
+    kept_all = None if excluded is None else ~excluded
+    step = max(1, _GATHER_BLOCK // (k * w))
+    for a in range(0, len(x0s), step):
+        x0 = x0s[a:a + step]
+        idx = lo[a:a + step, None] + span                   # (b, w)
+        d = idx - x0[:, None]                               # signed offsets
+        dist = np.abs(d)
+        vals = Y[:, idx]                                    # (k, b, w)
+        if kept_all is None:
+            kept = None
+            h = np.broadcast_to(dist.max(axis=1), (k, len(x0)))
+        else:
+            kept = kept_all[:, idx]
+            h = np.where(kept, dist, -1.0).max(axis=2)      # -1: nothing kept
+        # tricube weights (1 - u^3)^3, zero beyond the bandwidth and off the mask
+        u = dist / np.where(h > 0.0, h, 1.0)[..., None]
+        wts = u * u
+        wts *= u
+        np.subtract(1.0, wts, out=wts)
+        np.maximum(wts, 0.0, out=wts)
+        np.multiply(wts, wts, out=u)
+        wts *= u
+        if kept is not None:
+            wts *= kept
+        sw = wts.sum(axis=2)
+        safe_sw = np.where(sw > 0.0, sw, 1.0)
+        db = np.einsum("kbw,bw->kb", wts, d) / safe_sw
+        yb = np.einsum("kbw,kbw->kb", wts, vals) / safe_sw
+        dc = d - db[..., None]
+        wts *= dc
+        sxx = np.einsum("kbw,kbw->kb", wts, dc)
+        vals -= yb[..., None]
+        sxy = np.einsum("kbw,kbw->kb", wts, vals)
+        flat = sxx <= 1e-12 * np.maximum(h * h, 1.0)
+        fit = yb - np.divide(sxy, sxx, out=np.zeros_like(sxx), where=~flat) * db
+        out[:, a:a + step] = fit
+        # degenerate fits, as in _fit_point: one point at x0 gives its value,
+        # zero total weight the mean of the kept values, an empty window the
+        # scalar fallback
+        for r, j in zip(*np.nonzero((sw <= 0.0) | (h <= 0.0))):
+            if h[r, j] < 0.0:
+                out[r, a + j] = _fit_point(Y[r], float(x0[j]), window, excluded[r])
+                continue
+            row = Y[r, idx[j]] if kept is None else Y[r, idx[j]][kept[r, j]]
+            out[r, a + j] = row[0] if h[r, j] == 0.0 else row.mean()
+    return out
+
+
 def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarray:
     """Loess-smoothed values at every position of an evenly spaced series.
 
     ``excluded`` marks positions whose values must not influence the fit
     (they still receive a fitted value, interpolated from their neighbours).
+
+    Interior windows that touch no excluded point are one convolution with
+    the tricube kernel. Every other position (the series edges and each
+    window that touches an excluded point) gets the exact weighted fit,
+    all of them in one batched :func:`_fit_grid` call; a window whose points
+    are all excluded falls back to the scalar :func:`_fit_point`, which fits
+    from the nearest kept points instead.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n == 0:
         raise ValueError("empty input")
     w = _odd_at_least(window)
-    out = np.empty(n)
     if excluded is not None:
         excluded = np.asarray(excluded, dtype=bool)
         if excluded.all():
             raise ValueError("all positions excluded")
-        if not excluded.any():
-            excluded = None
+        excluded = excluded[None, :] if excluded.any() else None
 
     if w >= n:
-        for i in range(n):
-            out[i] = _fit_point(y, float(i), w, excluded)
-        return out
+        return _fit_grid(y[None, :], np.arange(n), w, excluded)[0]
 
+    out = np.empty(n)
     half = w // 2
     offsets = np.arange(-half, half + 1)
     u = np.abs(offsets) / half
@@ -147,9 +239,9 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
     redo[n - half:] = True
     if excluded is not None:
         # windows overlapping an excluded point need the exact weighted fit
-        redo |= np.convolve(excluded.astype(float), np.ones(w), mode="same") > 0
-    for i in np.flatnonzero(redo):
-        out[i] = _fit_point(y, float(i), w, excluded)
+        redo |= np.convolve(excluded[0].astype(float), np.ones(w), mode="same") > 0
+    pos = np.flatnonzero(redo)
+    out[pos] = _fit_grid(y[None, :], pos, w, excluded)[0]
     return out
 
 
@@ -159,20 +251,27 @@ def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
 
 def _subseries_smooth_extended(u: np.ndarray, s: int, window: int,
                                excluded: np.ndarray | None = None) -> np.ndarray:
-    """Smooth each cycle-subseries and extend it one cycle at both ends."""
+    """Smooth each cycle-subseries and extend it one cycle at both ends.
+
+    Subseries of equal length are stacked into one matrix (``len(u) % s``
+    splits them into at most two lengths) and fitted at the coordinates
+    -1..m in one :func:`_fit_grid` call. A subseries with every point
+    excluded is smoothed unmasked, since no event-free cycle exists for it.
+    """
     n = len(u)
+    w = _odd_at_least(window)
     ext = np.empty(n + 2 * s)
-    for q in range(s):
-        sub = u[q::s]
-        sub_excluded = excluded[q::s] if excluded is not None else None
-        if sub_excluded is not None and sub_excluded.all():
-            # No event-free cycle exists for this slot; use what there is.
-            sub_excluded = None
-        m = len(sub)
-        smoothed = loess_smooth(sub, window, excluded=sub_excluded)
-        before = _fit_point(sub, -1.0, _odd_at_least(window), sub_excluded)
-        after = _fit_point(sub, float(m), _odd_at_least(window), sub_excluded)
-        ext[q:q + s * (m + 2):s] = np.concatenate(([before], smoothed, [after]))
+    cycles, extra = divmod(n, s)
+    for q0, q1, m in ((0, extra, cycles + 1), (extra, s, cycles)):
+        if q0 == q1 or m == 0:
+            continue
+        rows = np.arange(q0, q1)[:, None]
+        pos = rows + s * np.arange(m)
+        mask = None
+        if excluded is not None:
+            mask = excluded[pos]
+            mask[mask.all(axis=1)] = False
+        ext[rows + s * np.arange(m + 2)] = _fit_grid(u[pos], np.arange(-1, m + 1), w, mask)
     return ext
 
 
@@ -215,13 +314,16 @@ def _extract_all_seasonals(
     cfg: LoessConfig,
     tol: float,
     excluded: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], bool, int]:
+) -> tuple[dict[str, np.ndarray], bool, int, float]:
     """Outer refinement loop: re-extract each seasonality against the series
-    minus the others until no component moves more than ``tol``."""
+    minus the others until no component moves more than ``tol``. Returns the
+    components, whether they converged, the iterations run and the last
+    iteration's largest change."""
     n = len(y)
     seasonals = {spec.id: np.zeros(n) for spec in order}
     converged = not order
     iterations = 0
+    delta = 0.0
     for _ in range(max(1, cfg.max_outer_iterations)):
         if not order:
             break
@@ -238,7 +340,7 @@ def _extract_all_seasonals(
         if delta <= tol:
             converged = True
             break
-    return seasonals, converged, iterations
+    return seasonals, converged, iterations, delta
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +368,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     tol = cfg.convergence_tol * max(scale, 1e-300)
 
     order = sorted(ts.seasons, key=lambda s: s.cycle_length)
-    seasonals, converged, iterations = _extract_all_seasonals(y, order, cfg, tol)
+    seasonals, converged, iterations, last_delta = _extract_all_seasonals(y, order, cfg, tol)
     seasonal_sum = np.zeros(n)
     for comp in seasonals.values():
         seasonal_sum += comp
@@ -287,7 +389,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     # event effect. The reported trend/seasonals above stay independent of
     # the moving-seasonality registry.
     if block_mask is not None:
-        masked_seasonals, _, _ = _extract_all_seasonals(y, order, cfg, tol, block_mask)
+        masked_seasonals, *_ = _extract_all_seasonals(y, order, cfg, tol, block_mask)
         masked_sum = np.zeros(n)
         for comp in masked_seasonals.values():
             masked_sum += comp
@@ -324,6 +426,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
         remainder=remainder,
         converged=converged,
         iterations=iterations,
+        last_delta=last_delta,
     )
 
 

@@ -235,6 +235,12 @@ def smooth_pass(
         raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
     if mult_trend and seeds.trend <= 0:
         raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
+    component_ids = [s.id for s in ts.seasons] + [d.id for d in ts.dims]
+    for (values, *_unused, is_mult), cid in zip(seas + dimss, component_ids):
+        if is_mult and min(values) <= 0.0:
+            raise FitInfeasibleError(
+                f"multiplicative seed index of {cid!r} must be positive", step=-1
+            )
 
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)

@@ -151,6 +151,11 @@ class TimeSeries:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(-1).copy()
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(
+                f"{bad.size} non-finite value(s), first at index {bad[0]}: {values[bad[0]]}"
+            )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.step <= timedelta(0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -287,6 +288,14 @@ class TestCommands:
             "trend.csv",
         ]
 
+    def test_decompose_cap_warning_names_last_change(self, tmp_path, caplog):
+        demand_fixture(tmp_path, weeks=4)
+        cfg = write_fit_config(tmp_path, extra="season = 168 multiplicative ratio_to_ma weekly\n")
+        with caplog.at_level("WARNING", logger="hwdims.cli"):
+            assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert re.search(r"iteration cap .*last change [0-9.e+-]+, tolerance [0-9.e+-]+",
+                         caplog.text)
+
     def test_evaluate_grid_shape(self, tmp_path):
         demand_fixture(tmp_path, weeks=2)  # 336 points
         cfg = write_fit_config(tmp_path, extra="first_origin = 168\norigin_step = 24\n")
@@ -345,6 +354,15 @@ class TestCommands:
         assert main(["fit", "--config", str(cfg)]) == 2
         # usage error: unknown command is an argparse failure
         assert main(["frobnicate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_data_is_a_data_error(self, tmp_path, capsys, bad):
+        y, _ = demand_fixture(tmp_path, weeks=2)
+        write_hourly_csv(tmp_path / "demand.csv", [bad if i == 50 else v
+                                                   for i, v in enumerate(y)])
+        cfg = write_fit_config(tmp_path)
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_infeasible_fit_exit_code(self, tmp_path):
         n = 96

@@ -7,7 +7,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hwdims.decompose as decompose
 from hwdims import (
     DataError,
     DimsSpec,
@@ -75,6 +78,80 @@ class TestLoess:
         y = np.sin(np.arange(200) / 30.0) + rng.normal(0, 0.3, 200)
         smoothed = loess_smooth(y, 41)
         assert np.std(smoothed - np.sin(np.arange(200) / 30.0)) < 0.15
+
+
+def scalar_fit_grid(Y, x0s, window, excluded=None):
+    """The batched kernel's contract, one :func:`_fit_point` call per fit."""
+    return np.array([
+        [decompose._fit_point(row, float(x0), window,
+                              None if excluded is None else excluded[r])
+         for x0 in x0s]
+        for r, row in enumerate(Y)
+    ])
+
+
+@st.composite
+def fit_grid_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    window = draw(st.integers(1, n + 8))       # includes window >= n
+    y = np.array(draw(st.lists(
+        st.floats(-1e4, 1e4, allow_nan=False), min_size=k * n, max_size=k * n,
+    ))).reshape(k, n)
+    excluded = None
+    if draw(st.booleans()):
+        excluded = np.array(draw(st.lists(
+            st.booleans(), min_size=k * n, max_size=k * n,
+        ))).reshape(k, n)
+        # a contiguous block, so that some windows keep no point at all
+        start = draw(st.integers(0, n - 1))
+        excluded[:, start:start + draw(st.integers(0, n))] = True
+    return y, window, excluded
+
+
+class TestFitGrid:
+    @given(fit_grid_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_fit_point(self, case):
+        y, window, excluded = case
+        x0s = np.arange(-1, y.shape[1] + 1)   # every point and both extensions
+        got = decompose._fit_grid(y, x0s, window, excluded)
+        want = scalar_fit_grid(y, x0s, window, excluded)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
+        )
+
+    def test_mstl_equals_scalar_path(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        t = np.arange(24 * 7 * 3)
+        y = (500 + 40 * np.sin(2 * np.pi * t / 24)
+             + 20 * np.cos(2 * np.pi * t / 168) + rng.normal(0, 3.0, len(t)))
+        holidays, festival = (24 * 4, 24 * 11), (24 * 16,)
+        for occ in holidays:
+            y[occ:occ + 24] -= 60.0
+        y[festival[0]:festival[0] + 72] -= 40.0
+        ts = hourly_series(y, seasons=[
+            SeasonSpec("daily", 24, mode="additive"),
+            SeasonSpec("weekly", 168, mode="additive"),
+        ], dims=[
+            DimsSpec("holidays", "additive", 24, occurrences=holidays),
+            DimsSpec("festival", "additive", 72, occurrences=festival),
+        ])
+        config = LoessConfig(max_outer_iterations=3)
+        batched = mstl(ts, config)
+        monkeypatch.setattr(decompose, "_fit_grid", scalar_fit_grid)
+        scalar = mstl(ts, config)
+        atol = 1e-9 * float(np.max(np.abs(y)))
+        np.testing.assert_allclose(batched.trend, scalar.trend, rtol=0, atol=atol)
+        np.testing.assert_allclose(batched.remainder, scalar.remainder, rtol=0, atol=atol)
+        for sid in ("daily", "weekly"):
+            np.testing.assert_allclose(
+                batched.seasonals[sid], scalar.seasonals[sid], rtol=0, atol=atol
+            )
+        for did in ("holidays", "festival"):
+            np.testing.assert_allclose(
+                batched.dims_profiles[did], scalar.dims_profiles[did], rtol=0, atol=atol
+            )
 
 
 class TestMstlBasics:
@@ -193,6 +270,21 @@ class TestTwoSeasonalities:
         t = np.arange(len(daily))
         target = 12 * np.sin(2 * np.pi * t / 24)
         assert np.sqrt(np.mean((daily - target) ** 2)) < 1.0
+
+    def test_last_delta_is_the_final_change(self):
+        ts = self.fixture()
+        tol = 1e-6
+        scale = float(np.max(np.abs(ts.values)))
+        capped = mstl(ts, LoessConfig(max_outer_iterations=2, convergence_tol=tol))
+        assert not capped.converged
+        assert capped.last_delta > tol * scale
+        one_more = mstl(ts, LoessConfig(max_outer_iterations=3, convergence_tol=tol))
+        moved = max(np.max(np.abs(one_more.seasonals[sid] - capped.seasonals[sid]))
+                    for sid in ("daily", "weekly"))
+        assert one_more.last_delta == moved
+        loose = mstl(ts, LoessConfig(convergence_tol=1e-2))
+        assert loose.converged
+        assert loose.last_delta <= 1e-2 * scale
 
     def test_single_seasonality_stl_equals_mstl(self):
         t = np.arange(24 * 8)

@@ -293,6 +293,18 @@ class TestInfeasibility:
             smooth_pass(ts, spec, params, seeds)
         assert err.value.step == 5
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_nonpositive_seed_index_infeasible_before_first_step(self, bad):
+        ts = hourly_series(np.full(30, 100.0), seasons=[SeasonSpec("pair", 2)],
+                           dims=[DimsSpec("h", "multiplicative", 2, occurrences=(6,))])
+        spec = ModelSpec.for_series(ts)
+        params = SmoothingParams(alpha=0.5, gamma=0.0, deltas=(0.1,), deltas_dims=(0.1,))
+        for seasonal, dims in (([1.0, bad], [1.0, 1.0]), ([1.0, 1.0], [bad, 1.0])):
+            seeds = bare_state(100.0, seasonal={"pair": seasonal}, dims={"h": dims})
+            with pytest.raises(FitInfeasibleError, match="seed index") as err:
+                smooth_pass(ts, spec, params, seeds)
+            assert err.value.step == -1
+
     def test_purely_additive_accepts_negative_values(self):
         y = np.sin(np.arange(40))  # crosses zero freely
         ts = hourly_series(y, seasons=[SeasonSpec("pair", 4, mode="additive")])

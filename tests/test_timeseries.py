@@ -104,6 +104,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.values[0] = 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        y = demand(48)
+        y[17] = bad
+        with pytest.raises(DataError, match="non-finite value.*index 17"):
+            hourly_series(y)
+
     def test_covariates_must_align(self):
         with pytest.raises(DataError, match="covariate"):
             hourly_series(demand(48)).with_covariate("temp", np.zeros(47))
