@@ -38,12 +38,12 @@ from .optimize import (
     init_values,
     nelder_mead,
     parameter_names,
+    params_to_vector,
     pattern_search,
     vector_to_params,
 )
 from .timeseries import (
     DataError,
-    DimsRecurrence,
     DimsSpec,
     SeasonSpec,
     TimeSeries,
@@ -62,7 +62,6 @@ __all__ = [
     "CalendarEvent",
     "DataError",
     "DecompositionResult",
-    "DimsRecurrence",
     "DimsSpec",
     "FitInfeasibleError",
     "FitResult",
@@ -93,6 +92,7 @@ __all__ = [
     "nelder_mead",
     "neutral_value",
     "parameter_names",
+    "params_to_vector",
     "pattern_search",
     "project_dims",
     "reduce_check",

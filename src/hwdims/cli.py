@@ -17,7 +17,7 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -341,48 +341,25 @@ def load_series(cfg: RunConfig) -> TimeSeries:
 # Model artifact
 # ---------------------------------------------------------------------------
 
-def _spec_to_json(spec: ModelSpec) -> dict:
-    return {
-        "trend": spec.trend,
-        "damping_enabled": spec.damping_enabled,
-        "ar_adjustment_enabled": spec.ar_adjustment_enabled,
-        "season_modes": list(spec.season_modes),
-        "dims_modes": list(spec.dims_modes),
-    }
-
-
-def _params_to_json(params: SmoothingParams) -> dict:
-    return {
-        "alpha": params.alpha,
-        "gamma": params.gamma,
-        "deltas": list(params.deltas),
-        "deltas_dims": list(params.deltas_dims),
-        "phi": params.phi,
-        "ar1": params.ar1,
-    }
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_artifact(path, ts: TimeSeries, spec: ModelSpec, params: SmoothingParams,
                   state: ModelState, objective: float) -> None:
     doc = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "spec": _spec_to_json(spec),
-        "seasons": [
-            {"id": s.id, "cycle_length": s.cycle_length, "mode": s.mode,
-             "init_method": s.init_method}
-            for s in ts.seasons
-        ],
-        "dims": [
-            {"id": d.id, "mode": d.mode, "length": d.length,
-             "occurrences": list(d.occurrences), "init_method": d.init_method}
-            for d in ts.dims
-        ],
-        "params": _params_to_json(params),
+        "spec": asdict(spec),
+        "seasons": [asdict(s) for s in ts.seasons],
+        "dims": [asdict(d) for d in ts.dims],
+        "params": asdict(params),
         "state": {
             "level": state.level,
             "trend": state.trend,
-            "seasonal": {k: list(map(float, v)) for k, v in state.seasonal.items()},
-            "dims": {k: list(map(float, v)) for k, v in state.dims.items()},
+            "seasonal": {k: v.tolist() for k, v in state.seasonal.items()},
+            "dims": {k: v.tolist() for k, v in state.dims.items()},
             "last_residual": state.last_residual,
             "position": state.position,
         },
@@ -393,9 +370,19 @@ def save_artifact(path, ts: TimeSeries, spec: ModelSpec, params: SmoothingParams
             "length": len(ts),
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
+
+
+def _from_json(cls, doc):
+    """Rebuild a dataclass written with ``asdict``. A missing or unknown
+    field, or a value of the wrong type, makes the artifact malformed."""
+    try:
+        missing = {f.name for f in fields(cls)} - set(doc)
+        if missing:
+            raise DataError(f"artifact {cls.__name__} lacks field(s) {sorted(missing)}")
+        return cls(**doc)
+    except TypeError as exc:
+        raise DataError(f"malformed artifact {cls.__name__}: {exc}") from exc
 
 
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
@@ -404,50 +391,26 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     version = doc.get("schema_version")
     if version != ARTIFACT_SCHEMA_VERSION:
         raise DataError(f"unsupported artifact schema version {version!r}")
-    spec = ModelSpec(
-        trend=doc["spec"]["trend"],
-        damping_enabled=doc["spec"]["damping_enabled"],
-        ar_adjustment_enabled=doc["spec"]["ar_adjustment_enabled"],
-        season_modes=tuple(doc["spec"]["season_modes"]),
-        dims_modes=tuple(doc["spec"]["dims_modes"]),
-    )
-    params = SmoothingParams(
-        alpha=doc["params"]["alpha"],
-        gamma=doc["params"]["gamma"],
-        deltas=tuple(doc["params"]["deltas"]),
-        deltas_dims=tuple(doc["params"]["deltas_dims"]),
-        phi=doc["params"]["phi"],
-        ar1=doc["params"]["ar1"],
-    )
+    spec = _from_json(ModelSpec, doc["spec"])
+    params = _from_json(SmoothingParams, doc["params"])
+    seasons = [_from_json(SeasonSpec, s) for s in doc["seasons"]]
+    dims = [_from_json(DimsSpec, d) for d in doc["dims"]]
     # Rebuild the index maps in declaration order: the engine pairs rings
     # with spec modes positionally, and the JSON was dumped with sorted keys.
-    season_ids = [s["id"] for s in doc["seasons"]]
-    dims_ids = [d["id"] for d in doc["dims"]]
     state = ModelState(
         level=doc["state"]["level"],
         trend=doc["state"]["trend"],
-        seasonal={sid: np.array(doc["state"]["seasonal"][sid]) for sid in season_ids},
-        dims={did: np.array(doc["state"]["dims"][did]) for did in dims_ids},
+        seasonal={s.id: np.array(doc["state"]["seasonal"][s.id]) for s in seasons},
+        dims={d.id: np.array(doc["state"]["dims"][d.id]) for d in dims},
         last_residual=doc["state"]["last_residual"],
         position=doc["state"]["position"],
     )
-    dims = [
-        DimsSpec(id=d["id"], mode=d["mode"], length=d["length"],
-                 occurrences=tuple(d["occurrences"]), init_method=d["init_method"])
-        for d in doc["dims"]
-    ]
     return spec, params, state, dims, doc
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def _fit(ts: TimeSeries, cfg: RunConfig):
     spec = cfg.model_spec(ts)
@@ -467,7 +430,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
         "n_obs": report.n_obs,
         "k_params": report.k_params,
         "warmup": report.warmup,
-        "params": _params_to_json(params),
+        "params": asdict(params),
         "model": reduce_check(spec),
     })
     log.info("fit: objective %.6g, %s", fit.objective, reduce_check(spec))

@@ -16,7 +16,7 @@ from .hw import (
     smooth_pass,
     warmup_length,
 )
-from .optimize import OptimConfig, find_params, init_values
+from .optimize import OptimConfig, find_params, init_values, params_to_vector
 from .timeseries import TimeSeries, aic, ape, mape, rmse
 
 
@@ -60,14 +60,7 @@ def accuracy(fit: FitResult) -> AccuracyReport:
     actual = fitted + errors
     sse = float(np.sum(errors ** 2))
     n = len(errors)
-    spec = fit.spec
-    k = (
-        2
-        + len(spec.season_modes)
-        + len(spec.dims_modes)
-        + int(spec.damping_enabled)
-        + int(spec.ar_adjustment_enabled)
-    )
+    k = len(params_to_vector(fit.params, fit.spec))
     return AccuracyReport(
         rmse=rmse(actual, fitted),
         mape=mape(actual, fitted),
@@ -138,7 +131,7 @@ def mforecast(
             fit = smooth_pass(window, spec, run_params, seeds)
         else:
             run_params, fit = find_params(window, spec, optim_config, start=warm_start)
-            warm_start = _params_to_vector(run_params, spec)
+            warm_start = params_to_vector(run_params, spec)
         projection = project_dims(ts, origin, horizon)
         forecasts[i] = forecast(fit.final_state, spec, run_params, horizon, projection)
         actuals[i] = ts.values[origin:origin + horizon]
@@ -153,15 +146,6 @@ def mforecast(
         per_origin_mape=per_origin,
         per_horizon_mape=per_horizon,
     )
-
-
-def _params_to_vector(params: SmoothingParams, spec: ModelSpec) -> np.ndarray:
-    x = [params.alpha, params.gamma, *params.deltas, *params.deltas_dims]
-    if spec.damping_enabled:
-        x.append(params.phi)
-    if spec.ar_adjustment_enabled:
-        x.append(params.ar1)
-    return np.array(x)
 
 
 def grid_to_csv(grid: ForecastGrid, ts: TimeSeries, path) -> Path:

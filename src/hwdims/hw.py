@@ -2,17 +2,24 @@
 
 One recursion covers the whole model family: level, an additive or
 multiplicative trend (optionally damped), any number of regular seasonal
-index rings (each additive or multiplicative), any number of moving
-seasonalities updated only inside their occurrence blocks, and a first-order
-autocorrelation correction of the forecasts.
+cycles and of moving seasonalities (each additive or multiplicative), and a
+first-order autocorrelation correction of the forecasts.
 
-Per step t the engine (1) forms the one-step-ahead forecast from the state
-at t-1, (2) records the residual, (3) updates level and trend, (4) updates
-the one regular index slot per seasonality that expires at t, and (5) when t
-lies inside an occurrence block, updates that block position's moving index,
-carried over from the previous occurrence. Outside its blocks a moving
-seasonality contributes its neutral element (0 additive, 1 multiplicative)
-and is never updated.
+Regular cycles and moving seasonalities are one kind of index component: a
+value array read through a per-step slot table. A regular cycle of length s
+reads slot ``t % s`` at every step; a moving seasonality reads the
+within-block offset of its occurrence blocks and slot -1 (no contribution:
+the neutral element, 0 additive or 1 multiplicative) outside them, so its
+values carry over from one occurrence to the next. Components are kept in
+one list, regular cycles first, then moving seasonalities.
+
+Per step t the engine (1) gathers the pre-update value of every component
+whose slot is active, additive terms summed and factors multiplied, (2)
+forms the one-step-ahead forecast from the state at t-1 and records the
+residual, (3) updates level and trend, and (4) updates each active slot.
+Forecasts read the same components through their future slot tables:
+``(position + k - 1) % s`` for a regular cycle, :func:`project_dims` for a
+moving seasonality.
 
 With one multiplicative seasonality, no moving seasonalities, an undamped
 trend and no autocorrelation term, the recursion reduces exactly to the
@@ -27,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .timeseries import DataError, DimsSpec, TimeSeries
+from .timeseries import DataError, DimsSpec, TimeSeries, _slot_table
 
 TREND_KINDS = ("none", "additive", "multiplicative")
 
@@ -61,6 +68,8 @@ class ModelSpec:
     dims_modes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "season_modes", tuple(self.season_modes))
+        object.__setattr__(self, "dims_modes", tuple(self.dims_modes))
         if self.trend not in TREND_KINDS:
             raise ValueError(f"unknown trend kind {self.trend!r}")
 
@@ -194,6 +203,30 @@ def _check_consistency(ts: TimeSeries, spec: ModelSpec, params: SmoothingParams,
             raise ValueError(f"seed slots for dims {d.id!r} missing or wrong length")
 
 
+def _components(ids, values, modes, slots, deltas) -> list[tuple]:
+    """Index components as ``(id, values, slots, is_mult, delta)`` tuples of
+    plain Python lists, the form the scalar loops index fastest."""
+    return [
+        (cid, [float(v) for v in vals], slot_list, mode == "multiplicative", delta)
+        for cid, vals, mode, slot_list, delta in zip(ids, values, modes, slots, deltas)
+    ]
+
+
+def _gather(components, t: int) -> tuple[float, float]:
+    """Sum of the additive and product of the multiplicative index values
+    read at step ``t``; components with slot -1 contribute nothing."""
+    sum_add = 0.0
+    prod_mul = 1.0
+    for _cid, values, slots, is_mult, _delta in components:
+        q = slots[t]
+        if q >= 0:
+            if is_mult:
+                prod_mul *= values[q]
+            else:
+                sum_add += values[q]
+    return sum_add, prod_mul
+
+
 def smooth_pass(
     ts: TimeSeries,
     spec: ModelSpec,
@@ -218,29 +251,27 @@ def smooth_pass(
     if n <= warm:
         raise DataError(f"series length {n} does not exceed warm-up window {warm}")
 
-    # (ring, cycle, delta, is_mult) per regular seasonality
-    seas = []
-    for sspec, delta in zip(ts.seasons, eff.deltas):
-        ring = [float(v) for v in seeds.seasonal[sspec.id]]
-        seas.append((ring, sspec.cycle_length, delta, sspec.mode == "multiplicative"))
-    # (slots array, slot->value list, delta, is_mult) per moving seasonality
-    dimss = []
-    for dspec, delta in zip(ts.dims, eff.deltas_dims):
-        arr = [float(v) for v in seeds.dims[dspec.id]]
-        slots = ts.recurrence(dspec.id).slot.tolist()
-        dimss.append((arr, slots, delta, dspec.mode == "multiplicative"))
+    specs = ts.seasons + ts.dims
+    components = _components(
+        [c.id for c in specs],
+        [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims],
+        [c.mode for c in specs],
+        [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons]
+        + [ts.recurrence(d.id).tolist() for d in ts.dims],
+        eff.deltas + eff.deltas_dims,
+    )
 
-    has_mult = mult_trend or any(s[3] for s in seas) or any(d[3] for d in dimss)
+    has_mult = mult_trend or any(c[3] for c in components)
     if has_mult and seeds.level <= 0:
         raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
     if mult_trend and seeds.trend <= 0:
         raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
-    component_ids = [s.id for s in ts.seasons] + [d.id for d in ts.dims]
-    for (values, *_unused, is_mult), cid in zip(seas + dimss, component_ids):
+    for cid, values, _slots, is_mult, _delta in components:
         if is_mult and min(values) <= 0.0:
             raise FitInfeasibleError(
                 f"multiplicative seed index of {cid!r} must be positive", step=-1
             )
+    updated = [c for c in components if c[4] != 0.0]
 
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
@@ -250,23 +281,7 @@ def smooth_pass(
 
     for t in range(n):
         yt = y[t]
-        # Gather pre-update index values; additive terms sum, factors multiply.
-        sum_add = 0.0
-        prod_mul = 1.0
-        for ring, cycle, _delta, is_mult in seas:
-            v = ring[t % cycle]
-            if is_mult:
-                prod_mul *= v
-            else:
-                sum_add += v
-        for arr, slots, _delta, is_mult in dimss:
-            q = slots[t]
-            if q >= 0:
-                v = arr[q]
-                if is_mult:
-                    prod_mul *= v
-                else:
-                    sum_add += v
+        sum_add, prod_mul = _gather(components, t)
 
         base = level * trend ** phi if mult_trend else level + phi * trend
         yhat = (base + sum_add) * prod_mul + ar1 * eps
@@ -285,41 +300,27 @@ def smooth_pass(
         else:
             trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
 
-        for ring, cycle, delta, is_mult in seas:
-            if delta == 0.0:
-                continue
-            q = t % cycle
-            v = ring[q]
-            if is_mult:
-                new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
-                if new <= 0.0:
-                    raise FitInfeasibleError(
-                        f"multiplicative seasonal index became nonpositive at step {t}", step=t
-                    )
-            else:
-                new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
-            ring[q] = new
-
-        for arr, slots, delta, is_mult in dimss:
+        for cid, values, slots, is_mult, delta in updated:
             q = slots[t]
-            if q < 0 or delta == 0.0:
+            if q < 0:
                 continue
-            v = arr[q]
+            v = values[q]
             if is_mult:
                 new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
                 if new <= 0.0:
                     raise FitInfeasibleError(
-                        f"moving seasonal index became nonpositive at step {t}", step=t
+                        f"index of {cid!r} became nonpositive at step {t}", step=t
                     )
             else:
                 new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
-            arr[q] = new
+            values[q] = new
 
+    n_seasons = len(ts.seasons)
     final = ModelState(
         level=level,
         trend=trend,
-        seasonal={s.id: np.array(ring) for (ring, *_), s in zip(seas, ts.seasons)},
-        dims={d.id: np.array(arr) for (arr, *_), d in zip(dimss, ts.dims)},
+        seasonal={c[0]: np.array(c[1]) for c in components[:n_seasons]},
+        dims={c[0]: np.array(c[1]) for c in components[n_seasons:]},
         last_residual=eps,
         position=seeds.position + n,
     )
@@ -341,24 +342,16 @@ def project_dims(
     origin: int,
     horizon: int,
 ) -> dict[str, np.ndarray]:
-    """Map forecast steps k=1..horizon onto moving-seasonality block offsets.
+    """Future slot tables of the moving seasonalities for k=1..horizon.
 
     ``origin`` is the number of observations consumed before forecasting;
-    step k targets series position origin + k - 1. Entries are -1 where the
-    step falls outside every occurrence block of that seasonality.
+    step k targets series position origin + k - 1. Entries are the block
+    offsets, -1 where the step falls outside every occurrence block of that
+    seasonality. Over any window inside the series this equals the matching
+    slice of :func:`~hwdims.timeseries.compute_recurrence`.
     """
     specs = source.dims if isinstance(source, TimeSeries) else tuple(source)
-    projection = {}
-    for spec in specs:
-        slots = np.full(horizon, -1, dtype=np.int64)
-        for occ in spec.occurrences:
-            lo = max(occ, origin)
-            hi = min(occ + spec.length, origin + horizon)
-            if lo < hi:
-                ks = np.arange(lo, hi) - origin
-                slots[ks] = np.arange(lo - occ, hi - occ)
-        projection[spec.id] = slots
-    return projection
+    return {spec.id: _slot_table(spec, origin, origin + horizon) for spec in specs}
 
 
 def forecast(
@@ -372,12 +365,15 @@ def forecast(
 
     The damped trend contributes the running sum of powers of the damping
     factor; the last in-sample residual is carried across the horizon with a
-    geometrically decaying weight. Regular index rings cycle; moving indices
-    contribute only at steps marked in ``future_dims`` (see
-    :func:`project_dims`), the neutral element elsewhere.
+    geometrically decaying weight. Regular cycles read slot
+    ``(position + k - 1) % s``; moving seasonalities read the slots given in
+    ``future_dims`` (see :func:`project_dims`) and contribute the neutral
+    element where a slot is -1 or missing.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if len(spec.season_modes) != len(state.seasonal) or len(spec.dims_modes) != len(state.dims):
+        raise ValueError("spec modes do not match the state's index components")
     future_dims = dict(future_dims or {})
     for dims_id in future_dims:
         if dims_id not in state.dims:
@@ -387,14 +383,21 @@ def forecast(
     mult_trend = spec.trend == "multiplicative"
     trend_term = 0.0 if spec.trend == "none" else state.trend
 
-    rings = [
-        (np.asarray(ring), len(ring), mode == "multiplicative")
-        for ring, mode in zip(state.seasonal.values(), spec.season_modes)
-    ]
-    dims_arrays = {k: np.asarray(v) for k, v in state.dims.items()}
-    dims_modes = dict(zip(state.dims.keys(), spec.dims_modes))
+    steps = np.arange(state.position, state.position + horizon)
+    future_slots = [(steps % len(ring)).tolist() for ring in state.seasonal.values()]
+    for dims_id in state.dims:
+        slots = np.full(horizon, -1, dtype=np.int64)
+        given = np.asarray(future_dims.get(dims_id, ()), dtype=np.int64)[:horizon]
+        slots[:len(given)] = given
+        future_slots.append(slots.tolist())
+    components = _components(
+        [*state.seasonal, *state.dims],
+        [*state.seasonal.values(), *state.dims.values()],
+        spec.season_modes + spec.dims_modes,
+        future_slots,
+        [0.0] * len(future_slots),
+    )
 
-    last_index = state.position - 1
     out = np.empty(horizon)
     phi_pow = 1.0
     phi_acc = 0.0
@@ -405,22 +408,7 @@ def forecast(
         ar_pow *= ar1
         base = state.level * trend_term ** phi_acc if mult_trend \
             else state.level + phi_acc * trend_term
-        sum_add = 0.0
-        prod_mul = 1.0
-        for ring, cycle, is_mult in rings:
-            v = ring[(last_index + k) % cycle]
-            if is_mult:
-                prod_mul *= v
-            else:
-                sum_add += v
-        for dims_id, slots in future_dims.items():
-            q = int(slots[k - 1]) if k - 1 < len(slots) else -1
-            if q >= 0:
-                v = dims_arrays[dims_id][q]
-                if dims_modes[dims_id] == "multiplicative":
-                    prod_mul *= v
-                else:
-                    sum_add += v
+        sum_add, prod_mul = _gather(components, k - 1)
         out[k - 1] = (base + sum_add) * prod_mul + ar_pow * state.last_residual
     return out
 

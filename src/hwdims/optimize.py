@@ -26,7 +26,7 @@ from .hw import (
     smooth_pass,
     warmup_length,
 )
-from .timeseries import DataError, TimeSeries, mape
+from .timeseries import DataError, TimeSeries, mape, neutral_value
 
 ALGORITHMS = ("nelder_mead", "pattern_search", "random_restart_nelder_mead")
 OBJECTIVES = ("rmse", "mape")
@@ -169,7 +169,7 @@ def init_values(ts: TimeSeries, spec: ModelSpec,
 
     dims: dict[str, np.ndarray] = {}
     for dspec in ts.dims:
-        neutral = 1.0 if dspec.mode == "multiplicative" else 0.0
+        neutral = neutral_value(dspec.mode)
         if dspec.init_method == "neutral" or not dspec.occurrences:
             dims[dspec.id] = np.full(dspec.length, neutral)
             continue
@@ -310,58 +310,61 @@ def pattern_search(f, x0, config: OptimConfig,
 # Parameter search over the smoothing engine
 # ---------------------------------------------------------------------------
 
+def _param_rows(spec: ModelSpec) -> list[tuple[str, int | None, tuple[float, float], float]]:
+    """Search-vector layout: per entry the :class:`SmoothingParams` field it
+    sets, its index when that field is a tuple, its bounds and its start.
+
+    Small smoothing weights are the stable starting region.
+    """
+    unit = (0.0, 1.0)
+    rows = [("alpha", None, unit, 0.1), ("gamma", None, unit, 0.1)]
+    rows += [("deltas", i, unit, 0.1) for i in range(len(spec.season_modes))]
+    rows += [("deltas_dims", i, unit, 0.1) for i in range(len(spec.dims_modes))]
+    if spec.damping_enabled:
+        rows.append(("phi", None, unit, 0.95))
+    if spec.ar_adjustment_enabled:
+        rows.append(("ar1", None, (-AR1_LIMIT, AR1_LIMIT), 0.0))
+    return rows
+
+
 def parameter_names(ts: TimeSeries, spec: ModelSpec) -> list[str]:
     """Layout of the search vector for this configuration."""
-    names = ["alpha", "gamma"]
-    names += [f"delta_{s.id}" for s in ts.seasons]
-    names += [f"delta_dims_{d.id}" for d in ts.dims]
-    if spec.damping_enabled:
-        names.append("phi")
-    if spec.ar_adjustment_enabled:
-        names.append("ar1")
+    indexed = {"deltas": ("delta_", ts.seasons), "deltas_dims": ("delta_dims_", ts.dims)}
+    names = []
+    for name, index, _bounds, _start in _param_rows(spec):
+        if index is not None:
+            prefix, specs = indexed[name]
+            name = prefix + specs[index].id
+        names.append(name)
     return names
 
 
 def default_bounds(ts: TimeSeries, spec: ModelSpec) -> tuple[tuple[float, float], ...]:
-    bounds = [(0.0, 1.0)] * (2 + len(ts.seasons) + len(ts.dims))
-    if spec.damping_enabled:
-        bounds.append((0.0, 1.0))
-    if spec.ar_adjustment_enabled:
-        bounds.append((-AR1_LIMIT, AR1_LIMIT))
-    return tuple(bounds)
+    return tuple(bounds for _name, _index, bounds, _start in _param_rows(spec))
 
 
 def default_start(ts: TimeSeries, spec: ModelSpec) -> np.ndarray:
-    """Small smoothing weights are the stable starting region."""
-    x = [0.1, 0.1]
-    x += [0.1] * (len(ts.seasons) + len(ts.dims))
-    if spec.damping_enabled:
-        x.append(0.95)
-    if spec.ar_adjustment_enabled:
-        x.append(0.0)
-    return np.array(x)
+    return np.array([start for _name, _index, _bounds, start in _param_rows(spec)])
 
 
 def vector_to_params(x, ts: TimeSeries, spec: ModelSpec) -> SmoothingParams:
-    x = np.asarray(x, dtype=float)
-    n_s, n_d = len(ts.seasons), len(ts.dims)
-    pos = 2 + n_s + n_d
-    phi = 1.0
-    if spec.damping_enabled:
-        phi = float(x[pos])
-        pos += 1
-    ar1 = 0.0
-    if spec.ar_adjustment_enabled:
-        ar1 = float(x[pos])
-        pos += 1
-    return SmoothingParams(
-        alpha=float(x[0]),
-        gamma=float(x[1]),
-        deltas=tuple(x[2:2 + n_s]),
-        deltas_dims=tuple(x[2 + n_s:2 + n_s + n_d]),
-        phi=phi,
-        ar1=ar1,
-    )
+    kwargs: dict = {"deltas": [], "deltas_dims": []}
+    for (name, index, _bounds, _start), v in zip(
+        _param_rows(spec), np.asarray(x, dtype=float), strict=True
+    ):
+        if index is None:
+            kwargs[name] = float(v)
+        else:
+            kwargs[name].append(v)
+    return SmoothingParams(**kwargs)
+
+
+def params_to_vector(params: SmoothingParams, spec: ModelSpec) -> np.ndarray:
+    """Inverse of :func:`vector_to_params`: the search vector of ``params``."""
+    return np.array([
+        getattr(params, name) if index is None else getattr(params, name)[index]
+        for name, index, _bounds, _start in _param_rows(spec)
+    ])
 
 
 def _resolve_bounds(ts, spec, config) -> tuple[tuple[float, float], ...]:
@@ -390,7 +393,8 @@ def find_params(
 
     Deterministic for a given ``rng_seed``. Raises
     :class:`~hwdims.hw.FitInfeasibleError` when the evaluation budget is
-    exhausted without a single feasible parameter point.
+    exhausted without a single feasible parameter point, and at the first
+    evaluation when the seeds themselves are infeasible (``step=-1``).
     """
     config = config or OptimConfig()
     if seeds is None:
@@ -413,7 +417,11 @@ def find_params(
         params = vector_to_params(x, ts, spec)
         try:
             fit = smooth_pass(ts, spec, params, seeds)
-        except (FitInfeasibleError, ZeroDivisionError, OverflowError):
+        except FitInfeasibleError as exc:
+            if exc.step == -1:  # the seeds are at fault; no parameter point can repair them
+                raise
+            return INFEASIBLE_PENALTY
+        except (ZeroDivisionError, OverflowError):
             return INFEASIBLE_PENALTY
         if config.objective == "rmse":
             value = fit.objective

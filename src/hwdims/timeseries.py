@@ -1,9 +1,10 @@
 """Multi-seasonal time-series container and forecast accuracy metrics.
 
 The :class:`TimeSeries` container holds an evenly spaced observation vector
-together with its regular seasonal cycles, its event-window moving
-seasonalities (each defined only on irregularly recurring blocks of steps),
-and optional covariate columns. Containers are immutable: every mutating
+together with its regular seasonal cycles and its event-window moving
+seasonalities (each defined only on irregularly recurring blocks of steps).
+Each moving seasonality gets a slot table: the within-block offset of every
+step, -1 outside its blocks. Containers are immutable: every mutating
 operation returns a new instance, so series can be shared freely across
 concurrent fitting jobs.
 """
@@ -93,59 +94,39 @@ class DimsSpec:
             raise ValueError(f"dims {self.id!r}: negative occurrence start {self.occurrences[0]}")
 
 
-@dataclass(frozen=True, eq=False)
-class DimsRecurrence:
-    """Per-step activity table of one moving seasonality.
-
-    ``active[t]`` marks steps inside an occurrence block, ``slot[t]`` is the
-    within-block offset (-1 outside blocks) and ``lag[t]`` the distance to
-    the same offset in the previous occurrence (0 where undefined, i.e. the
-    first occurrence). The lag varies per occurrence because the events
-    recur irregularly.
-    """
-
-    dims_id: str
-    active: np.ndarray
-    slot: np.ndarray
-    lag: np.ndarray
+def _slot_table(spec: DimsSpec, start: int, stop: int) -> np.ndarray:
+    """Within-block offset of each position in ``[start, stop)``, -1 outside
+    every occurrence block of ``spec``."""
+    slots = np.full(stop - start, -1, dtype=np.int64)
+    for occ in spec.occurrences:
+        lo, hi = max(occ, start), min(occ + spec.length, stop)
+        if lo < hi:
+            slots[lo - start:hi - start] = np.arange(lo - occ, hi - occ)
+    return slots
 
 
-def compute_recurrence(spec: DimsSpec, n: int) -> DimsRecurrence:
-    """Build the activity/lag table for ``spec`` over a series of length ``n``."""
-    active = np.zeros(n, dtype=bool)
-    slot = np.full(n, -1, dtype=np.int64)
-    lag = np.zeros(n, dtype=np.int64)
-    prev_start = None
+def compute_recurrence(spec: DimsSpec, n: int) -> np.ndarray:
+    """Slot table of ``spec`` over a series of length ``n``: the block offset
+    of each step, -1 outside blocks. Every block must lie inside the series."""
     for start in spec.occurrences:
-        stop = start + spec.length
-        if start >= n or stop > n:
+        if start + spec.length > n:
             raise DataError(
-                f"dims {spec.id!r}: occurrence block [{start}, {stop}) exceeds series "
-                f"length {n}"
+                f"dims {spec.id!r}: occurrence block [{start}, {start + spec.length}) "
+                f"exceeds series length {n}"
             )
-        active[start:stop] = True
-        slot[start:stop] = np.arange(spec.length)
-        if prev_start is not None:
-            lag[start:stop] = start - prev_start
-        prev_start = start
-    return DimsRecurrence(dims_id=spec.id, active=active, slot=slot, lag=lag)
+    return _slot_table(spec, 0, n)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Evenly spaced observations with seasonal structure attached.
-
-    Covariates are stored for alignment only; the smoothing engine never
-    consumes them.
-    """
+    """Evenly spaced observations with seasonal structure attached."""
 
     values: np.ndarray
     step: timedelta = timedelta(hours=1)
     start: datetime = datetime(2000, 1, 3)
     seasons: tuple[SeasonSpec, ...] = ()
     dims: tuple[DimsSpec, ...] = ()
-    covariates: dict[str, np.ndarray] = field(default_factory=dict)
-    _recurrences: dict[str, DimsRecurrence] = field(
+    _recurrences: dict[str, np.ndarray] = field(
         init=False, repr=False, default_factory=dict
     )
 
@@ -173,14 +154,6 @@ class TimeSeries:
                 raise DataError(
                     f"season {spec.id!r}: cycle {spec.cycle_length} exceeds series length {n}"
                 )
-        covs = {}
-        for name, col in self.covariates.items():
-            arr = np.asarray(col, dtype=float).reshape(-1).copy()
-            if len(arr) != n:
-                raise DataError(f"covariate {name!r}: length {len(arr)} != series length {n}")
-            arr.setflags(write=False)
-            covs[name] = arr
-        object.__setattr__(self, "covariates", covs)
         recurrences = {}
         dims_ids = set()
         for spec in self.dims:
@@ -200,7 +173,8 @@ class TimeSeries:
     def timestamp_at(self, index: int) -> datetime:
         return self.start + index * self.step
 
-    def recurrence(self, dims_id: str) -> DimsRecurrence:
+    def recurrence(self, dims_id: str) -> np.ndarray:
+        """Slot table of one moving seasonality (see :func:`compute_recurrence`)."""
         try:
             return self._recurrences[dims_id]
         except KeyError:
@@ -210,7 +184,7 @@ class TimeSeries:
         return replace(self, seasons=self.seasons + (spec,))
 
     def add_dims(self, spec: DimsSpec) -> TimeSeries:
-        """Register a moving seasonality; the recurrence table is computed eagerly."""
+        """Register a moving seasonality; its slot table is computed eagerly."""
         return replace(self, dims=self.dims + (spec,))
 
     def remove_dims(self, dims_id: str) -> TimeSeries:
@@ -218,16 +192,6 @@ class TimeSeries:
         if len(kept) == len(self.dims):
             raise KeyError(f"unknown dims id {dims_id!r}")
         return replace(self, dims=kept)
-
-    def with_covariate(self, name: str, values) -> TimeSeries:
-        covs = dict(self.covariates)
-        covs[name] = values
-        return replace(self, covariates=covs)
-
-    def without_covariate(self, name: str) -> TimeSeries:
-        covs = dict(self.covariates)
-        del covs[name]
-        return replace(self, covariates=covs)
 
     def prefix(self, n: int) -> TimeSeries:
         """First ``n`` observations; moving-seasonality blocks that are not

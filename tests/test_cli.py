@@ -375,3 +375,40 @@ class TestCommands:
             "max_evals = 60\n"
         )
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    def test_seed_infeasibility_stops_the_search_at_once(self, tmp_path, capsys, monkeypatch):
+        import hwdims.optimize as optimize
+
+        calls = []
+        real = optimize.smooth_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "smooth_pass", counted)
+        write_hourly_csv(tmp_path / "demand.csv", np.resize([100.0, -100.0], 96))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "data = demand.csv\n"
+            "season = 24 multiplicative ratio_to_ma daily\n"
+            "max_evals = 200\n"
+        )
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "seed level" in capsys.readouterr().err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("key", ["alpha", "phi"])
+    def test_artifact_missing_params_key_is_a_data_error(self, tmp_path, key):
+        demand_fixture(tmp_path, weeks=2)
+        cfg = write_fit_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        model = out / "model.json"
+        doc = json.loads(model.read_text())
+        del doc["params"][key]
+        model.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=key):
+            load_artifact(model)
+        assert main(["forecast", "--config", str(cfg), "--out", str(out),
+                     "--model", str(model)]) == 2

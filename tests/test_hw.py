@@ -168,6 +168,38 @@ class TestDimsRecursion:
         np.testing.assert_allclose(fit.fitted[6:], 50.0, atol=1e-12)
 
 
+class TestDimsAsRegularCycle:
+    """A moving seasonality of length s with blocks at 0, s, 2s, ... is read
+    and updated exactly like a regular cycle of length s."""
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_back_to_back_blocks_reproduce_regular_season(self, mode):
+        s, n, h = 24, 240, 60
+        rng = np.random.default_rng(21)
+        t = np.arange(n)
+        y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / s)) + 0.05 * t + rng.normal(0, 1, n)
+        regular = hourly_series(y, seasons=[SeasonSpec("c", s, mode=mode)])
+        moving = hourly_series(y, dims=[DimsSpec("c", mode, s, occurrences=range(0, n, s))])
+        seeds = init_values(regular, ModelSpec.for_series(regular))
+        ring = seeds.seasonal["c"]
+        fits, forecasts = [], []
+        for ts, params, state in (
+            (regular, SmoothingParams(alpha=0.3, gamma=0.05, deltas=(0.2,)),
+             bare_state(seeds.level, seeds.trend, seasonal={"c": ring})),
+            (moving, SmoothingParams(alpha=0.3, gamma=0.05, deltas_dims=(0.2,)),
+             bare_state(seeds.level, seeds.trend, dims={"c": ring})),
+        ):
+            spec = ModelSpec.for_series(ts)
+            fit = smooth_pass(ts, spec, params, state)
+            future = {"c": np.arange(n, n + h) % s} if ts.dims else None
+            fits.append(fit)
+            forecasts.append(forecast(fit.final_state, spec, params, h, future))
+        assert (fits[0].fitted == fits[1].fitted).all()
+        assert (fits[0].final_state.seasonal["c"] == fits[1].final_state.dims["c"]).all()
+        assert fits[0].final_state.level == fits[1].final_state.level
+        assert (forecasts[0] == forecasts[1]).all()
+
+
 class TestForecastEquation:
     def test_zero_damping_removes_trend(self):
         state = bare_state(100.0, 5.0, seasonal={"s": [1.2, 1.2, 1.2, 1.2]})
@@ -304,6 +336,22 @@ class TestInfeasibility:
             with pytest.raises(FitInfeasibleError, match="seed index") as err:
                 smooth_pass(ts, spec, params, seeds)
             assert err.value.step == -1
+
+    @pytest.mark.parametrize("component", ["pair", "h"])
+    def test_nonpositive_index_names_its_component(self, component):
+        # Level frozen at 100 (alpha 0) and delta 1: an index is reset to
+        # y / level, so a negative observation drives it below zero.
+        y = np.full(30, 100.0)
+        y[7 if component == "pair" else 12] = -50.0
+        ts = hourly_series(y, seasons=[SeasonSpec("pair", 2)],
+                           dims=[DimsSpec("h", "multiplicative", 2, occurrences=(12,))])
+        spec = ModelSpec.for_series(ts)
+        deltas = (1.0, 0.0) if component == "pair" else (0.0, 1.0)
+        params = SmoothingParams(alpha=0.0, gamma=0.0, deltas=deltas[:1], deltas_dims=deltas[1:])
+        seeds = bare_state(100.0, seasonal={"pair": [1.0, 1.0]}, dims={"h": [1.0, 1.0]})
+        with pytest.raises(FitInfeasibleError, match=f"index of '{component}'") as err:
+            smooth_pass(ts, spec, params, seeds)
+        assert err.value.step == (7 if component == "pair" else 12)
 
     def test_purely_additive_accepts_negative_values(self):
         y = np.sin(np.arange(40))  # crosses zero freely
