@@ -25,8 +25,9 @@ import numpy as np
 
 from .calendars import CalendarEvent, build_dims
 from .decompose import LoessConfig, mstl, stlplot_export
-from .evaluate import accuracy, grid_to_csv, mforecast
+from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast
 from .hw import (
+    TREND_KINDS,
     FitInfeasibleError,
     ModelSpec,
     ModelState,
@@ -35,8 +36,8 @@ from .hw import (
     project_dims,
     reduce_check,
 )
-from .optimize import OptimConfig, find_params
-from .timeseries import DataError, DimsSpec, SeasonSpec, TimeSeries
+from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
+from .timeseries import DIMS_INIT_METHODS, MODES, DataError, DimsSpec, SeasonSpec, TimeSeries
 
 log = logging.getLogger(__name__)
 
@@ -176,14 +177,6 @@ def read_calendar_csv(path) -> list[CalendarEvent]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SeasonDecl:
-    cycle_length: int
-    mode: str
-    init_method: str
-    id: str
-
-
-@dataclass
 class DimsDecl:
     group: str
     mode: str
@@ -194,7 +187,7 @@ class DimsDecl:
 class RunConfig:
     data: Path
     calendar: Path | None = None
-    seasons: list[SeasonDecl] = field(default_factory=list)
+    seasons: list[SeasonSpec] = field(default_factory=list)
     dims: list[DimsDecl] = field(default_factory=list)
     trend: str = "additive"
     damping: bool = False
@@ -238,7 +231,7 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     base = path.parent
     values: dict[str, str] = {}
-    seasons: list[SeasonDecl] = []
+    seasons: list[SeasonSpec] = []
     dims: list[DimsDecl] = []
     try:
         lines = path.read_text().splitlines()
@@ -264,11 +257,18 @@ def parse_config(path) -> RunConfig:
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad cycle length {parts[0]!r}") from None
             sid = parts[3] if len(parts) == 4 else f"s{cycle}"
-            seasons.append(SeasonDecl(cycle, parts[1], parts[2], sid))
+            try:
+                seasons.append(SeasonSpec(sid, cycle, parts[1], parts[2]))
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: bad value for 'season': {exc}") from None
         elif key == "dims":
             parts = value.split()
             if len(parts) != 3:
                 raise UsageError(f"{path}:{lineno}: dims needs 'group mode init_method'")
+            for given, allowed in zip(parts[1:], (MODES, DIMS_INIT_METHODS)):
+                if given not in allowed:
+                    raise UsageError(f"{path}:{lineno}: bad value {given!r} for 'dims', "
+                                     f"expected one of {', '.join(allowed)}")
             dims.append(DimsDecl(*parts))
         elif key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -282,19 +282,22 @@ def parse_config(path) -> RunConfig:
     if "calendar" in values:
         cfg.calendar = (base / values.pop("calendar")).resolve()
 
-    def take(key, conv, attr=None):
+    def take(key, conv, allowed=None):
         if key in values:
             raw = values.pop(key)
+            if allowed is not None and raw not in allowed:
+                raise UsageError(f"{path}: bad value {raw!r} for {key!r}, "
+                                 f"expected one of {', '.join(allowed)}")
             try:
-                setattr(cfg, attr or key, conv(raw))
+                setattr(cfg, key, conv(raw))
             except (ValueError, KeyError):
                 raise UsageError(f"{path}: bad value {raw!r} for {key!r}") from None
 
-    take("trend", str)
+    take("trend", str, TREND_KINDS)
     take("damping", lambda v: _FLAGS[v.lower()])
     take("ar", lambda v: _FLAGS[v.lower()])
-    take("algorithm", str)
-    take("objective", str)
+    take("algorithm", str, ALGORITHMS)
+    take("objective", str, OBJECTIVES)
     take("max_evals", int)
     take("tolerance", float)
     take("restarts", int)
@@ -302,7 +305,7 @@ def parse_config(path) -> RunConfig:
     take("horizon", int)
     take("first_origin", int)
     take("origin_step", int)
-    take("policy", str)
+    take("policy", str, POLICIES)
     if values:
         raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(values))}")
     return cfg
@@ -311,11 +314,8 @@ def parse_config(path) -> RunConfig:
 def load_series(cfg: RunConfig) -> TimeSeries:
     """Ingest the data file and attach the declared seasonal structure."""
     ts = ingest(cfg.data)
-    for decl in cfg.seasons:
-        ts = ts.add_season(SeasonSpec(
-            id=decl.id, cycle_length=decl.cycle_length,
-            mode=decl.mode, init_method=decl.init_method,
-        ))
+    for season in cfg.seasons:
+        ts = ts.add_season(season)
     if cfg.dims:
         if cfg.calendar is None:
             raise UsageError("dims declared but no calendar file configured")
@@ -477,23 +477,18 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
-    ts = load_series(cfg)
     if cfg.first_origin is None:
         raise UsageError("evaluate requires first_origin in the config")
+    ts = load_series(cfg)
     step = cfg.origin_step if cfg.origin_step is not None else cfg.horizon
     spec = cfg.model_spec(ts)
+    params = None
     if cfg.policy == "fixed":
         params, _fit_res = find_params(ts.prefix(cfg.first_origin), spec, cfg.optim_config())
-        grid = mforecast(
-            ts, spec, first_origin=cfg.first_origin, step=step,
-            horizon=cfg.horizon, policy="fixed", params=params,
-        )
-    else:
-        grid = mforecast(
-            ts, spec, first_origin=cfg.first_origin, step=step,
-            horizon=cfg.horizon, policy="refit_per_origin",
-            optim_config=cfg.optim_config(),
-        )
+    grid = mforecast(
+        ts, spec, first_origin=cfg.first_origin, step=step, horizon=cfg.horizon,
+        policy=cfg.policy, params=params, optim_config=cfg.optim_config(),
+    )
     grid_to_csv(grid, ts, out / "grid.csv")
     _write_json(out / "summary.json", {
         "grand_mape": grid.grand_mape,

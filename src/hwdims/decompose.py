@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import DataError, TimeSeries
+from .timeseries import DataError, TimeSeries, slot_mean
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,11 @@ def _fit_point(y: np.ndarray, x0: float, window: int,
     if excluded is not None:
         kept = idx[~excluded[lo:hi]]
         if kept.size == 0:
+            # the nearest `window` kept points lie within `window` of x0's
+            # insertion point among them
             kept = np.flatnonzero(~excluded)
+            p = int(np.searchsorted(kept, x0))
+            kept = kept[max(p - window, 0):p + window]
             order = np.argsort(np.abs(kept - x0), kind="stable")
             kept = kept[order[:window]]
         # nothing unmasked anywhere: fit from what exists
@@ -373,12 +377,11 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     for comp in seasonals.values():
         seasonal_sum += comp
 
-    block_mask = None
-    if ts.dims and any(d.occurrences for d in ts.dims):
-        block_mask = np.zeros(n, dtype=bool)
-        for dspec in ts.dims:
-            for occ in dspec.occurrences:
-                block_mask[occ:occ + dspec.length] = True
+    block_mask = np.zeros(n, dtype=bool)
+    for dspec in ts.dims:
+        block_mask |= ts.recurrence(dspec.id) >= 0
+    if not block_mask.any():
+        block_mask = None
     longest = max((s.cycle_length for s in ts.seasons), default=max(3, n // 10))
     trend_window = _trend_window(longest, cfg)
     trend = loess_smooth(y - seasonal_sum, trend_window, excluded=block_mask)
@@ -402,13 +405,9 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     dims_profiles: dict[str, np.ndarray] = {}
     work = event_residual.copy()
     for dspec in ts.dims:
-        profile = np.zeros(dspec.length)
-        component = np.zeros(n)
-        if dspec.occurrences:
-            blocks = np.stack([work[o:o + dspec.length] for o in dspec.occurrences])
-            profile = blocks.mean(axis=0)
-            for occ in dspec.occurrences:
-                component[occ:occ + dspec.length] = profile
+        slots = ts.recurrence(dspec.id)
+        profile = slot_mean(work, slots, dspec.length, 0.0)
+        component = np.where(slots >= 0, profile[slots], 0.0)
         dims_components[dspec.id] = component
         dims_profiles[dspec.id] = profile
         work = work - component

@@ -19,6 +19,8 @@ from .hw import (
 from .optimize import OptimConfig, find_params, init_values, params_to_vector
 from .timeseries import TimeSeries, aic, ape, mape, rmse
 
+POLICIES = ("fixed", "refit_per_origin")
+
 
 @dataclass(frozen=True, eq=False)
 class ForecastGrid:
@@ -104,7 +106,7 @@ def mforecast(
         raise ValueError("step must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if policy not in ("fixed", "refit_per_origin"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown params policy {policy!r}")
     if policy == "fixed" and params is None:
         raise ValueError("policy 'fixed' requires params")

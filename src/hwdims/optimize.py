@@ -1,9 +1,11 @@
 """Seed initialization and smoothing-parameter search.
 
-Seeds come from cycle means (level/trend) and per-slot ratios or differences
-against a centered moving average (seasonal indices); parameter search
-minimizes the post-warm-up one-step-ahead error with a derivative-free
-optimizer. Box constraints are handled purely by penalty: an out-of-bounds
+Seeds come from cycle means (level/trend) and from slot means over slot tables
+(:func:`~hwdims.timeseries.slot_mean`): a seasonal ring averages ratios or
+differences against a centered moving average over the slots ``t % s``, and a
+decomposition-based seed averages over ``t % s`` or over a moving seasonality's
+block offsets. Parameter search minimizes the post-warm-up one-step-ahead
+error with a derivative-free optimizer. Box constraints are handled purely by penalty: an out-of-bounds
 point costs 1e12 plus its squared distance to the feasible box, an in-bounds
 point whose fit blows up costs 1e10, so the search surface stays finite and
 the returned optimum is always a feasible, in-bounds point.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import LoessConfig, mstl
+from .decompose import mstl
 from .hw import (
     FitInfeasibleError,
     FitResult,
@@ -26,7 +28,7 @@ from .hw import (
     smooth_pass,
     warmup_length,
 )
-from .timeseries import DataError, TimeSeries, mape, neutral_value
+from .timeseries import DataError, TimeSeries, mape, neutral_value, slot_mean
 
 ALGORITHMS = ("nelder_mead", "pattern_search", "random_restart_nelder_mead")
 OBJECTIVES = ("rmse", "mape")
@@ -84,18 +86,7 @@ def _centered_ma(y: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     return np.convolve(y, kernel, mode="valid"), offset
 
 
-def _slot_average(values: np.ndarray, positions: np.ndarray, s: int,
-                  fallback: float) -> np.ndarray:
-    out = np.full(s, fallback)
-    for q in range(s):
-        sel = values[positions % s == q]
-        if sel.size:
-            out[q] = sel.mean()
-    return out
-
-
-def init_values(ts: TimeSeries, spec: ModelSpec,
-                loess_config: LoessConfig | None = None) -> ModelState:
+def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
     """Derive seed state for a fit: level and trend from the first two cycles
     of the longest seasonality, seasonal index rings per each season's
     configured method, moving-seasonality slots neutral or taken from the
@@ -128,7 +119,7 @@ def init_values(ts: TimeSeries, spec: ModelSpec,
         d.init_method == "stl_based" for d in ts.dims
     )
     if needs_stl:
-        decomposition = mstl(ts, loess_config)
+        decomposition = mstl(ts)
 
     seasonal: dict[str, np.ndarray] = {}
     work = y.astype(float)
@@ -136,24 +127,22 @@ def init_values(ts: TimeSeries, spec: ModelSpec,
         s = sspec.cycle_length
         multiplicative = sspec.mode == "multiplicative"
         if sspec.init_method == "stl_based":
-            comp = decomposition.seasonals[sspec.id]
-            slots = _slot_average(comp, np.arange(n), s, 0.0)
+            means = slot_mean(decomposition.seasonals[sspec.id], np.arange(n) % s, s, 0.0)
             if multiplicative:
                 base = float(np.mean(decomposition.trend))
-                ring = 1.0 + slots / base if base > 0 else np.ones(s)
+                ring = 1.0 + means / base if base > 0 else np.ones(s)
             else:
-                ring = slots
+                ring = means
         else:
             ma, offset = _centered_ma(work, s)
             positions = np.arange(offset, offset + len(ma))
             if multiplicative:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratios = np.where(ma != 0, work[positions] / ma, np.nan)
-                valid = ~np.isnan(ratios)
-                ring = _slot_average(ratios[valid], positions[valid], s, 1.0)
+                slots = np.where(np.isnan(ratios), -1, positions % s)
+                ring = slot_mean(ratios, slots, s, 1.0)
             else:
-                diffs = work[positions] - ma
-                ring = _slot_average(diffs, positions, s, 0.0)
+                ring = slot_mean(work[positions] - ma, positions % s, s, 0.0)
         if multiplicative:
             mean = float(np.mean(ring))
             if mean > 0:
@@ -170,7 +159,7 @@ def init_values(ts: TimeSeries, spec: ModelSpec,
     dims: dict[str, np.ndarray] = {}
     for dspec in ts.dims:
         neutral = neutral_value(dspec.mode)
-        if dspec.init_method == "neutral" or not dspec.occurrences:
+        if dspec.init_method == "neutral":
             dims[dspec.id] = np.full(dspec.length, neutral)
             continue
         profile = decomposition.dims_profiles[dspec.id]
@@ -180,13 +169,9 @@ def init_values(ts: TimeSeries, spec: ModelSpec,
             base = decomposition.trend.copy()
             for comp in decomposition.seasonals.values():
                 base = base + comp
-            ratios = np.full(dspec.length, neutral)
-            for q in range(dspec.length):
-                bases = np.array([base[occ + q] for occ in dspec.occurrences])
-                ok = bases > 0
-                if ok.any():
-                    ratios[q] = float(np.mean((bases[ok] + profile[q]) / bases[ok]))
-            dims[dspec.id] = ratios
+            slots = np.where(base > 0, ts.recurrence(dspec.id), -1)
+            ratios = np.divide(base + profile[slots], base, out=np.zeros(n), where=slots >= 0)
+            dims[dspec.id] = slot_mean(ratios, slots, dspec.length, neutral)
     return ModelState(level=level, trend=trend, seasonal=seasonal, dims=dims,
                       last_residual=0.0, position=0)
 

@@ -105,6 +105,17 @@ def _slot_table(spec: DimsSpec, start: int, stop: int) -> np.ndarray:
     return slots
 
 
+def slot_mean(values: np.ndarray, slots: np.ndarray, size: int,
+              fallback: float) -> np.ndarray:
+    """Mean of ``values`` per slot ``0..size-1`` of a slot table, summed in
+    series order; entries at slot -1 are skipped, and a slot that no entry
+    reads gets ``fallback``."""
+    used = slots >= 0
+    counts = np.bincount(slots[used], minlength=size)
+    sums = np.bincount(slots[used], weights=values[used], minlength=size)
+    return np.divide(sums, counts, out=np.full(size, float(fallback)), where=counts > 0)
+
+
 def compute_recurrence(spec: DimsSpec, n: int) -> np.ndarray:
     """Slot table of ``spec`` over a series of length ``n``: the block offset
     of each step, -1 outside blocks. Every block must lie inside the series."""

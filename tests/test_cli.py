@@ -164,6 +164,34 @@ class TestConfig:
         with pytest.raises(UsageError, match="data"):
             parse_config(cfg_path)
 
+    @pytest.mark.parametrize("line, key", [
+        ("policy = bogus", "policy"),
+        ("trend = bogus", "trend"),
+        ("algorithm = bogus", "algorithm"),
+        ("objective = bogus", "objective"),
+        ("season = 168 bogus ratio_to_ma", "season"),
+        ("season = 168 multiplicative bogus", "season"),
+        ("dims = Holidays bogus neutral", "dims"),
+        ("dims = Holidays multiplicative bogus", "dims"),
+    ])
+    def test_bad_enumerated_value_is_a_config_error(self, tmp_path, capsys, line, key):
+        # The data file does not exist: exit 1 shows the value is checked
+        # while the config is parsed, before any data is read (that is exit 2).
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "data = missing.csv\ncalendar = missing_events.csv\n"
+            "season = 24 multiplicative ratio_to_ma\nfirst_origin = 48\n" + line + "\n"
+        )
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"'{key}'" in err and "bogus" in err
+
+    def test_evaluate_checks_first_origin_before_reading_data(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("data = missing.csv\nseason = 24 multiplicative ratio_to_ma\n")
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "first_origin" in capsys.readouterr().err
+
 
 def demand_fixture(tmp_path, weeks=4, dips=()):
     n = 24 * 7 * weeks

@@ -121,6 +121,27 @@ class TestFitGrid:
             got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
         )
 
+    def test_empty_window_takes_the_nearest_kept_points(self):
+        rng = np.random.default_rng(17)
+        n, window, x0 = 200, 9, 99.5
+        y = rng.normal(0.0, 1.0, n) + 0.05 * np.arange(n)
+        excluded = np.zeros(n, bool)
+        excluded[60:140] = True        # a run far wider than the window
+        excluded[[57, 143]] = True     # holes, so the two sides differ
+        # Whole-series selection: every kept index, nearest first, ties in
+        # index order. 54 and 145 tie for the last place; 54 is kept.
+        kept = np.flatnonzero(~excluded)
+        idx = kept[np.argsort(np.abs(kept - x0), kind="stable")[:window]]
+        assert 54 in idx and 145 not in idx
+        dist = np.abs(idx - x0)
+        wts = np.clip(1.0 - (dist / dist.max()) ** 3, 0.0, None) ** 3
+        xb = (wts * idx).sum() / wts.sum()
+        yb = (wts * y[idx]).sum() / wts.sum()
+        slope = (wts * (idx - xb) * (y[idx] - yb)).sum() / (wts * (idx - xb) ** 2).sum()
+        want = yb + slope * (x0 - xb)
+        got = decompose._fit_point(y, x0, window, excluded)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_mstl_equals_scalar_path(self, monkeypatch):
         rng = np.random.default_rng(31)
         t = np.arange(24 * 7 * 3)
@@ -335,6 +356,34 @@ class TestDimsExtraction:
         np.testing.assert_array_equal(
             with_dims.seasonals["daily"], without.seasonals["daily"]
         )
+
+    def test_profile_is_the_block_mean(self, monkeypatch):
+        # Ten occurrences: the slot mean must add the blocks in series order,
+        # as the mean over stacked blocks does, so both agree bit for bit.
+        rng = np.random.default_rng(23)
+        t = np.arange(24 * 7 * 8)
+        y = 200.0 + 12.0 * np.sin(2 * np.pi * t / 24) + rng.normal(0.0, 1.0, len(t))
+        occurrences = tuple(24 * d for d in range(3, 53, 5))
+        for occ in occurrences:
+            y[occ:occ + 24] -= 30.0
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode="additive")],
+                           dims=[DimsSpec("holiday", "additive", 24, occurrences=occurrences)])
+        residuals = []
+        real = decompose.slot_mean
+
+        def recording(values, *args):
+            residuals.append(values.copy())
+            return real(values, *args)
+
+        monkeypatch.setattr(decompose, "slot_mean", recording)
+        result = mstl(ts, LoessConfig(max_outer_iterations=2))
+        (work,) = residuals
+        profile = np.stack([work[o:o + 24] for o in occurrences]).mean(axis=0)
+        component = np.zeros(len(t))
+        for occ in occurrences:
+            component[occ:occ + 24] = profile
+        np.testing.assert_array_equal(result.dims_profiles["holiday"], profile)
+        np.testing.assert_array_equal(result.dims_components["holiday"], component)
 
     def test_empty_occurrences_give_zero_component(self):
         ts = hourly_series(

@@ -17,6 +17,7 @@ from hwdims import (
     find_params,
     init_values,
     mape,
+    mstl,
     nelder_mead,
     parameter_names,
     pattern_search,
@@ -93,6 +94,25 @@ class TestInitValues:
         )
         seeds = init_values(ts, ModelSpec.for_series(ts))
         assert seeds.dims["hol"].mean() == pytest.approx(0.8, abs=0.04)
+
+    def test_stl_based_dims_seeds_are_occurrence_means(self):
+        t = np.arange(24 * 20)
+        rng = np.random.default_rng(4)
+        y = 100.0 + 10 * np.sin(2 * np.pi * t / 24) + rng.normal(0.0, 1.0, len(t))
+        occurrences = (24 * 3, 24 * 7, 24 * 12, 24 * 16)
+        for occ in occurrences:
+            y[occ:occ + 24] *= 0.8
+        ts = hourly_series(y, seasons=[SeasonSpec("d", 24)]).add_dims(
+            DimsSpec("hol", "multiplicative", 24, occurrences=occurrences,
+                     init_method="stl_based")
+        )
+        seeds = init_values(ts, ModelSpec.for_series(ts))
+        result = mstl(ts)
+        base = result.trend + result.seasonals["d"]
+        profile = result.dims_profiles["hol"]
+        want = [np.mean([(base[o + q] + profile[q]) / base[o + q] for o in occurrences])
+                for q in range(24)]
+        np.testing.assert_allclose(seeds.dims["hol"], want, rtol=1e-12)
 
     def test_stl_based_season_seeds(self):
         t = np.arange(24 * 10)

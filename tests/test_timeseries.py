@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwdims import DataError, DimsSpec, SeasonSpec, compute_recurrence, project_dims
+from hwdims.timeseries import slot_mean
 
 from helpers import hourly_series
 
@@ -149,3 +150,29 @@ def test_recurrence_lags_match_start_differences(length, starts, origin, horizon
     np.testing.assert_array_equal(
         project_dims([spec], origin, horizon)["x"], slot[origin:origin + horizon]
     )
+
+
+@st.composite
+def slot_tables(draw):
+    size = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 80))
+    # slots up to size - 1 - unused never occur; -1 marks a skipped entry
+    unused = draw(st.integers(0, size - 1))
+    slots = np.array(draw(st.lists(st.integers(-1, size - 1 - unused), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    values = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    return values, slots, size, draw(st.floats(-10.0, 10.0))
+
+
+@given(slot_tables())
+@settings(max_examples=200, deadline=None)
+def test_slot_mean_matches_a_per_slot_loop(case):
+    values, slots, size, fallback = case
+    want = np.full(size, fallback)
+    for q in range(size):
+        if (slots == q).any():
+            want[q] = values[slots == q].mean()
+    got = slot_mean(values, slots, size, fallback)
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    assert (got[np.bincount(slots[slots >= 0], minlength=size) == 0] == fallback).all()
