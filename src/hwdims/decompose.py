@@ -93,8 +93,13 @@ _GATHER_BLOCK = 1 << 14
 
 
 def _fit_point(y: np.ndarray, x0: float, window: int,
-               excluded: np.ndarray | None = None) -> float:
-    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points."""
+               excluded: np.ndarray | None = None,
+               kept_idx: np.ndarray | None = None) -> float:
+    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points.
+
+    ``kept_idx``, when given, is ``np.flatnonzero(~excluded)``, so that a
+    caller fitting many points of one row computes it once.
+    """
     n = len(y)
     if window >= n:
         lo, hi = 0, n
@@ -108,7 +113,7 @@ def _fit_point(y: np.ndarray, x0: float, window: int,
         if kept.size == 0:
             # the nearest `window` kept points lie within `window` of x0's
             # insertion point among them
-            kept = np.flatnonzero(~excluded)
+            kept = np.flatnonzero(~excluded) if kept_idx is None else kept_idx
             p = int(np.searchsorted(kept, x0))
             kept = kept[max(p - window, 0):p + window]
             order = np.argsort(np.abs(kept - x0), kind="stable")
@@ -156,6 +161,7 @@ def _fit_grid(Y: np.ndarray, x0s, window: int,
     out = np.empty((k, len(x0s)))
     span = np.arange(w)
     kept_all = None if excluded is None else ~excluded
+    kept_idx = {}  # row -> its kept indices, for the empty-window fallback
     step = max(1, _GATHER_BLOCK // (k * w))
     for a in range(0, len(x0s), step):
         x0 = x0s[a:a + step]
@@ -196,7 +202,10 @@ def _fit_grid(Y: np.ndarray, x0s, window: int,
         # scalar fallback
         for r, j in zip(*np.nonzero((sw <= 0.0) | (h <= 0.0))):
             if h[r, j] < 0.0:
-                out[r, a + j] = _fit_point(Y[r], float(x0[j]), window, excluded[r])
+                if r not in kept_idx:
+                    kept_idx[r] = np.flatnonzero(kept_all[r])
+                out[r, a + j] = _fit_point(Y[r], float(x0[j]), window, excluded[r],
+                                           kept_idx[r])
                 continue
             row = Y[r, idx[j]] if kept is None else Y[r, idx[j]][kept[r, j]]
             out[r, a + j] = row[0] if h[r, j] == 0.0 else row.mean()

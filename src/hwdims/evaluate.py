@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .hw import (
+from .hw import (  # smooth_pass is unused here; bench/tracing.py wraps it by this name
+    FitInfeasibleError,
     FitResult,
     ModelSpec,
     SmoothingParams,
     forecast,
     project_dims,
+    smooth_lanes,
     smooth_pass,
     warmup_length,
 )
@@ -89,11 +91,16 @@ def mforecast(
     ``first_origin + step``, ... while the horizon window stays inside the
     series; origins whose window would run past the end are dropped.
 
-    ``policy="fixed"`` reuses the given ``params`` at every origin;
-    ``policy="refit_per_origin"`` reruns the parameter search per origin,
-    warm-started from the previous origin's optimum. Moving-seasonality
-    projections always come from the full occurrence calendar, while fitting
-    sees only the blocks wholly inside each origin's window.
+    ``policy="fixed"`` reuses the given ``params`` at every origin: each
+    origin gets fresh seeds from its own window, and one
+    :func:`~hwdims.hw.smooth_lanes` pass advances every origin's state at
+    once, with the result of a :func:`~hwdims.hw.smooth_pass` per window. If
+    any origin is infeasible, the error of the lowest one is raised, as a
+    loop over the origins would. ``policy="refit_per_origin"`` reruns the
+    parameter search per origin, warm-started from the previous origin's
+    optimum. Moving-seasonality projections always come from the full
+    occurrence calendar, while fitting sees only the blocks wholly inside
+    each origin's window.
     """
     n = len(ts)
     longest = max((s.cycle_length for s in ts.seasons), default=1)
@@ -124,18 +131,23 @@ def mforecast(
 
     forecasts = np.empty((len(origins), horizon))
     actuals = np.empty((len(origins), horizon))
+    if policy == "fixed":
+        seeds = [init_values(ts.prefix(origin), spec) for origin in origins]
+        states = smooth_lanes(ts, spec, params, seeds, origins)
+        for state in states:
+            if isinstance(state, FitInfeasibleError):
+                raise state
     warm_start = None
     for i, origin in enumerate(origins):
-        window = ts.prefix(origin)
         if policy == "fixed":
-            run_params = params
-            seeds = init_values(window, spec)
-            fit = smooth_pass(window, spec, run_params, seeds)
+            run_params, state = params, states[i]
         else:
-            run_params, fit = find_params(window, spec, optim_config, start=warm_start)
+            run_params, fit = find_params(ts.prefix(origin), spec, optim_config,
+                                          start=warm_start)
             warm_start = params_to_vector(run_params, spec)
+            state = fit.final_state
         projection = project_dims(ts, origin, horizon)
-        forecasts[i] = forecast(fit.final_state, spec, run_params, horizon, projection)
+        forecasts[i] = forecast(state, spec, run_params, horizon, projection)
         actuals[i] = ts.values[origin:origin + horizon]
 
     per_origin = np.array([mape(actuals[i], forecasts[i]) for i in range(len(origins))])

@@ -6,22 +6,29 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwdims import (
     DimsSpec,
+    FitInfeasibleError,
     ModelSpec,
     OptimConfig,
     SeasonSpec,
     SmoothingParams,
     accuracy,
     aic,
+    forecast,
     grid_to_csv,
     init_values,
     mape,
     mforecast,
+    project_dims,
     rmse,
     smooth_pass,
 )
+from hwdims.hw import TREND_KINDS
+from hwdims.timeseries import MODES
 
 from helpers import hourly_series
 
@@ -139,6 +146,95 @@ class TestMforecast:
         spec = ModelSpec.for_series(ts)
         with pytest.raises(ValueError, match="params"):
             mforecast(ts, spec, first_origin=120, step=24, horizon=24)
+
+
+def scalar_rolling(ts, spec, params, origins, horizon):
+    """Fixed-policy rows, one scalar pass over each origin's prefix; or the
+    error of the lowest origin whose pass is infeasible."""
+    rows = []
+    for o in origins:
+        window = ts.prefix(o)
+        try:
+            fit = smooth_pass(window, spec, params, init_values(window, spec))
+        except FitInfeasibleError as exc:
+            return None, exc
+        rows.append(forecast(fit.final_state, spec, params, horizon,
+                             project_dims(ts, o, horizon)))
+    return np.array(rows), None
+
+
+@st.composite
+def rolling_cases(draw):
+    n = 24 * draw(st.integers(5, 9))
+    length = draw(st.integers(3, 30))
+    occurrences = []
+    for start in sorted(draw(st.sets(st.integers(0, n - length), max_size=6))):
+        if not occurrences or start >= occurrences[-1] + length:
+            occurrences.append(start)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = np.arange(n)
+    y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / 24)) + rng.normal(0, 2, n)
+    for occ in occurrences:
+        y[occ:occ + length] *= 0.8
+    ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode=draw(st.sampled_from(MODES)))],
+                       dims=[DimsSpec("event", draw(st.sampled_from(MODES)), length,
+                                      occurrences=tuple(occurrences))])
+    spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(TREND_KINDS)),
+                                damping_enabled=draw(st.booleans()),
+                                ar_adjustment_enabled=draw(st.booleans()))
+    unit = st.floats(0.0, 1.0)
+    params = SmoothingParams(alpha=draw(unit), gamma=draw(unit), deltas=(draw(unit),),
+                             deltas_dims=(draw(unit),), phi=draw(unit),
+                             ar1=draw(st.floats(-0.9, 0.9)))
+    horizon = draw(st.integers(1, 30))
+    first = 48  # warm-up plus the longest cycle
+    inside = [o + k for o in occurrences for k in range(1, length)
+              if first <= o + k <= n - horizon]
+    if inside and draw(st.booleans()):
+        first_origin = draw(st.sampled_from(inside))  # an origin cuts a block
+    else:
+        first_origin = draw(st.integers(first, n - horizon))
+    return ts, spec, params, first_origin, draw(st.integers(1, 40)), horizon
+
+
+class TestFixedPolicyLanes:
+    @given(rolling_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_scalar_prefix_fits(self, case):
+        ts, spec, params, first_origin, step, horizon = case
+        origins = range(first_origin, len(ts) - horizon + 1, step)
+        want, error = scalar_rolling(ts, spec, params, origins, horizon)
+        if error is not None:
+            with pytest.raises(FitInfeasibleError) as got:
+                mforecast(ts, spec, first_origin=first_origin, step=step,
+                          horizon=horizon, params=params)
+            assert (str(got.value), got.value.step) == (str(error), error.step)
+            return
+        grid = mforecast(ts, spec, first_origin=first_origin, step=step,
+                         horizon=horizon, params=params)
+        assert grid.origins == tuple(origins)
+        np.testing.assert_allclose(grid.forecasts, want, rtol=1e-12, atol=0)
+
+    def test_lowest_infeasible_origin_raises_as_scalar_loop(self):
+        # With alpha 1 the level is y / index, so the negative observation
+        # at step 200 fails every origin whose window holds it, mid-pass.
+        ts = fixture_series(288)
+        y = ts.values.copy()
+        y[200] = -60.0
+        ts = hourly_series(y, seasons=ts.seasons)
+        spec = ModelSpec.for_series(ts)
+        params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.1,))
+        origins = range(48, 265, 24)
+        _rows, error = scalar_rolling(ts, spec, params, origins, 24)
+        assert error.step == 200
+        with pytest.raises(FitInfeasibleError) as got:
+            mforecast(ts, spec, first_origin=48, step=24, horizon=24, params=params)
+        assert str(got.value) == str(error) == "level became nonpositive at step 200"
+        assert got.value.step == error.step
+        # the origins before the spike still forecast
+        grid = mforecast(ts.prefix(216), spec, first_origin=48, step=24, horizon=24,
+                         params=params)
+        assert grid.origins[-1] == 192
 
 
 class TestAccuracy:

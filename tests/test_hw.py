@@ -18,6 +18,7 @@ from hwdims import (
     reduce_check,
     smooth_pass,
 )
+from hwdims.hw import smooth_lanes
 
 from helpers import classic_hw, classic_hw_seeds, hourly_series
 
@@ -361,6 +362,47 @@ class TestInfeasibility:
         params = SmoothingParams(alpha=0.5, gamma=0.1, deltas=(0.5,))
         fit = smooth_pass(ts, spec, params, seeds)
         assert np.isfinite(fit.fitted).all()
+
+
+class TestLanes:
+    def test_failed_lanes_do_not_stop_the_others(self):
+        # Level y/2 + previous/2 under a multiplicative trend: the observation
+        # -100 at step 5 drives a level seeded at 100 to 0, but one seeded
+        # at 10,000 only to about 155, so that lane runs on past step 5.
+        y = np.full(10, 100.0)
+        y[5] = -100.0
+        ts = hourly_series(y)
+        spec = ModelSpec.for_series(ts, trend="multiplicative")
+        params = SmoothingParams(alpha=0.5, gamma=0.0)
+        seeds = [bare_state(-1.0, 1.0), bare_state(100.0, 0.0), bare_state(100.0, 1.0),
+                 bare_state(1e4, 1.0), bare_state(50.0, 1.0)]
+        stops = [6, 7, 8, 10, 10]
+        lanes = smooth_lanes(ts, spec, params, seeds, stops)
+        messages = []
+        for seed, stop, lane in zip(seeds, stops, lanes):
+            try:
+                want = smooth_pass(ts.prefix(stop), spec, params, seed).final_state
+            except FitInfeasibleError as exc:
+                assert isinstance(lane, FitInfeasibleError)
+                assert (str(lane), lane.step) == (str(exc), exc.step)
+                messages.append((str(lane), lane.step))
+                continue
+            assert (lane.level, lane.trend, lane.last_residual, lane.position) \
+                == (want.level, want.trend, want.last_residual, want.position)
+            messages.append(None)
+        assert messages == [
+            ("seed level must be positive for a multiplicative model", -1),
+            ("multiplicative trend seed must be positive", -1),
+            ("level became nonpositive at step 5", 5),
+            None,
+            ("level became nonpositive at step 5", 5),
+        ]
+
+    def test_stops_must_ascend(self):
+        ts = hourly_series(np.full(10, 100.0))
+        spec = ModelSpec.for_series(ts)
+        with pytest.raises(ValueError, match="ascending"):
+            smooth_lanes(ts, spec, SmoothingParams(alpha=0.5), [bare_state(100.0)] * 2, [8, 6])
 
 
 class TestMultiplicativeTrend:
