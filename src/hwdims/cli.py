@@ -388,6 +388,8 @@ def _from_json(cls, doc):
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataError(f"artifact must be a JSON object, not {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != ARTIFACT_SCHEMA_VERSION:
         raise DataError(f"unsupported artifact schema version {version!r}")
@@ -395,15 +397,18 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     params = _from_json(SmoothingParams, doc["params"])
     seasons = [_from_json(SeasonSpec, s) for s in doc["seasons"]]
     dims = [_from_json(DimsSpec, d) for d in doc["dims"]]
+    raw = doc.get("state")
+    if not isinstance(raw, dict):
+        raise DataError(f"artifact state must be a JSON object, not {type(raw).__name__}")
     # Rebuild the index maps in declaration order: the engine pairs rings
     # with spec modes positionally, and the JSON was dumped with sorted keys.
     state = ModelState(
-        level=doc["state"]["level"],
-        trend=doc["state"]["trend"],
-        seasonal={s.id: np.array(doc["state"]["seasonal"][s.id]) for s in seasons},
-        dims={d.id: np.array(doc["state"]["dims"][d.id]) for d in dims},
-        last_residual=doc["state"]["last_residual"],
-        position=doc["state"]["position"],
+        level=raw["level"],
+        trend=raw["trend"],
+        seasonal={s.id: np.array(raw["seasonal"][s.id]) for s in seasons},
+        dims={d.id: np.array(raw["dims"][d.id]) for d in dims},
+        last_residual=raw["last_residual"],
+        position=raw["position"],
     )
     return spec, params, state, dims, doc
 

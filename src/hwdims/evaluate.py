@@ -7,14 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .hw import (  # smooth_pass is unused here; bench/tracing.py wraps it by this name
-    FitInfeasibleError,
+from .hw import (
     FitResult,
     ModelSpec,
     SmoothingParams,
     forecast,
     project_dims,
-    smooth_lanes,
     smooth_pass,
     warmup_length,
 )
@@ -91,16 +89,17 @@ def mforecast(
     ``first_origin + step``, ... while the horizon window stays inside the
     series; origins whose window would run past the end are dropped.
 
-    ``policy="fixed"`` reuses the given ``params`` at every origin: each
-    origin gets fresh seeds from its own window, and one
-    :func:`~hwdims.hw.smooth_lanes` pass advances every origin's state at
-    once, with the result of a :func:`~hwdims.hw.smooth_pass` per window. If
-    any origin is infeasible, the error of the lowest one is raised, as a
-    loop over the origins would. ``policy="refit_per_origin"`` reruns the
-    parameter search per origin, warm-started from the previous origin's
-    optimum. Moving-seasonality projections always come from the full
-    occurrence calendar, while fitting sees only the blocks wholly inside
-    each origin's window.
+    ``policy="fixed"`` keeps the given ``params`` and updates the state as
+    each observation arrives: the model is seeded once from the first
+    origin's window, and one :func:`~hwdims.hw.smooth_pass` up to the last
+    origin yields the state at every origin. The pass reads the full
+    occurrence calendar, so a moving-seasonality block that straddles an
+    origin has been updated up to that origin, as it would be in operation;
+    an infeasible step before the last origin raises, and the pass reads no
+    observation after it. ``policy="refit_per_origin"`` reruns the parameter
+    search per origin, warm-started from the previous origin's optimum, and
+    fits each origin's window on the blocks wholly inside it. Forecasts
+    always project moving seasonalities from the full occurrence calendar.
     """
     n = len(ts)
     longest = max((s.cycle_length for s in ts.seasons), default=1)
@@ -132,11 +131,8 @@ def mforecast(
     forecasts = np.empty((len(origins), horizon))
     actuals = np.empty((len(origins), horizon))
     if policy == "fixed":
-        seeds = [init_values(ts.prefix(origin), spec) for origin in origins]
-        states = smooth_lanes(ts, spec, params, seeds, origins)
-        for state in states:
-            if isinstance(state, FitInfeasibleError):
-                raise state
+        seeds = init_values(ts.prefix(first_origin), spec)
+        states = smooth_pass(ts, spec, params, seeds, stops=origins).states
     warm_start = None
     for i, origin in enumerate(origins):
         if policy == "fixed":

@@ -21,17 +21,6 @@ Forecasts read the same components through their future slot tables:
 ``(position + k - 1) % s`` for a regular cycle, :func:`project_dims` for a
 moving seasonality.
 
-Two engines run this recursion. :func:`smooth_pass` advances one seed state
-with Python floats and keeps the residuals; the parameter search runs it once
-per candidate, and the tests pin the rest of the library to it.
-:func:`smooth_lanes` advances many seed states ("lanes", each with its own
-stop) under one parameter vector in lockstep, every state variable a
-(lanes,) array and every index component a (lanes, size) array; the
-fixed-parameter rolling-origin evaluation runs all its origins in one such
-pass. A lane step costs about as much as 20–25 scalar steps, from 16 to
-182 lanes alike (13,000 steps, two cycles and one moving seasonality), so
-the scalar engine stays the one for a single state and for a few.
-
 With one multiplicative seasonality, no moving seasonalities, an undamped
 trend and no autocorrelation term, the recursion reduces exactly to the
 classic multiplicative Holt-Winters method; the test suite pins that
@@ -40,7 +29,6 @@ equivalence against an independent implementation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -175,7 +163,8 @@ class ModelState:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of one smoothing pass over a fit window."""
+    """Outcome of one smoothing pass over a fit window; ``states`` holds the
+    state at each stop of the pass, the last of them ``final_state``."""
 
     final_state: ModelState
     one_step_errors: np.ndarray
@@ -184,6 +173,7 @@ class FitResult:
     warmup: int
     spec: ModelSpec
     params: SmoothingParams
+    states: tuple[ModelState, ...]
 
 
 def warmup_length(ts: TimeSeries) -> int:
@@ -239,38 +229,21 @@ def _gather(components, t: int) -> tuple[float, float]:
     return sum_add, prod_mul
 
 
-def _seed_failure(ts: TimeSeries, spec: ModelSpec,
-                  seeds: ModelState) -> FitInfeasibleError | None:
-    """The error a pass from ``seeds`` raises before its first step (step -1):
-    a multiplicative model needs a positive seed level, a multiplicative trend
-    a positive seed ratio and a multiplicative index positive seed values."""
-    mult_trend = spec.trend == "multiplicative"
-    indices = [(s.id, s.mode, seeds.seasonal[s.id]) for s in ts.seasons] \
-        + [(d.id, d.mode, seeds.dims[d.id]) for d in ts.dims]
-    mult = [(cid, values) for cid, mode, values in indices if mode == "multiplicative"]
-    if (mult_trend or mult) and seeds.level <= 0:
-        message = "seed level must be positive for a multiplicative model"
-    elif mult_trend and seeds.trend <= 0:
-        message = "multiplicative trend seed must be positive"
-    else:
-        bad = [cid for cid, values in mult if np.any(np.asarray(values) <= 0.0)]
-        if not bad:
-            return None
-        message = f"multiplicative seed index of {bad[0]!r} must be positive"
-    return FitInfeasibleError(message, step=-1)
-
-
-def _nonpositive(what: str, t: int) -> FitInfeasibleError:
-    return FitInfeasibleError(f"{what} became nonpositive at step {t}", step=t)
-
-
 def smooth_pass(
     ts: TimeSeries,
     spec: ModelSpec,
     params: SmoothingParams,
     seeds: ModelState,
+    stops: Sequence[int] | None = None,
 ) -> FitResult:
-    """Run the smoothing recursion over the whole series and score the fit.
+    """Run the smoothing recursion over the series and score the fit.
+
+    ``stops`` (ascending, in 1..len(ts)) ends the pass at the last stop and
+    keeps the state after each stop's first ``stop`` observations in
+    ``states``; observations after the last stop are never read. Moving
+    seasonalities read the series' own slot tables, so a block that
+    straddles a stop is updated up to it. By default the pass consumes the
+    whole series and ``states`` holds the final state alone.
 
     The objective is the RMSE of the one-step-ahead residuals after the
     warm-up window. Raises :class:`FitInfeasibleError` as soon as a
@@ -282,8 +255,12 @@ def smooth_pass(
     alpha, gamma, phi, ar1 = eff.alpha, eff.gamma, eff.phi, eff.ar1
     mult_trend = spec.trend == "multiplicative"
 
-    y = ts.values.tolist()
-    n = len(y)
+    stops = [len(ts)] if stops is None else [int(stop) for stop in stops]
+    if not stops or any(b < a for a, b in zip(stops, stops[1:])) \
+            or stops[0] < 1 or stops[-1] > len(ts):
+        raise ValueError(f"stops must be ascending in 1..{len(ts)}, got {stops}")
+    n = stops[-1]
+    y = ts.values[:n].tolist()
     warm = warmup_length(ts)
     if n <= warm:
         raise DataError(f"series length {n} does not exceed warm-up window {warm}")
@@ -294,14 +271,20 @@ def smooth_pass(
         [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims],
         [c.mode for c in specs],
         [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons]
-        + [ts.recurrence(d.id).tolist() for d in ts.dims],
+        + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims],
         eff.deltas + eff.deltas_dims,
     )
 
     has_mult = mult_trend or any(c[3] for c in components)
-    failure = _seed_failure(ts, spec, seeds)
-    if failure is not None:
-        raise failure
+    if has_mult and seeds.level <= 0:
+        raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
+    if mult_trend and seeds.trend <= 0:
+        raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
+    for cid, values, _slots, is_mult, _delta in components:
+        if is_mult and min(values) <= 0.0:
+            raise FitInfeasibleError(
+                f"multiplicative seed index of {cid!r} must be positive", step=-1
+            )
     updated = [c for c in components if c[4] != 0.0]
 
     level = float(seeds.level)
@@ -309,249 +292,69 @@ def smooth_pass(
     eps = float(seeds.last_residual)
     fitted = [0.0] * n
     errors = [0.0] * n
-
-    for t in range(n):
-        yt = y[t]
-        sum_add, prod_mul = _gather(components, t)
-
-        base = level * trend ** phi if mult_trend else level + phi * trend
-        yhat = (base + sum_add) * prod_mul + ar1 * eps
-        fitted[t] = yhat
-        eps = yt - yhat
-        errors[t] = eps
-
-        prev_level = level
-        level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base
-        if has_mult and level <= 0.0:
-            raise _nonpositive("level", t)
-        if mult_trend:
-            trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi
-            if trend <= 0.0:
-                raise _nonpositive("trend ratio", t)
-        else:
-            trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
-
-        for cid, values, slots, is_mult, delta in updated:
-            q = slots[t]
-            if q < 0:
-                continue
-            v = values[q]
-            if is_mult:
-                new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
-                if new <= 0.0:
-                    raise _nonpositive(f"index of {cid!r}", t)
-            else:
-                new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
-            values[q] = new
-
     n_seasons = len(ts.seasons)
-    final = ModelState(
-        level=level,
-        trend=trend,
-        seasonal={c[0]: np.array(c[1]) for c in components[:n_seasons]},
-        dims={c[0]: np.array(c[1]) for c in components[n_seasons:]},
-        last_residual=eps,
-        position=seeds.position + n,
-    )
+    states = []
+    start = 0
+
+    for stop in stops:
+        for t in range(start, stop):
+            yt = y[t]
+            sum_add, prod_mul = _gather(components, t)
+
+            base = level * trend ** phi if mult_trend else level + phi * trend
+            yhat = (base + sum_add) * prod_mul + ar1 * eps
+            fitted[t] = yhat
+            eps = yt - yhat
+            errors[t] = eps
+
+            prev_level = level
+            level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base
+            if has_mult and level <= 0.0:
+                raise FitInfeasibleError(f"level became nonpositive at step {t}", step=t)
+            if mult_trend:
+                trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi
+                if trend <= 0.0:
+                    raise FitInfeasibleError(f"trend ratio became nonpositive at step {t}",
+                                             step=t)
+            else:
+                trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
+
+            for cid, values, slots, is_mult, delta in updated:
+                q = slots[t]
+                if q < 0:
+                    continue
+                v = values[q]
+                if is_mult:
+                    new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
+                    if new <= 0.0:
+                        raise FitInfeasibleError(
+                            f"index of {cid!r} became nonpositive at step {t}", step=t
+                        )
+                else:
+                    new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
+                values[q] = new
+        start = stop
+        states.append(ModelState(
+            level=level,
+            trend=trend,
+            seasonal={c[0]: np.array(c[1]) for c in components[:n_seasons]},
+            dims={c[0]: np.array(c[1]) for c in components[n_seasons:]},
+            last_residual=eps,
+            position=seeds.position + stop,
+        ))
+
     tail = errors[warm:]
     objective = float(np.sqrt(np.mean(np.square(tail))))
     return FitResult(
-        final_state=final,
+        final_state=states[-1],
         one_step_errors=np.array(errors),
         fitted=np.array(fitted),
         objective=objective,
         warmup=warm,
         spec=spec,
         params=params,
+        states=tuple(states),
     )
-
-
-def _first_lanes(spec: DimsSpec, n: int, stops: np.ndarray) -> list[int]:
-    """For each step of a series of length ``n``, the first lane (``stops``
-    ascending) whose window holds the whole occurrence block of that step;
-    ``len(stops)`` outside every block."""
-    first = np.full(n, len(stops), dtype=np.int64)
-    for occ in spec.occurrences:
-        first[occ:occ + spec.length] = np.searchsorted(stops, occ + spec.length)
-    return first.tolist()
-
-
-def smooth_lanes(
-    ts: TimeSeries,
-    spec: ModelSpec,
-    params: SmoothingParams,
-    seeds: Sequence[ModelState],
-    stops: Sequence[int],
-) -> list[ModelState | FitInfeasibleError]:
-    """Run the recursion of :func:`smooth_pass` over many windows at once.
-
-    Lane p starts from ``seeds[p]`` and consumes the window
-    ``ts.prefix(stops[p])``; all lanes share ``params``. ``stops`` must be
-    ascending, so the lanes still running at step t are a suffix of them.
-    Every state variable is a (lanes,) array and every index component a
-    (lanes, size) array, advanced one step for all running lanes at a time.
-    A moving seasonality reads, in each lane, only the blocks wholly inside
-    that lane's window, as the prefix's slot table does.
-
-    Returns, per lane, the final state :func:`smooth_pass` returns for that
-    window, or the :class:`FitInfeasibleError` it raises, with the same
-    message and step. The arithmetic is the scalar pass's, operation for
-    operation, so the states are bit-identical, except that numpy's power
-    function (the damped multiplicative trend, ``trend ** phi``) may differ
-    from the C library's in the last bit. A lane that fails is set to NaN and
-    checked no further; the other lanes run on. Residuals and fitted values
-    are not kept. Overflow and NaN pass silently, as in the scalar float
-    arithmetic; a division by zero raises ``FloatingPointError`` where the
-    scalar pass raises ``ZeroDivisionError``.
-    """
-    stops = [int(stop) for stop in stops]
-    if len(seeds) != len(stops):
-        raise ValueError(f"{len(seeds)} seed states for {len(stops)} stops")
-    if not stops:
-        return []
-    n = len(ts)
-    if any(b < a for a, b in zip(stops, stops[1:])):
-        raise ValueError("stops must be ascending")
-    if stops[0] < 1 or stops[-1] > n:
-        raise ValueError(f"stops must lie in 1..{n}")
-    for seed in seeds:
-        _check_consistency(ts, spec, params, seed)
-    warm = warmup_length(ts)
-    if stops[0] <= warm:
-        raise DataError(f"series length {stops[0]} does not exceed warm-up window {warm}")
-    eff = params.effective(spec)
-    alpha, gamma, phi, ar1 = eff.alpha, eff.gamma, eff.phi, eff.ar1
-    mult_trend = spec.trend == "multiplicative"
-    lanes = len(stops)
-    stop_arr = np.array(stops)
-
-    # (id, values (lanes, size), slots per step, first lane per step, is_mult, delta)
-    components = [
-        (s.id, np.array([seed.seasonal[s.id] for seed in seeds], dtype=float),
-         (np.arange(n) % s.cycle_length).tolist(), None, s.mode == "multiplicative", delta)
-        for s, delta in zip(ts.seasons, eff.deltas)
-    ] + [
-        (d.id, np.array([seed.dims[d.id] for seed in seeds], dtype=float),
-         ts.recurrence(d.id).tolist(), _first_lanes(d, n, stop_arr),
-         d.mode == "multiplicative", delta)
-        for d, delta in zip(ts.dims, eff.deltas_dims)
-    ]
-    has_mult = mult_trend or any(c[4] for c in components)
-
-    results: list[ModelState | FitInfeasibleError | None] = [None] * lanes
-    level = np.array([float(seed.level) for seed in seeds])
-    trend = np.zeros(lanes) if spec.trend == "none" \
-        else np.array([float(seed.trend) for seed in seeds])
-    eps = np.array([float(seed.last_residual) for seed in seeds])
-    for p, seed in enumerate(seeds):
-        results[p] = _seed_failure(ts, spec, seed)
-        if results[p] is not None:
-            level[p] = np.nan
-
-    y = ts.values.tolist()
-    lo = start = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-        for end in sorted(set(stops)):
-            # lanes lo.. run on until ``end``; row i of each array is lane lo + i
-            rows = [(cid, vals[lo:], slots, first, is_mult, delta)
-                    for cid, vals, slots, first, is_mult, delta in components]
-            updated = [c for c in rows if c[5] != 0.0]
-            for t in range(start, end):
-                yt = y[t]
-                sum_add, prod_mul = _gather_lanes(rows, t, lo, len(level))
-
-                if mult_trend:
-                    damped = trend ** phi
-                    base = level * damped
-                else:
-                    base = level + phi * trend
-                yhat = (base + sum_add) * prod_mul + ar1 * eps
-                eps = yt - yhat
-
-                prev_level = level
-                resid = yt - sum_add
-                level = alpha * (resid / prod_mul) + (1.0 - alpha) * base
-                if has_mult:
-                    _fail_lanes(level <= 0.0, "level", t, lo, results, level)
-                if mult_trend:
-                    trend = gamma * (level / prev_level) + (1.0 - gamma) * damped
-                    _fail_lanes(trend <= 0.0, "trend ratio", t, lo, results, level)
-                else:
-                    trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
-
-                for cid, vals, slots, first, is_mult, delta in updated:
-                    q = slots[t]
-                    if q < 0:
-                        continue
-                    g = 0 if first is None else max(first[t] - lo, 0)
-                    if g >= len(level):
-                        continue
-                    v = vals[g:, q]
-                    if g:
-                        lv, sa, pm, r = (x[g:] if isinstance(x, np.ndarray) else x
-                                         for x in (level, sum_add, prod_mul, resid))
-                    else:
-                        lv, sa, pm, r = level, sum_add, prod_mul, resid
-                    if is_mult:
-                        new = delta * (r / (lv * (pm / v))) + (1.0 - delta) * v
-                        _fail_lanes(new <= 0.0, f"index of {cid!r}", t, lo + g, results, lv)
-                    else:
-                        new = delta * ((yt - lv - (sa - v)) / pm) + (1.0 - delta) * v
-                    vals[g:, q] = new
-            start = end
-
-            done = bisect_right(stops, end) - lo
-            for i in range(done):
-                p = lo + i
-                if results[p] is None:
-                    results[p] = ModelState(
-                        level=float(level[i]),
-                        trend=float(trend[i]),
-                        seasonal={c[0]: c[1][i].copy() for c in rows[:len(ts.seasons)]},
-                        dims={c[0]: c[1][i].copy() for c in rows[len(ts.seasons):]},
-                        last_residual=float(eps[i]),
-                        position=seeds[p].position + stops[p],
-                    )
-            lo += done
-            level, trend, eps = level[done:], trend[done:], eps[done:]
-    return results
-
-
-def _gather_lanes(rows, t: int, lo: int, m: int):
-    """:func:`_gather` for the ``m`` running lanes ``lo..``: a moving
-    seasonality contributes only in the lanes from the first one that holds
-    the whole block of step ``t``. Returns the scalars 0.0 and 1.0 where no
-    component contributes."""
-    sum_add = 0.0
-    prod_mul = 1.0
-    for _cid, vals, slots, first, is_mult, _delta in rows:
-        q = slots[t]
-        if q < 0:
-            continue
-        g = 0 if first is None else max(first[t] - lo, 0)
-        if g >= m:
-            continue
-        if g == 0:
-            col = vals[:, q]
-        else:  # neutral in the lanes whose window cuts the block
-            col = np.full(m, 1.0 if is_mult else 0.0)
-            col[g:] = vals[g:, q]
-        if is_mult:
-            prod_mul = prod_mul * col
-        else:
-            sum_add = sum_add + col
-    return sum_add, prod_mul
-
-
-def _fail_lanes(bad: np.ndarray, what: str, t: int, lo: int, results: list,
-                level: np.ndarray) -> None:
-    """Record the error of each newly failed lane (row i is lane lo + i) and
-    set its level to NaN, which every later step carries into the whole
-    lane state and no nonpositivity test flags again."""
-    if bad.any():
-        for i in np.flatnonzero(bad).tolist():
-            results[lo + i] = _nonpositive(what, t)
-        level[bad] = np.nan
 
 
 def project_dims(

@@ -9,11 +9,18 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hwdims import DataError
-from hwdims.cli import ingest, load_artifact, main, parse_config, read_calendar_csv
+from hwdims import (
+    DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast,
+    project_dims,
+)
+from hwdims.cli import ingest, load_artifact, main, parse_config, read_calendar_csv, save_artifact
+from hwdims.hw import TREND_KINDS
+from hwdims.timeseries import MODES
 
-from helpers import smooth_daily_pattern
+from helpers import hourly_series, smooth_daily_pattern
 
 
 def write_hourly_csv(path, values, start=datetime(2023, 1, 2), skip=(), dup=()):
@@ -265,16 +272,56 @@ class TestCommands:
         assert reloaded["state"]["level"] == state.level
         assert reloaded["params"]["alpha"] == params.alpha
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_saved_artifact_forecasts_bit_for_bit(self, tmp_path_factory, data):
+        # Season ids in reverse alphabetical order, one moving seasonality,
+        # every trend kind, mode, damping and autocorrelation setting.
+        draw = data.draw
+        modes = [draw(st.sampled_from(MODES)) for _ in range(3)]
+        length = draw(st.integers(1, 30))
+        occurrences = tuple(sorted(draw(st.sets(st.integers(0, 10), max_size=4))))
+        ts = hourly_series(np.full(24 * 20, 100.0),
+                           seasons=[SeasonSpec("zz_daily", 24, mode=modes[0]),
+                                    SeasonSpec("aa_week_part", 6, mode=modes[1])],
+                           dims=[DimsSpec("event", modes[2], length,
+                                          occurrences=tuple(40 * k for k in occurrences))])
+        spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(TREND_KINDS)),
+                                    damping_enabled=draw(st.booleans()),
+                                    ar_adjustment_enabled=draw(st.booleans()))
+        unit = st.floats(0.0, 1.0)
+        params = SmoothingParams(alpha=draw(unit), gamma=draw(unit),
+                                 deltas=(draw(unit), draw(unit)), deltas_dims=(draw(unit),),
+                                 phi=draw(unit), ar1=draw(st.floats(-0.99, 0.99)))
+
+        def index(size, mode):
+            bounds = (0.1, 3.0) if mode == "multiplicative" else (-30.0, 30.0)
+            return np.array(draw(st.lists(st.floats(*bounds), min_size=size, max_size=size)))
+
+        state = ModelState(
+            level=draw(st.floats(1.0, 1e4)),
+            trend=draw(st.floats(0.5, 2.0) if spec.trend == "multiplicative"
+                       else st.floats(-5.0, 5.0)),
+            seasonal={"zz_daily": index(24, modes[0]), "aa_week_part": index(6, modes[1])},
+            dims={"event": index(length, modes[2])},
+            last_residual=draw(st.floats(-50.0, 50.0)),
+            position=draw(st.integers(0, len(ts))),
+        )
+        horizon = draw(st.integers(1, 200))
+        expected = forecast(state, spec, params, horizon,
+                            project_dims(ts, state.position, horizon))
+        path = tmp_path_factory.mktemp("artifact") / "model.json"
+        save_artifact(path, ts, spec, params, state, 1.0)
+        spec2, params2, state2, dims2, _doc = load_artifact(path)
+        got = forecast(state2, spec2, params2, horizon,
+                       project_dims(dims2, state2.position, horizon))
+        np.testing.assert_array_equal(got, expected)
+
     def test_artifact_preserves_mixed_mode_season_order(self, tmp_path):
         # Ids chosen so alphabetical order inverts declaration order; with
         # one additive and one multiplicative ring, any reordering on load
         # would pair rings with the wrong modes.
-        from hwdims import (
-            ModelSpec, SeasonSpec, SmoothingParams, forecast, init_values,
-            smooth_pass,
-        )
-        from hwdims.cli import save_artifact
-        from helpers import hourly_series
+        from hwdims import init_values, smooth_pass
 
         t = np.arange(24 * 7 * 3)
         y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / 24)) \
@@ -426,17 +473,26 @@ class TestCommands:
         assert "seed level" in capsys.readouterr().err
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("key", ["alpha", "phi"])
+    @pytest.mark.parametrize("key", ["alpha", "phi", "[]", "null", "state=5"])
     def test_artifact_missing_params_key_is_a_data_error(self, tmp_path, key):
+        # Also well-formed JSON that is not an object where one is expected.
         demand_fixture(tmp_path, weeks=2)
         cfg = write_fit_config(tmp_path)
         out = tmp_path / "out"
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         model = out / "model.json"
         doc = json.loads(model.read_text())
-        del doc["params"][key]
+        if key in ("alpha", "phi"):
+            del doc["params"][key]
+            match = key
+        elif key == "state=5":
+            doc["state"] = 5
+            match = "state must be a JSON object"
+        else:
+            doc = json.loads(key)
+            match = "artifact must be a JSON object"
         model.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=key):
+        with pytest.raises(DataError, match=match):
             load_artifact(model)
         assert main(["forecast", "--config", str(cfg), "--out", str(out),
                      "--model", str(model)]) == 2

@@ -148,19 +148,37 @@ class TestMforecast:
             mforecast(ts, spec, first_origin=120, step=24, horizon=24)
 
 
+def straddles(ts, origin):
+    """Whether a moving-seasonality block starts before ``origin`` and ends
+    after it, so that ``ts.prefix(origin)`` drops it."""
+    return any(occ < origin < occ + d.length for d in ts.dims for occ in d.occurrences)
+
+
 def scalar_rolling(ts, spec, params, origins, horizon):
-    """Fixed-policy rows, one scalar pass over each origin's prefix; or the
-    error of the lowest origin whose pass is infeasible."""
-    rows = []
-    for o in origins:
-        window = ts.prefix(o)
-        try:
-            fit = smooth_pass(window, spec, params, init_values(window, spec))
-        except FitInfeasibleError as exc:
+    """Fixed-policy rows from passes without stops, all from the seeds of the
+    first origin's window; NaN where no such pass gives the value.
+
+    Where no block straddles origin o, its row is the forecast from a pass
+    over ``ts.prefix(o)``. Where one does, the prefix drops the block, so
+    only the first column is known: the one-step fitted value at o of a pass
+    over the whole series, if that pass is feasible. The error is the whole
+    series' pass's, if it fails before the last origin."""
+    seeds = init_values(ts.prefix(origins[0]), spec)
+    rows = np.full((len(origins), horizon), np.nan)
+    try:
+        fitted = smooth_pass(ts, spec, params, seeds).fitted
+    except FitInfeasibleError as exc:
+        if exc.step < origins[-1]:
             return None, exc
-        rows.append(forecast(fit.final_state, spec, params, horizon,
-                             project_dims(ts, o, horizon)))
-    return np.array(rows), None
+        fitted = None
+    for i, o in enumerate(origins):
+        if not straddles(ts, o):
+            fit = smooth_pass(ts.prefix(o), spec, params, seeds)
+            rows[i] = forecast(fit.final_state, spec, params, horizon,
+                               project_dims(ts, o, horizon))
+        elif fitted is not None:
+            rows[i, 0] = fitted[o]
+    return rows, None
 
 
 @st.composite
@@ -213,11 +231,12 @@ class TestFixedPolicyLanes:
         grid = mforecast(ts, spec, first_origin=first_origin, step=step,
                          horizon=horizon, params=params)
         assert grid.origins == tuple(origins)
-        np.testing.assert_allclose(grid.forecasts, want, rtol=1e-12, atol=0)
+        known = ~np.isnan(want)
+        np.testing.assert_allclose(grid.forecasts[known], want[known], rtol=1e-12, atol=0)
 
     def test_lowest_infeasible_origin_raises_as_scalar_loop(self):
         # With alpha 1 the level is y / index, so the negative observation
-        # at step 200 fails every origin whose window holds it, mid-pass.
+        # at step 200 ends the one pass there, before the last origin.
         ts = fixture_series(288)
         y = ts.values.copy()
         y[200] = -60.0
@@ -235,6 +254,26 @@ class TestFixedPolicyLanes:
         grid = mforecast(ts.prefix(216), spec, first_origin=48, step=24, horizon=24,
                          params=params)
         assert grid.origins[-1] == 192
+
+    def test_origin_inside_a_block_sees_its_first_offsets(self):
+        # One 6-step multiplicative dip at 130..135 and origins 120, 133, ...:
+        # at origin 133 the block is under way, and the state there has
+        # updated its first three offsets, as it would have in operation.
+        t = np.arange(24 * 8)
+        y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / 24))
+        y[130:136] *= 0.7
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24)],
+                           dims=[DimsSpec("dip", "multiplicative", 6, occurrences=(130,))])
+        spec = ModelSpec.for_series(ts)
+        params = SmoothingParams(alpha=0.1, gamma=0.01, deltas=(0.1,), deltas_dims=(0.5,))
+        grid = mforecast(ts, spec, first_origin=120, step=13, horizon=13, params=params)
+        assert grid.origins[:2] == (120, 133)
+        seeds = init_values(ts.prefix(120), spec)
+        whole_block = smooth_pass(ts.prefix(136), spec, params, seeds)
+        assert grid.forecasts[1, 0] == pytest.approx(whole_block.fitted[133], rel=1e-12)
+        dip = smooth_pass(ts, spec, params, seeds, stops=[133]).final_state.dims["dip"]
+        assert (np.abs(dip[:3] - seeds.dims["dip"][:3]) > 0.05).all()
+        np.testing.assert_array_equal(dip[3:], seeds.dims["dip"][3:])
 
 
 class TestAccuracy:

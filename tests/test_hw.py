@@ -18,8 +18,6 @@ from hwdims import (
     reduce_check,
     smooth_pass,
 )
-from hwdims.hw import smooth_lanes
-
 from helpers import classic_hw, classic_hw_seeds, hourly_series
 
 
@@ -364,45 +362,51 @@ class TestInfeasibility:
         assert np.isfinite(fit.fitted).all()
 
 
-class TestLanes:
-    def test_failed_lanes_do_not_stop_the_others(self):
-        # Level y/2 + previous/2 under a multiplicative trend: the observation
-        # -100 at step 5 drives a level seeded at 100 to 0, but one seeded
-        # at 10,000 only to about 155, so that lane runs on past step 5.
-        y = np.full(10, 100.0)
-        y[5] = -100.0
-        ts = hourly_series(y)
-        spec = ModelSpec.for_series(ts, trend="multiplicative")
-        params = SmoothingParams(alpha=0.5, gamma=0.0)
-        seeds = [bare_state(-1.0, 1.0), bare_state(100.0, 0.0), bare_state(100.0, 1.0),
-                 bare_state(1e4, 1.0), bare_state(50.0, 1.0)]
-        stops = [6, 7, 8, 10, 10]
-        lanes = smooth_lanes(ts, spec, params, seeds, stops)
-        messages = []
-        for seed, stop, lane in zip(seeds, stops, lanes):
-            try:
-                want = smooth_pass(ts.prefix(stop), spec, params, seed).final_state
-            except FitInfeasibleError as exc:
-                assert isinstance(lane, FitInfeasibleError)
-                assert (str(lane), lane.step) == (str(exc), exc.step)
-                messages.append((str(lane), lane.step))
-                continue
-            assert (lane.level, lane.trend, lane.last_residual, lane.position) \
-                == (want.level, want.trend, want.last_residual, want.position)
-            messages.append(None)
-        assert messages == [
-            ("seed level must be positive for a multiplicative model", -1),
-            ("multiplicative trend seed must be positive", -1),
-            ("level became nonpositive at step 5", 5),
-            None,
-            ("level became nonpositive at step 5", 5),
-        ]
+class TestStops:
+    def fixture(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(24 * 6)
+        y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / 24)) + rng.normal(0, 1, len(t))
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24)])
+        spec = ModelSpec.for_series(ts, damping_enabled=True, ar_adjustment_enabled=True)
+        params = SmoothingParams(alpha=0.3, gamma=0.05, deltas=(0.2,), phi=0.9, ar1=0.4)
+        return ts, spec, params, init_values(ts, spec)
 
-    def test_stops_must_ascend(self):
-        ts = hourly_series(np.full(10, 100.0))
+    def test_states_equal_prefix_passes(self):
+        # Without moving seasonalities a prefix reads the series' own slot
+        # tables, so each stop's state is the prefix pass's final state.
+        ts, spec, params, seeds = self.fixture()
+        stops = [30, 30, 77, 120]
+        fit = smooth_pass(ts, spec, params, seeds, stops=stops)
+        assert len(fit.states) == 4 and fit.final_state is fit.states[-1]
+        assert len(fit.fitted) == 120
+        for stop, got in zip(stops, fit.states):
+            want = smooth_pass(ts.prefix(stop), spec, params, seeds).final_state
+            assert (got.level, got.trend, got.last_residual, got.position) \
+                == (want.level, want.trend, want.last_residual, want.position)
+            np.testing.assert_array_equal(got.seasonal["daily"], want.seasonal["daily"])
+        whole = smooth_pass(ts, spec, params, seeds)
+        assert whole.states == (whole.final_state,)
+
+    def test_observations_after_the_last_stop_are_not_read(self):
+        y = np.full(30, 100.0)
+        y[20] = -50.0
+        ts = hourly_series(y, seasons=[SeasonSpec("pair", 2)])
         spec = ModelSpec.for_series(ts)
-        with pytest.raises(ValueError, match="ascending"):
-            smooth_lanes(ts, spec, SmoothingParams(alpha=0.5), [bare_state(100.0)] * 2, [8, 6])
+        seeds = bare_state(100.0, 0.0, seasonal={"pair": [1.0, 1.0]})
+        params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.0,))
+        assert smooth_pass(ts, spec, params, seeds, stops=[10, 20]).final_state.level == 100.0
+        with pytest.raises(FitInfeasibleError) as err:
+            smooth_pass(ts, spec, params, seeds, stops=[10, 21])
+        assert err.value.step == 20
+
+    @pytest.mark.parametrize("stops", [[], [8, 6], [0, 6], [6, 31]],
+                             ids=["empty", "descending", "zero", "past-end"])
+    def test_stops_must_ascend_inside_the_series(self, stops):
+        ts = hourly_series(np.full(30, 100.0))
+        spec = ModelSpec.for_series(ts)
+        with pytest.raises(ValueError, match="stops"):
+            smooth_pass(ts, spec, SmoothingParams(alpha=0.5), bare_state(100.0), stops=stops)
 
 
 class TestMultiplicativeTrend:
