@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .calendars import CalendarEvent, build_dims
-from .decompose import LoessConfig, mstl, stlplot_export
+from .decompose import mstl, stlplot_export
 from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast
 from .hw import (
     TREND_KINDS,
@@ -385,6 +385,30 @@ def _from_json(cls, doc):
         raise DataError(f"malformed artifact {cls.__name__}: {exc}") from exc
 
 
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a JSON string",
+               float: "a number", int: "an integer"}
+
+
+def _json_field(doc: dict, key: str, kind: type, where: str = "artifact"):
+    """``doc[key]`` if it is of the JSON kind ``kind`` (``float`` takes any
+    number, and a JSON bool is no number), else a :class:`DataError`."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise DataError(f"{where} {key} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _rings(state: dict, key: str, specs) -> dict[str, np.ndarray]:
+    """The state's ``key`` map of index rings in declaration order: the engine
+    pairs rings with spec modes positionally, and the JSON has sorted keys."""
+    table = _json_field(state, key, dict, "artifact state")
+    rings = {s.id: _json_field(table, s.id, list, f"artifact state {key}") for s in specs}
+    try:
+        return {sid: np.array(values, dtype=float) for sid, values in rings.items()}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed artifact state {key}: {exc}") from exc
+
+
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
     with open(path) as fh:
         doc = json.load(fh)
@@ -393,22 +417,18 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     version = doc.get("schema_version")
     if version != ARTIFACT_SCHEMA_VERSION:
         raise DataError(f"unsupported artifact schema version {version!r}")
-    spec = _from_json(ModelSpec, doc["spec"])
-    params = _from_json(SmoothingParams, doc["params"])
-    seasons = [_from_json(SeasonSpec, s) for s in doc["seasons"]]
-    dims = [_from_json(DimsSpec, d) for d in doc["dims"]]
-    raw = doc.get("state")
-    if not isinstance(raw, dict):
-        raise DataError(f"artifact state must be a JSON object, not {type(raw).__name__}")
-    # Rebuild the index maps in declaration order: the engine pairs rings
-    # with spec modes positionally, and the JSON was dumped with sorted keys.
+    spec = _from_json(ModelSpec, _json_field(doc, "spec", dict))
+    params = _from_json(SmoothingParams, _json_field(doc, "params", dict))
+    seasons = [_from_json(SeasonSpec, s) for s in _json_field(doc, "seasons", list)]
+    dims = [_from_json(DimsSpec, d) for d in _json_field(doc, "dims", list)]
+    raw = _json_field(doc, "state", dict)
     state = ModelState(
-        level=raw["level"],
-        trend=raw["trend"],
-        seasonal={s.id: np.array(raw["seasonal"][s.id]) for s in seasons},
-        dims={d.id: np.array(raw["dims"][d.id]) for d in dims},
-        last_residual=raw["last_residual"],
-        position=raw["position"],
+        level=_json_field(raw, "level", float, "artifact state"),
+        trend=_json_field(raw, "trend", float, "artifact state"),
+        seasonal=_rings(raw, "seasonal", seasons),
+        dims=_rings(raw, "dims", dims),
+        last_residual=_json_field(raw, "last_residual", float, "artifact state"),
+        position=_json_field(raw, "position", int, "artifact state"),
     )
     return spec, params, state, dims, doc
 
@@ -448,8 +468,9 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
         spec, params, state, dims_specs, _doc = load_artifact(model_path)
         projection_source = tuple(dims_specs)
         origin = state.position
-        start = datetime.fromisoformat(_doc["series"]["start"])
-        step = timedelta(seconds=_doc["series"]["step_seconds"])
+        series = _json_field(_doc, "series", dict)
+        start = datetime.fromisoformat(_json_field(series, "start", str, "artifact series"))
+        step = timedelta(seconds=_json_field(series, "step_seconds", float, "artifact series"))
     else:
         spec, params, fit = _fit(ts, cfg)
         state = fit.final_state
@@ -468,14 +489,7 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
 
 def cmd_decompose(cfg: RunConfig, out: Path) -> int:
     ts = load_series(cfg)
-    loess = LoessConfig()
-    result = mstl(ts, loess)
-    if not result.converged:
-        log.warning(
-            "decomposition hit the iteration cap before converging: last change %.3g, "
-            "tolerance %.3g", result.last_delta,
-            loess.convergence_tol * float(np.max(np.abs(ts.values))),
-        )
+    result = mstl(ts)
     written = stlplot_export(result, out)
     log.info("decompose: wrote %d files to %s", len(written), out)
     return 0

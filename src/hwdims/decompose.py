@@ -3,12 +3,13 @@
 The decomposition is additive throughout: trend + one component per regular
 seasonality + one component per moving seasonality + remainder reconstructs
 the input exactly (the remainder closes the identity by construction).
-Regular components are extracted by cycle-subseries Loess smoothing inside an
-outer refinement loop that cycles through the seasonalities until they stop
-changing. Moving-seasonality components are extracted afterwards from the
-detrended, deseasonalized residual: the values at the occurrence blocks are
-averaged per within-block offset, so the regular components never depend on
-whether moving seasonalities are registered.
+Regular components follow MSTL (Bandara, Hyndman & Bergmeir 2021): a fixed
+number of outer passes (two by default) re-extracts each seasonality, the
+i-th shortest cycle with seasonal window 7 + 4·i, by the STL inner loop
+(Cleveland et al. 1990). Moving-seasonality components are extracted
+afterwards from the detrended, deseasonalized residual: the values at the
+occurrence blocks are averaged per within-block offset, so the regular
+components never depend on whether moving seasonalities are registered.
 
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
@@ -38,25 +39,25 @@ from .timeseries import DataError, TimeSeries, slot_mean
 
 @dataclass(frozen=True)
 class LoessConfig:
-    """Smoothing windows and iteration limits for the decomposition.
+    """Smoothing windows and the outer-iteration count for the decomposition.
 
-    ``trend_window=None`` derives the classic default from the longest cycle:
-    next odd integer >= 1.5 * cycle / (1 - 1.5 / seasonal_window).
+    The i-th shortest cycle gets seasonal window ``7 + 4 * i`` (11 for daily,
+    15 for weekly), and ``trend_window=None`` derives its trend window from
+    that: next odd integer >= 1.5 * cycle / (1 - 1.5 / seasonal window).
+    ``max_outer_iterations`` (at least 1) is the exact number of outer passes.
     """
 
-    seasonal_window: int = 7
     trend_window: int | None = None
     lowpass_window: int | None = None
     inner_iterations: int = 2
-    max_outer_iterations: int = 10
-    convergence_tol: float = 1e-6
+    max_outer_iterations: int = 2
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Components of :func:`mstl`. ``last_delta`` is the largest change of a
-    regular component in the last outer iteration; the loop converged when
-    it fell to ``convergence_tol`` times the series' largest absolute value."""
+    """Components of :func:`mstl` after ``iterations`` outer passes (0 without
+    regular seasonalities). ``converged`` is always ``True``: the fixed
+    schedule has no cap to hit, and the field stays for its readers."""
 
     series: TimeSeries
     trend: np.ndarray
@@ -66,7 +67,6 @@ class DecompositionResult:
     remainder: np.ndarray
     converged: bool
     iterations: int
-    last_delta: float
 
     def reconstruction(self) -> np.ndarray:
         total = self.trend + self.remainder
@@ -298,13 +298,18 @@ def _recenter_cycles(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _trend_window(cycle: int, cfg: LoessConfig) -> int:
+def _seasonal_window(rank: int) -> int:
+    """MSTL's seasonal window for the ``rank``-th shortest cycle (from 1)."""
+    return 7 + 4 * rank
+
+
+def _trend_window(cycle: int, seasonal_window: int, cfg: LoessConfig) -> int:
     if cfg.trend_window is not None:
         return _odd_at_least(cfg.trend_window)
-    return _odd_at_least(1.5 * cycle / (1.0 - 1.5 / cfg.seasonal_window))
+    return _odd_at_least(1.5 * cycle / (1.0 - 1.5 / seasonal_window))
 
 
-def _extract_seasonal(u: np.ndarray, s: int, cfg: LoessConfig,
+def _extract_seasonal(u: np.ndarray, s: int, window: int, cfg: LoessConfig,
                       excluded: np.ndarray | None = None) -> np.ndarray:
     """One STL-style seasonal extraction for cycle length ``s``."""
     n = len(u)
@@ -313,47 +318,33 @@ def _extract_seasonal(u: np.ndarray, s: int, cfg: LoessConfig,
     seasonal = np.zeros(n)
     for _ in range(max(1, cfg.inner_iterations)):
         detrended = u - trend
-        ext = _subseries_smooth_extended(detrended, s, cfg.seasonal_window, excluded)
+        ext = _subseries_smooth_extended(detrended, s, window, excluded)
         lowpass = _moving_average(_moving_average(_moving_average(ext, s), s), 3)
         lowpass = loess_smooth(lowpass, lowpass_w)
         seasonal = _recenter_cycles(ext[s:s + n] - lowpass, s)
-        trend = loess_smooth(u - seasonal, _trend_window(s, cfg), excluded=excluded)
+        trend = loess_smooth(u - seasonal, _trend_window(s, window, cfg), excluded=excluded)
     return seasonal
 
 
 def _extract_all_seasonals(
     y: np.ndarray,
     order,
+    iterations: int,
     cfg: LoessConfig,
-    tol: float,
     excluded: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], bool, int, float]:
-    """Outer refinement loop: re-extract each seasonality against the series
-    minus the others until no component moves more than ``tol``. Returns the
-    components, whether they converged, the iterations run and the last
-    iteration's largest change."""
-    n = len(y)
-    seasonals = {spec.id: np.zeros(n) for spec in order}
-    converged = not order
-    iterations = 0
-    delta = 0.0
-    for _ in range(max(1, cfg.max_outer_iterations)):
-        if not order:
-            break
-        iterations += 1
-        delta = 0.0
-        for spec in order:
-            others = np.zeros(n)
-            for other in order:
-                if other.id != spec.id:
-                    others += seasonals[other.id]
-            new = _extract_seasonal(y - others, spec.cycle_length, cfg, excluded)
-            delta = max(delta, float(np.max(np.abs(new - seasonals[spec.id]))))
-            seasonals[spec.id] = new
-        if delta <= tol:
-            converged = True
-            break
-    return seasonals, converged, iterations, delta
+) -> dict[str, np.ndarray]:
+    """Re-extract each seasonality of ``order`` (shortest cycle first) against
+    the series minus the others, ``iterations`` times."""
+    seasonals = {spec.id: np.zeros(len(y)) for spec in order}
+    rest = y.copy()  # the series minus every current seasonal estimate
+    for _ in range(iterations):
+        for rank, spec in enumerate(order, start=1):
+            rest += seasonals[spec.id]
+            seasonals[spec.id] = _extract_seasonal(
+                rest, spec.cycle_length, _seasonal_window(rank), cfg, excluded
+            )
+            rest -= seasonals[spec.id]
+    return seasonals
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +353,11 @@ def _extract_all_seasonals(
 
 def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResult:
     """Multiple-seasonal decomposition of ``ts`` with moving-seasonality
-    components extracted after the regular ones converge.
+    components extracted after the regular ones, on the schedule of
+    :class:`LoessConfig`; the final trend takes the longest cycle's window.
 
     Raises :class:`DataError` when fewer than two full cycles of any regular
-    seasonality are available. A hit iteration cap is reported through
-    ``converged=False`` rather than an error.
+    seasonality are available.
     """
     cfg = config or LoessConfig()
     y = ts.values
@@ -377,14 +368,10 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
                 f"season {spec.id!r}: need >= {2 * spec.cycle_length} points "
                 f"(2 cycles), series has {n}"
             )
-    scale = float(np.max(np.abs(y))) if n else 0.0
-    tol = cfg.convergence_tol * max(scale, 1e-300)
-
     order = sorted(ts.seasons, key=lambda s: s.cycle_length)
-    seasonals, converged, iterations, last_delta = _extract_all_seasonals(y, order, cfg, tol)
-    seasonal_sum = np.zeros(n)
-    for comp in seasonals.values():
-        seasonal_sum += comp
+    iterations = max(1, cfg.max_outer_iterations) if order else 0
+    seasonals = _extract_all_seasonals(y, order, iterations, cfg)
+    seasonal_sum = sum(seasonals.values(), np.zeros(n))
 
     block_mask = np.zeros(n, dtype=bool)
     for dspec in ts.dims:
@@ -392,7 +379,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     if not block_mask.any():
         block_mask = None
     longest = max((s.cycle_length for s in ts.seasons), default=max(3, n // 10))
-    trend_window = _trend_window(longest, cfg)
+    trend_window = _trend_window(longest, _seasonal_window(len(order)), cfg)
     trend = loess_smooth(y - seasonal_sum, trend_window, excluded=block_mask)
 
     # The event residual is measured against an event-blind baseline: with
@@ -401,10 +388,8 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     # event effect. The reported trend/seasonals above stay independent of
     # the moving-seasonality registry.
     if block_mask is not None:
-        masked_seasonals, *_ = _extract_all_seasonals(y, order, cfg, tol, block_mask)
-        masked_sum = np.zeros(n)
-        for comp in masked_seasonals.values():
-            masked_sum += comp
+        masked_seasonals = _extract_all_seasonals(y, order, iterations, cfg, block_mask)
+        masked_sum = sum(masked_seasonals.values(), np.zeros(n))
         masked_trend = loess_smooth(y - masked_sum, trend_window, excluded=block_mask)
         event_residual = y - masked_trend - masked_sum
     else:
@@ -432,9 +417,8 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
         dims_components=dims_components,
         dims_profiles=dims_profiles,
         remainder=remainder,
-        converged=converged,
+        converged=True,
         iterations=iterations,
-        last_delta=last_delta,
     )
 
 

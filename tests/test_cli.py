@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-import re
+import logging
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -16,7 +16,9 @@ from hwdims import (
     DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast,
     project_dims,
 )
-from hwdims.cli import ingest, load_artifact, main, parse_config, read_calendar_csv, save_artifact
+from hwdims.cli import (
+    cmd_forecast, ingest, load_artifact, main, parse_config, read_calendar_csv, save_artifact,
+)
 from hwdims.hw import TREND_KINDS
 from hwdims.timeseries import MODES
 
@@ -363,13 +365,13 @@ class TestCommands:
             "trend.csv",
         ]
 
-    def test_decompose_cap_warning_names_last_change(self, tmp_path, caplog):
+    def test_decompose_nested_cycles_log_no_warning(self, tmp_path, caplog):
+        # 24 inside 168 never settles; the fixed MSTL schedule has no cap to hit
         demand_fixture(tmp_path, weeks=4)
         cfg = write_fit_config(tmp_path, extra="season = 168 multiplicative ratio_to_ma weekly\n")
-        with caplog.at_level("WARNING", logger="hwdims.cli"):
+        with caplog.at_level("WARNING"):
             assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert re.search(r"iteration cap .*last change [0-9.e+-]+, tolerance [0-9.e+-]+",
-                         caplog.text)
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_evaluate_grid_shape(self, tmp_path):
         demand_fixture(tmp_path, weeks=2)  # 336 points
@@ -473,9 +475,16 @@ class TestCommands:
         assert "seed level" in capsys.readouterr().err
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("key", ["alpha", "phi", "[]", "null", "state=5"])
+    @pytest.mark.parametrize("key", [
+        "alpha", "phi", "[]", "null", "state=5",
+        "seasons=5", "dims={}", "state.seasonal=5", "state.dims=[]", "state.seasonal.daily",
+        "state.seasonal.daily=5", 'state.level="abc"', "state.trend=null",
+        "state.last_residual=[]", "state.position=1.5", "state.position=true",
+        "series=5", "series.start=5", "series.step_seconds=null",
+    ])
     def test_artifact_missing_params_key_is_a_data_error(self, tmp_path, key):
-        # Also well-formed JSON that is not an object where one is expected.
+        # Also well-formed JSON that is not an object where one is expected,
+        # a missing ring and a field of the wrong JSON type below the top level.
         demand_fixture(tmp_path, weeks=2)
         cfg = write_fit_config(tmp_path)
         out = tmp_path / "out"
@@ -485,14 +494,26 @@ class TestCommands:
         if key in ("alpha", "phi"):
             del doc["params"][key]
             match = key
-        elif key == "state=5":
-            doc["state"] = 5
-            match = "state must be a JSON object"
+        elif key == "state.seasonal.daily":
+            del doc["state"]["seasonal"]["daily"]
+            match = "state seasonal daily must be a JSON list, not NoneType"
+        elif "=" in key:
+            path, value = key.split("=")
+            *parents, leaf = path.split(".")
+            node = doc
+            for name in parents:
+                node = node[name]
+            node[leaf] = json.loads(value)
+            match = f"artifact {path.replace('.', ' ')} must be a"
         else:
             doc = json.loads(key)
             match = "artifact must be a JSON object"
         model.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=match):
-            load_artifact(model)
+        if key.startswith("series"):  # read by the forecast command
+            with pytest.raises(DataError, match=match):
+                cmd_forecast(parse_config(cfg), out, model)
+        else:
+            with pytest.raises(DataError, match=match):
+                load_artifact(model)
         assert main(["forecast", "--config", str(cfg), "--out", str(out),
                      "--model", str(model)]) == 2

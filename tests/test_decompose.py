@@ -233,7 +233,7 @@ class TestMstlBasics:
         scale = max(np.max(np.abs(result.series.values)), 1.0)
         assert np.max(np.abs(second.seasonals["daily"])) <= 1e-3 * scale
 
-    def test_iteration_cap_sets_nonconvergence_flag(self):
+    def test_outer_iteration_count_is_exact(self, monkeypatch):
         rng = np.random.default_rng(21)
         t = np.arange(24 * 7 * 3)
         y = (100 + 15 * np.sin(2 * np.pi * t / 24)
@@ -242,13 +242,22 @@ class TestMstlBasics:
             SeasonSpec("daily", 24, mode="additive"),
             SeasonSpec("weekly", 168, mode="additive"),
         ])
-        strict = LoessConfig(max_outer_iterations=1, convergence_tol=1e-12)
-        result = mstl(ts, strict)
-        assert not result.converged
-        assert result.iterations == 1
-        assert_identity(result)  # the identity holds regardless
-        relaxed = mstl(ts, LoessConfig(max_outer_iterations=10, convergence_tol=1e-3))
-        assert relaxed.converged
+        cycles = []
+        real = decompose._extract_seasonal
+
+        def recording(u, s, *args, **kwargs):
+            cycles.append(s)
+            return real(u, s, *args, **kwargs)
+
+        monkeypatch.setattr(decompose, "_extract_seasonal", recording)
+        result = mstl(ts)
+        assert result.iterations == LoessConfig().max_outer_iterations == 2
+        assert cycles == [24, 168] * 2
+        assert result.converged  # always: the schedule is fixed
+        assert_identity(result)
+        cycles.clear()
+        assert mstl(ts, LoessConfig(max_outer_iterations=3)).iterations == 3
+        assert cycles == [24, 168] * 3
 
 
 class TestAgainstReferenceImplementation:
@@ -292,20 +301,28 @@ class TestTwoSeasonalities:
         target = 12 * np.sin(2 * np.pi * t / 24)
         assert np.sqrt(np.mean((daily - target) ** 2)) < 1.0
 
-    def test_last_delta_is_the_final_change(self):
-        ts = self.fixture()
-        tol = 1e-6
-        scale = float(np.max(np.abs(ts.values)))
-        capped = mstl(ts, LoessConfig(max_outer_iterations=2, convergence_tol=tol))
-        assert not capped.converged
-        assert capped.last_delta > tol * scale
-        one_more = mstl(ts, LoessConfig(max_outer_iterations=3, convergence_tol=tol))
-        moved = max(np.max(np.abs(one_more.seasonals[sid] - capped.seasonals[sid]))
-                    for sid in ("daily", "weekly"))
-        assert one_more.last_delta == moved
-        loose = mstl(ts, LoessConfig(convergence_tol=1e-2))
-        assert loose.converged
-        assert loose.last_delta <= 1e-2 * scale
+    def test_seasonal_windows_follow_cycle_rank(self, monkeypatch):
+        # MSTL: the i-th shortest cycle is smoothed with window 7 + 4 i, and
+        # its trend window follows from it; the final trend takes the
+        # weekly one (281). Low-pass windows are the cycles (25, 169).
+        subseries, smooths = [], []
+        real_subseries, real_loess = decompose._subseries_smooth_extended, decompose.loess_smooth
+
+        def record_subseries(u, s, window, *args):
+            subseries.append((s, window))
+            return real_subseries(u, s, window, *args)
+
+        def record_loess(y, window, *args, **kwargs):
+            smooths.append(window)
+            return real_loess(y, window, *args, **kwargs)
+
+        monkeypatch.setattr(decompose, "_subseries_smooth_extended", record_subseries)
+        monkeypatch.setattr(decompose, "loess_smooth", record_loess)
+        mstl(self.fixture())
+        inner = LoessConfig().inner_iterations
+        assert subseries == ([(24, 11)] * inner + [(168, 15)] * inner) * 2
+        assert sorted(set(smooths)) == [25, 43, 169, 281]
+        assert smooths[-1] == 281
 
     def test_single_seasonality_stl_equals_mstl(self):
         t = np.arange(24 * 8)

@@ -194,6 +194,21 @@ def rolling_cases(draw):
     y = 100 * (1 + 0.2 * np.sin(2 * np.pi * t / 24)) + rng.normal(0, 2, n)
     for occ in occurrences:
         y[occ:occ + length] *= 0.8
+    horizon = draw(st.integers(1, 30))
+    first = 48  # warm-up plus the longest cycle
+    inside = [o + k for o in occurrences for k in range(1, length)
+              if first <= o + k <= n - horizon]
+    if inside and draw(st.booleans()):
+        first_origin = draw(st.sampled_from(inside))  # an origin cuts a block
+    else:
+        first_origin = draw(st.integers(first, n - horizon))
+    step = draw(st.integers(1, 40))
+    if draw(st.integers(0, 3)):  # in about three cases of four
+        # a negative reading between the first and the last origin, where it
+        # can end a multiplicative pass before or at the last origin (not
+        # zero: the percentage errors need nonzero actuals)
+        last = first_origin + (n - horizon - first_origin) // step * step
+        y[draw(st.integers(first_origin, last))] = draw(st.floats(-1e4, -1.0))
     ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode=draw(st.sampled_from(MODES)))],
                        dims=[DimsSpec("event", draw(st.sampled_from(MODES)), length,
                                       occurrences=tuple(occurrences))])
@@ -204,15 +219,7 @@ def rolling_cases(draw):
     params = SmoothingParams(alpha=draw(unit), gamma=draw(unit), deltas=(draw(unit),),
                              deltas_dims=(draw(unit),), phi=draw(unit),
                              ar1=draw(st.floats(-0.9, 0.9)))
-    horizon = draw(st.integers(1, 30))
-    first = 48  # warm-up plus the longest cycle
-    inside = [o + k for o in occurrences for k in range(1, length)
-              if first <= o + k <= n - horizon]
-    if inside and draw(st.booleans()):
-        first_origin = draw(st.sampled_from(inside))  # an origin cuts a block
-    else:
-        first_origin = draw(st.integers(first, n - horizon))
-    return ts, spec, params, first_origin, draw(st.integers(1, 40)), horizon
+    return ts, spec, params, first_origin, step, horizon
 
 
 class TestFixedPolicyLanes:
