@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 fit infeasible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -38,6 +37,7 @@ from .hw import (
 )
 from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
 from .timeseries import DIMS_INIT_METHODS, MODES, DataError, DimsSpec, SeasonSpec, TimeSeries
+from .timeseries import read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -73,22 +73,13 @@ def ingest(path) -> TimeSeries:
     rejected. Timestamps must be ISO-8601 at a fixed nominal step.
     """
     rows: list[tuple[datetime, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["timestamp", "value"]:
-            raise DataError(f"{path}: expected header 'timestamp,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"row {lineno}: expected 2 columns, got {len(row)}")
-            stamp = _parse_timestamp(row[0], lineno)
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise DataError(f"row {lineno}: unparseable value {row[1]!r}") from exc
-            rows.append((stamp, value))
+    for lineno, row in read_csv(path, "timestamp,value"):
+        stamp = _parse_timestamp(row[0], lineno)
+        try:
+            value = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"row {lineno}: unparseable value {row[1]!r}") from exc
+        rows.append((stamp, value))
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
 
@@ -149,26 +140,16 @@ def ingest(path) -> TimeSeries:
 def read_calendar_csv(path) -> list[CalendarEvent]:
     """Read events from ``event_id,group,date_start,span_days`` CSV."""
     events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["event_id", "group", "date_start", "span_days"]
-        if header is None or [c.strip().lower() for c in header[:4]] != expected:
-            raise DataError(f"{path}: expected header 'event_id,group,date_start,span_days'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 4:
-                raise DataError(f"row {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                start = date.fromisoformat(row[2].strip())
-                span = int(row[3])
-            except ValueError as exc:
-                raise DataError(f"row {lineno}: {exc}") from exc
-            events.append(CalendarEvent(
-                event_id=row[0].strip(), recurrence_group=row[1].strip(),
-                date_start=start, span_days=span,
-            ))
+    for lineno, row in read_csv(path, "event_id,group,date_start,span_days"):
+        try:
+            start = date.fromisoformat(row[2].strip())
+            span = int(row[3])
+        except ValueError as exc:
+            raise DataError(f"row {lineno}: {exc}") from exc
+        events.append(CalendarEvent(
+            event_id=row[0].strip(), recurrence_group=row[1].strip(),
+            date_start=start, span_days=span,
+        ))
     return events
 
 
@@ -308,6 +289,9 @@ def parse_config(path) -> RunConfig:
     take("policy", str, POLICIES)
     if values:
         raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(values))}")
+    for key in ("max_evals", "horizon", "first_origin", "origin_step"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise UsageError(f"{path}: {key} must be >= 1")
     return cfg
 
 
@@ -479,11 +463,8 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
         start, step = ts.start, ts.step
     projection = project_dims(projection_source, origin, cfg.horizon)
     values = forecast(state, spec, params, cfg.horizon, projection)
-    with open(out / "forecast.csv", "w", newline="") as fh:
-        fh.write("timestamp,forecast\n")
-        for k, v in enumerate(values, start=1):
-            stamp = start + (origin + k - 1) * step
-            fh.write(f"{stamp.isoformat()},{float(v)!r}\n")
+    stamps = ((start + (origin + k) * step).isoformat() for k in range(cfg.horizon))
+    write_csv(out / "forecast.csv", "timestamp,forecast", stamps, map(repr, values.tolist()))
     return 0
 
 

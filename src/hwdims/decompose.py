@@ -4,12 +4,13 @@ The decomposition is additive throughout: trend + one component per regular
 seasonality + one component per moving seasonality + remainder reconstructs
 the input exactly (the remainder closes the identity by construction).
 Regular components follow MSTL (Bandara, Hyndman & Bergmeir 2021): a fixed
-number of outer passes (two by default) re-extracts each seasonality, the
-i-th shortest cycle with seasonal window 7 + 4·i, by the STL inner loop
-(Cleveland et al. 1990). Moving-seasonality components are extracted
-afterwards from the detrended, deseasonalized residual: the values at the
-occurrence blocks are averaged per within-block offset, so the regular
-components never depend on whether moving seasonalities are registered.
+number of outer passes (two by default, one for a single cycle) re-extracts
+each seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, by
+the STL inner loop (Cleveland et al. 1990). Moving-seasonality components
+are extracted afterwards from the detrended, deseasonalized residual: the
+values at the occurrence blocks are averaged per within-block offset, so
+the regular components never depend on whether moving seasonalities are
+registered.
 
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
@@ -34,23 +35,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import DataError, TimeSeries, slot_mean
+from .timeseries import DataError, TimeSeries, slot_mean, write_csv
 
 
 @dataclass(frozen=True)
 class LoessConfig:
-    """Smoothing windows and the outer-iteration count for the decomposition.
+    """Outer-iteration count for the decomposition.
 
-    The i-th shortest cycle gets seasonal window ``7 + 4 * i`` (11 for daily,
-    15 for weekly), and ``trend_window=None`` derives its trend window from
-    that: next odd integer >= 1.5 * cycle / (1 - 1.5 / seasonal window).
-    ``max_outer_iterations`` (at least 1) is the exact number of outer passes.
+    ``max_outer_iterations`` (at least 1) is the exact number of outer passes
+    with two or more regular cycles. With one cycle a single pass runs, as in
+    MSTL: a second would re-extract it from the same input.
     """
 
-    trend_window: int | None = None
-    lowpass_window: int | None = None
-    inner_iterations: int = 2
     max_outer_iterations: int = 2
+
+
+# STL inner-loop passes per seasonal extraction (Cleveland et al. 1990).
+_INNER_ITERATIONS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,26 +304,26 @@ def _seasonal_window(rank: int) -> int:
     return 7 + 4 * rank
 
 
-def _trend_window(cycle: int, seasonal_window: int, cfg: LoessConfig) -> int:
-    if cfg.trend_window is not None:
-        return _odd_at_least(cfg.trend_window)
+def _trend_window(cycle: int, seasonal_window: int) -> int:
+    """STL's trend window: next odd integer >= 1.5 * cycle / (1 - 1.5 / seasonal window)."""
     return _odd_at_least(1.5 * cycle / (1.0 - 1.5 / seasonal_window))
 
 
-def _extract_seasonal(u: np.ndarray, s: int, window: int, cfg: LoessConfig,
+def _extract_seasonal(u: np.ndarray, s: int, window: int,
                       excluded: np.ndarray | None = None) -> np.ndarray:
-    """One STL-style seasonal extraction for cycle length ``s``."""
+    """One STL-style seasonal extraction for cycle length ``s``; the cycle is
+    also the low-pass window."""
     n = len(u)
-    lowpass_w = _odd_at_least(cfg.lowpass_window if cfg.lowpass_window is not None else s)
+    lowpass_w = _odd_at_least(s)
     trend = np.zeros(n)
     seasonal = np.zeros(n)
-    for _ in range(max(1, cfg.inner_iterations)):
+    for _ in range(_INNER_ITERATIONS):
         detrended = u - trend
         ext = _subseries_smooth_extended(detrended, s, window, excluded)
         lowpass = _moving_average(_moving_average(_moving_average(ext, s), s), 3)
         lowpass = loess_smooth(lowpass, lowpass_w)
         seasonal = _recenter_cycles(ext[s:s + n] - lowpass, s)
-        trend = loess_smooth(u - seasonal, _trend_window(s, window, cfg), excluded=excluded)
+        trend = loess_smooth(u - seasonal, _trend_window(s, window), excluded=excluded)
     return seasonal
 
 
@@ -330,7 +331,6 @@ def _extract_all_seasonals(
     y: np.ndarray,
     order,
     iterations: int,
-    cfg: LoessConfig,
     excluded: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Re-extract each seasonality of ``order`` (shortest cycle first) against
@@ -341,7 +341,7 @@ def _extract_all_seasonals(
         for rank, spec in enumerate(order, start=1):
             rest += seasonals[spec.id]
             seasonals[spec.id] = _extract_seasonal(
-                rest, spec.cycle_length, _seasonal_window(rank), cfg, excluded
+                rest, spec.cycle_length, _seasonal_window(rank), excluded
             )
             rest -= seasonals[spec.id]
     return seasonals
@@ -369,8 +369,8 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
                 f"(2 cycles), series has {n}"
             )
     order = sorted(ts.seasons, key=lambda s: s.cycle_length)
-    iterations = max(1, cfg.max_outer_iterations) if order else 0
-    seasonals = _extract_all_seasonals(y, order, iterations, cfg)
+    iterations = max(1, cfg.max_outer_iterations) if len(order) > 1 else len(order)
+    seasonals = _extract_all_seasonals(y, order, iterations)
     seasonal_sum = sum(seasonals.values(), np.zeros(n))
 
     block_mask = np.zeros(n, dtype=bool)
@@ -379,7 +379,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     if not block_mask.any():
         block_mask = None
     longest = max((s.cycle_length for s in ts.seasons), default=max(3, n // 10))
-    trend_window = _trend_window(longest, _seasonal_window(len(order)), cfg)
+    trend_window = _trend_window(longest, _seasonal_window(len(order)))
     trend = loess_smooth(y - seasonal_sum, trend_window, excluded=block_mask)
 
     # The event residual is measured against an event-blind baseline: with
@@ -388,7 +388,7 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     # event effect. The reported trend/seasonals above stay independent of
     # the moving-seasonality registry.
     if block_mask is not None:
-        masked_seasonals = _extract_all_seasonals(y, order, iterations, cfg, block_mask)
+        masked_seasonals = _extract_all_seasonals(y, order, iterations, block_mask)
         masked_sum = sum(masked_seasonals.values(), np.zeros(n))
         masked_trend = loess_smooth(y - masked_sum, trend_window, excluded=block_mask)
         event_residual = y - masked_trend - masked_sum
@@ -440,13 +440,6 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
-def _write_series_csv(path: Path, timestamps, values) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,value\n")
-        for t, v in zip(timestamps, values):
-            fh.write(f"{t.isoformat()},{float(v)!r}\n")
-
-
 def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
     """Write the decomposition as plot-ready CSV panels.
 
@@ -458,33 +451,21 @@ def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
     ts = result.series
-    stamps = ts.timestamps
-    written: list[Path] = []
-
-    def emit(name, values):
-        path = out / name
-        _write_series_csv(path, stamps, values)
-        written.append(path)
-
-    emit("original.csv", ts.values)
-    emit("trend.csv", result.trend)
-    for season in ts.seasons:
-        emit(f"seasonal_{_safe_name(season.id)}.csv", result.seasonals[season.id])
-    emit("remainder.csv", result.remainder)
+    stamps = [t.isoformat() for t in ts.timestamps]
+    panels = [("original", ts.values), ("trend", result.trend)]
+    panels += [(f"seasonal_{_safe_name(s.id)}", result.seasonals[s.id]) for s in ts.seasons]
+    panels.append(("remainder", result.remainder))
+    written = [write_csv(out / f"{name}.csv", "timestamp,value", stamps, map(repr, v.tolist()))
+               for name, v in panels]
 
     for dspec in ts.dims:
-        profile_path = out / f"dims_{_safe_name(dspec.id)}_profile.csv"
-        with open(profile_path, "w", newline="") as fh:
-            fh.write("slot,value\n")
-            for q, v in enumerate(result.dims_profiles[dspec.id]):
-                fh.write(f"{q},{float(v)!r}\n")
-        written.append(profile_path)
-        loc_path = out / f"dims_{_safe_name(dspec.id)}_locations.csv"
-        with open(loc_path, "w", newline="") as fh:
-            fh.write("start_timestamp,end_timestamp\n")
-            for occ in dspec.occurrences:
-                start = ts.timestamp_at(occ)
-                end = ts.timestamp_at(occ + dspec.length)
-                fh.write(f"{start.isoformat()},{end.isoformat()}\n")
-        written.append(loc_path)
+        name = f"dims_{_safe_name(dspec.id)}"
+        profile = result.dims_profiles[dspec.id]
+        written.append(write_csv(out / f"{name}_profile.csv", "slot,value",
+                                 map(str, range(len(profile))), map(repr, profile.tolist())))
+        written.append(write_csv(
+            out / f"{name}_locations.csv", "start_timestamp,end_timestamp",
+            [ts.timestamp_at(occ).isoformat() for occ in dspec.occurrences],
+            [ts.timestamp_at(occ + dspec.length).isoformat() for occ in dspec.occurrences],
+        ))
     return written

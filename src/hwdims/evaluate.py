@@ -17,7 +17,7 @@ from .hw import (
     warmup_length,
 )
 from .optimize import OptimConfig, find_params, init_values, params_to_vector
-from .timeseries import TimeSeries, aic, ape, mape, rmse
+from .timeseries import TimeSeries, aic, ape, mape, rmse, write_csv
 
 POLICIES = ("fixed", "refit_per_origin")
 
@@ -163,15 +163,11 @@ def grid_to_csv(grid: ForecastGrid, ts: TimeSeries, path) -> Path:
 
     The origin timestamp is the last observed instant before the forecast.
     """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("origin_timestamp,horizon_step,actual,forecast,ape\n")
-        for i, origin in enumerate(grid.origins):
-            stamp = ts.timestamp_at(origin - 1).isoformat()
-            row_ape = ape(grid.actuals[i], grid.forecasts[i])
-            for k in range(grid.horizon):
-                fh.write(
-                    f"{stamp},{k + 1},{float(grid.actuals[i, k])!r},"
-                    f"{float(grid.forecasts[i, k])!r},{float(row_ape[k])!r}\n"
-                )
-    return path
+    stamps = [ts.timestamp_at(o - 1).isoformat() for o in grid.origins]
+    steps = [str(k) for k in range(1, grid.horizon + 1)]
+    return write_csv(
+        path, "origin_timestamp,horizon_step,actual,forecast,ape",
+        (stamp for stamp in stamps for _ in steps), steps * len(stamps),
+        *(map(repr, column.ravel().tolist())
+          for column in (grid.actuals, grid.forecasts, ape(grid.actuals, grid.forecasts))),
+    )

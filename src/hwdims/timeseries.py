@@ -1,4 +1,5 @@
-"""Multi-seasonal time-series container and forecast accuracy metrics.
+"""Multi-seasonal time-series container, forecast accuracy metrics and the
+CSV format of every file the command line reads and writes.
 
 The :class:`TimeSeries` container holds an evenly spaced observation vector
 together with its regular seasonal cycles and its event-window moving
@@ -7,13 +8,19 @@ Each moving seasonality gets a slot table: the within-block offset of every
 step, -1 outside its blocks. Containers are immutable: every mutating
 operation returns a new instance, so series can be shared freely across
 concurrent fitting jobs.
+
+CSV files have one header line of column names; :func:`read_csv` checks it
+and :func:`write_csv` writes it. Callers format the fields: timestamps as
+ISO-8601, floats as ``repr``, which reads back bit-exact.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -214,6 +221,38 @@ class TimeSeries:
             for d in self.dims
         )
         return replace(self, values=self.values[:n], dims=dims)
+
+
+# ---------------------------------------------------------------------------
+# CSV format
+# ---------------------------------------------------------------------------
+
+def read_csv(path, header: str):
+    """Yield ``(line number, fields)`` for each non-blank row of a CSV file whose
+    first line starts with the column names ``header`` (case and spaces ignored).
+    A row with fewer fields than ``header`` names is a :class:`DataError`."""
+    names = header.split(",")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [c.strip().lower() for c in first[:len(names)]] != names:
+            raise DataError(f"{path}: expected header '{header}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < len(names):
+                raise DataError(f"row {lineno}: expected {len(names)} columns, got {len(row)}")
+            yield lineno, row
+
+
+def write_csv(path, header: str, *columns) -> Path:
+    """Write ``header``, then one comma-joined row per position of the equally
+    long ``columns`` of formatted fields; returns the path."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
+    return path
 
 
 # ---------------------------------------------------------------------------

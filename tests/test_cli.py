@@ -16,6 +16,7 @@ from hwdims import (
     DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast,
     project_dims,
 )
+from hwdims import cli
 from hwdims.cli import (
     cmd_forecast, ingest, load_artifact, main, parse_config, read_calendar_csv, save_artifact,
 )
@@ -133,6 +134,41 @@ class TestCalendarCsv:
             read_calendar_csv(path)
 
 
+# reader, header, two valid data rows
+READERS = {
+    "ingest": (ingest, "timestamp,value",
+               ["2023-01-02T00:00:00,1", "2023-01-02T01:00:00,2"]),
+    "calendar": (read_calendar_csv, "event_id,group,date_start,span_days",
+                 ["a,G,2023-01-02,1", "b,G,2023-01-09,1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+class TestCsvReaders:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "in.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_wrong_header_rejected(self, tmp_path, name):
+        reader, header, rows = READERS[name]
+        path = self.write(tmp_path, ["bogus,header,x,y", *rows])
+        with pytest.raises(DataError, match=f"expected header '{header}'"):
+            reader(path)
+
+    def test_blank_lines_skipped(self, tmp_path, name):
+        reader, header, rows = READERS[name]
+        path = self.write(tmp_path, [header, rows[0], "", "   ", rows[1], ""])
+        assert len(reader(path)) == 2
+
+    def test_short_row_reported_with_number(self, tmp_path, name):
+        reader, header, rows = READERS[name]
+        path = self.write(tmp_path, [header, rows[0], "", "lonely"])
+        columns = len(header.split(","))
+        with pytest.raises(DataError, match=f"row 4: expected {columns} columns, got 1"):
+            reader(path)
+
+
 class TestConfig:
     def test_full_parse(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -194,6 +230,19 @@ class TestConfig:
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and f"'{key}'" in err and "bogus" in err
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "decompose", "evaluate"])
+    @pytest.mark.parametrize("key", ["max_evals", "horizon", "first_origin", "origin_step"])
+    def test_count_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                               key, command):
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        settings = {"first_origin": "48", key: "0"}
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("data = demand.csv\nseason = 24 multiplicative ratio_to_ma\n"
+                            + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"{key} must be >= 1" in err
 
     def test_evaluate_checks_first_origin_before_reading_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -263,6 +312,21 @@ class TestCommands:
         assert [s for s, _ in saved] == [s for s, _ in inline]
         for (_, a), (_, b) in zip(saved, inline):
             assert a == pytest.approx(b, rel=1e-12)
+
+    def test_forecast_csv_text(self, tmp_path):
+        _, start = demand_fixture(tmp_path, weeks=2)
+        cfg = write_fit_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["forecast", "--config", str(cfg), "--out", str(out),
+                     "--model", str(out / "model.json")]) == 0
+        spec, params, state, dims, _ = load_artifact(out / "model.json")
+        values = forecast(state, spec, params, 24, project_dims(tuple(dims), state.position, 24))
+        lines = ["timestamp,forecast"] + [
+            f"{(start + timedelta(hours=state.position + k)).isoformat()},{float(v)!r}"
+            for k, v in enumerate(values)
+        ]
+        assert (out / "forecast.csv").read_text() == "".join(line + "\n" for line in lines)
 
     def test_artifact_round_trip_is_exact(self, tmp_path):
         demand_fixture(tmp_path, weeks=2)

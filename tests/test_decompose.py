@@ -259,6 +259,24 @@ class TestMstlBasics:
         assert mstl(ts, LoessConfig(max_outer_iterations=3)).iterations == 3
         assert cycles == [24, 168] * 3
 
+    @pytest.mark.parametrize("config", [None, LoessConfig(max_outer_iterations=3)])
+    def test_single_cycle_runs_one_outer_pass(self, monkeypatch, config):
+        # MSTL with one period: a second pass would re-extract from the same input
+        cycles = []
+        real = decompose._extract_seasonal
+
+        def recording(u, s, *args, **kwargs):
+            cycles.append(s)
+            return real(u, s, *args, **kwargs)
+
+        monkeypatch.setattr(decompose, "_extract_seasonal", recording)
+        assert mstl(sinusoid_fixture(), config).iterations == 1
+        assert cycles == [24]
+        cycles.clear()
+        two = sinusoid_fixture(cycles=14).add_season(SeasonSpec("weekly", 168, mode="additive"))
+        assert stl(two, "weekly", config).iterations == 1
+        assert cycles == [168]
+
 
 class TestAgainstReferenceImplementation:
     def test_close_to_statsmodels_stl(self):
@@ -319,7 +337,7 @@ class TestTwoSeasonalities:
         monkeypatch.setattr(decompose, "_subseries_smooth_extended", record_subseries)
         monkeypatch.setattr(decompose, "loess_smooth", record_loess)
         mstl(self.fixture())
-        inner = LoessConfig().inner_iterations
+        inner = decompose._INNER_ITERATIONS
         assert subseries == ([(24, 11)] * inner + [(168, 15)] * inner) * 2
         assert sorted(set(smooths)) == [25, 43, 169, 281]
         assert smooths[-1] == 281
@@ -456,6 +474,33 @@ class TestExport:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["start_timestamp"] == ts.timestamp_at(occ[0]).isoformat()
+
+    def test_text_of_every_file(self, tmp_path):
+        t = np.arange(24 * 7 * 3)
+        y = 50 + 3 * np.sin(2 * np.pi * t / 24) + np.random.default_rng(2).normal(0, 0.7, len(t))
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode="additive")],
+                           dims=[DimsSpec("bridge day", "additive", 30, occurrences=(50, 300))])
+        result = mstl(ts)
+        stlplot_export(result, tmp_path)
+
+        def text(*rows):
+            return "".join(",".join(row) + "\n" for row in rows)
+
+        stamps = [(ts.start + i * ts.step).isoformat() for i in range(len(ts))]
+        panels = {"original": y, "trend": result.trend,
+                  "seasonal_daily": result.seasonals["daily"], "remainder": result.remainder}
+        for name, values in panels.items():
+            assert (tmp_path / f"{name}.csv").read_text() == text(
+                ["timestamp", "value"], *([s, f"{float(v)!r}"] for s, v in zip(stamps, values))
+            ), name
+        profile = result.dims_profiles["bridge day"]
+        assert (tmp_path / "dims_bridge_day_profile.csv").read_text() == text(
+            ["slot", "value"], *([str(q), f"{float(v)!r}"] for q, v in enumerate(profile))
+        )
+        assert (tmp_path / "dims_bridge_day_locations.csv").read_text() == text(
+            ["start_timestamp", "end_timestamp"],
+            [stamps[50], stamps[80]], [stamps[300], stamps[330]],
+        )
 
     def test_no_dims_files_without_dims(self, tmp_path):
         result = mstl(sinusoid_fixture())

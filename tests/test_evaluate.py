@@ -348,3 +348,16 @@ class TestGridExport:
         recomputed = abs(float(first["actual"]) - float(first["forecast"])) \
             / abs(float(first["actual"])) * 100
         assert float(first["ape"]) == pytest.approx(recomputed, rel=1e-12)
+
+    def test_csv_text(self, tmp_path):
+        ts = fixture_series(240)
+        grid = mforecast(ts, ModelSpec.for_series(ts), first_origin=150, step=30,
+                         horizon=12, params=PARAMS)
+        path = grid_to_csv(grid, ts, tmp_path / "grid.csv")
+        lines = ["origin_timestamp,horizon_step,actual,forecast,ape"]
+        for i, origin in enumerate(grid.origins):
+            stamp = (ts.start + (origin - 1) * ts.step).isoformat()
+            for k in range(12):
+                a, f = float(ts.values[origin + k]), float(grid.forecasts[i, k])
+                lines.append(f"{stamp},{k + 1},{a!r},{f!r},{100.0 * abs(a - f) / abs(a)!r}")
+        assert path.read_text() == "".join(line + "\n" for line in lines)
