@@ -10,7 +10,6 @@ evaluation and a CSV-driven command line.
 from .calendars import CalendarEvent, build_dims
 from .decompose import (
     DecompositionResult,
-    LoessConfig,
     loess_smooth,
     mstl,
     stl,
@@ -66,7 +65,6 @@ __all__ = [
     "FitInfeasibleError",
     "FitResult",
     "ForecastGrid",
-    "LoessConfig",
     "MinimizeResult",
     "ModelSpec",
     "ModelState",

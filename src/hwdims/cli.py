@@ -191,11 +191,14 @@ class RunConfig:
         )
 
     def optim_config(self) -> OptimConfig:
-        return OptimConfig(
-            algorithm=self.algorithm, objective=self.objective,
-            max_evals=self.max_evals, tolerance=self.tolerance,
-            restarts=self.restarts, rng_seed=self.rng_seed,
-        )
+        try:
+            return OptimConfig(
+                algorithm=self.algorithm, objective=self.objective,
+                max_evals=self.max_evals, tolerance=self.tolerance,
+                restarts=self.restarts, rng_seed=self.rng_seed,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 _FLAGS = {"on": True, "off": False, "true": True, "false": False}
@@ -289,7 +292,7 @@ def parse_config(path) -> RunConfig:
     take("policy", str, POLICIES)
     if values:
         raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(values))}")
-    for key in ("max_evals", "horizon", "first_origin", "origin_step"):
+    for key in ("horizon", "first_origin", "origin_step"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise UsageError(f"{path}: {key} must be >= 1")
     return cfg
@@ -543,6 +546,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.rng_seed = args.seed
+        cfg.optim_config()  # out-of-range search settings fail before any data is read
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "fit":

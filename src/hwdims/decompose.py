@@ -4,13 +4,15 @@ The decomposition is additive throughout: trend + one component per regular
 seasonality + one component per moving seasonality + remainder reconstructs
 the input exactly (the remainder closes the identity by construction).
 Regular components follow MSTL (Bandara, Hyndman & Bergmeir 2021): a fixed
-number of outer passes (two by default, one for a single cycle) re-extracts
-each seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, by
-the STL inner loop (Cleveland et al. 1990). Moving-seasonality components
-are extracted afterwards from the detrended, deseasonalized residual: the
-values at the occurrence blocks are averaged per within-block offset, so
-the regular components never depend on whether moving seasonalities are
-registered.
+number of outer passes (two, one for a single cycle) re-extracts each
+seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, by the
+STL inner loop (Cleveland et al. 1990). The decomposition is event-blind:
+every smoother of the regular components skips the moving-seasonality
+occurrence blocks, so trend and seasonals do not depend on the values inside
+them (unless some cycle slot lies inside a block in every cycle, where that
+slot's subseries is smoothed unmasked). Each moving-seasonality component is
+then the residual those components leave, averaged per within-block offset;
+without registered moving seasonalities nothing is masked.
 
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
@@ -38,20 +40,11 @@ import numpy as np
 from .timeseries import DataError, TimeSeries, slot_mean, write_csv
 
 
-@dataclass(frozen=True)
-class LoessConfig:
-    """Outer-iteration count for the decomposition.
-
-    ``max_outer_iterations`` (at least 1) is the exact number of outer passes
-    with two or more regular cycles. With one cycle a single pass runs, as in
-    MSTL: a second would re-extract it from the same input.
-    """
-
-    max_outer_iterations: int = 2
-
-
 # STL inner-loop passes per seasonal extraction (Cleveland et al. 1990).
 _INNER_ITERATIONS = 2
+# MSTL outer passes with two or more regular cycles; one cycle gets a single
+# pass, since a second would re-extract it from the same input.
+_OUTER_ITERATIONS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +344,20 @@ def _extract_all_seasonals(
 # Public decomposition API
 # ---------------------------------------------------------------------------
 
-def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResult:
-    """Multiple-seasonal decomposition of ``ts`` with moving-seasonality
-    components extracted after the regular ones, on the schedule of
-    :class:`LoessConfig`; the final trend takes the longest cycle's window.
+def mstl(ts: TimeSeries) -> DecompositionResult:
+    """Multiple-seasonal decomposition of ``ts`` in one MSTL pass with every
+    smoother blind to the moving-seasonality occurrence blocks.
+
+    The regular seasonals (:data:`_OUTER_ITERATIONS` outer passes, one for a
+    single cycle) and the trend (the longest cycle's trend window) are fitted
+    with the blocks excluded, so values inside a block never reach them.
+    Each moving-seasonality profile is then the per-offset mean of what the
+    regular components and the earlier profiles leave, and what every
+    component leaves is the remainder.
 
     Raises :class:`DataError` when fewer than two full cycles of any regular
     seasonality are available.
     """
-    cfg = config or LoessConfig()
     y = ts.values
     n = len(y)
     for spec in ts.seasons:
@@ -368,47 +366,30 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
                 f"season {spec.id!r}: need >= {2 * spec.cycle_length} points "
                 f"(2 cycles), series has {n}"
             )
-    order = sorted(ts.seasons, key=lambda s: s.cycle_length)
-    iterations = max(1, cfg.max_outer_iterations) if len(order) > 1 else len(order)
-    seasonals = _extract_all_seasonals(y, order, iterations)
-    seasonal_sum = sum(seasonals.values(), np.zeros(n))
-
     block_mask = np.zeros(n, dtype=bool)
     for dspec in ts.dims:
         block_mask |= ts.recurrence(dspec.id) >= 0
     if not block_mask.any():
         block_mask = None
+
+    order = sorted(ts.seasons, key=lambda s: s.cycle_length)
+    iterations = _OUTER_ITERATIONS if len(order) > 1 else len(order)
+    seasonals = _extract_all_seasonals(y, order, iterations, block_mask)
+    seasonal_sum = sum(seasonals.values(), np.zeros(n))
     longest = max((s.cycle_length for s in ts.seasons), default=max(3, n // 10))
     trend_window = _trend_window(longest, _seasonal_window(len(order)))
     trend = loess_smooth(y - seasonal_sum, trend_window, excluded=block_mask)
 
-    # The event residual is measured against an event-blind baseline: with
-    # occurrence blocks masked out of every smoother, the regular components
-    # carry no echo of the events, so the per-slot averages see the full
-    # event effect. The reported trend/seasonals above stay independent of
-    # the moving-seasonality registry.
-    if block_mask is not None:
-        masked_seasonals = _extract_all_seasonals(y, order, iterations, block_mask)
-        masked_sum = sum(masked_seasonals.values(), np.zeros(n))
-        masked_trend = loess_smooth(y - masked_sum, trend_window, excluded=block_mask)
-        event_residual = y - masked_trend - masked_sum
-    else:
-        event_residual = y - trend - seasonal_sum
-
     dims_components: dict[str, np.ndarray] = {}
     dims_profiles: dict[str, np.ndarray] = {}
-    work = event_residual.copy()
+    remainder = y - trend - seasonal_sum
     for dspec in ts.dims:
         slots = ts.recurrence(dspec.id)
-        profile = slot_mean(work, slots, dspec.length, 0.0)
+        profile = slot_mean(remainder, slots, dspec.length, 0.0)
         component = np.where(slots >= 0, profile[slots], 0.0)
         dims_components[dspec.id] = component
         dims_profiles[dspec.id] = profile
-        work = work - component
-
-    remainder = y - trend - seasonal_sum
-    for comp in dims_components.values():
-        remainder = remainder - comp
+        remainder = remainder - component
 
     return DecompositionResult(
         series=ts,
@@ -422,14 +403,14 @@ def mstl(ts: TimeSeries, config: LoessConfig | None = None) -> DecompositionResu
     )
 
 
-def stl(ts: TimeSeries, season_id: str, config: LoessConfig | None = None) -> DecompositionResult:
+def stl(ts: TimeSeries, season_id: str) -> DecompositionResult:
     """Single-seasonality decomposition: the named cycle only, no moving
     seasonalities."""
     matches = [s for s in ts.seasons if s.id == season_id]
     if not matches:
         raise KeyError(f"unknown season id {season_id!r}")
     view = replace(ts, seasons=(matches[0],), dims=())
-    return mstl(view, config)
+    return mstl(view)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,9 @@ def smooth_pass(
     The objective is the RMSE of the one-step-ahead residuals after the
     warm-up window. Raises :class:`FitInfeasibleError` as soon as a
     multiplicative configuration drives the level or an index nonpositive;
-    no clamping is attempted, so the optimizer sees an honest surface.
+    no clamping is attempted, so the optimizer sees an honest surface. A
+    nonpositive observation in a multiplicative configuration is a
+    :class:`DataError` before the first step.
     """
     _check_consistency(ts, spec, params, seeds)
     eff = params.effective(spec)
@@ -285,6 +287,10 @@ def smooth_pass(
             raise FitInfeasibleError(
                 f"multiplicative seed index of {cid!r} must be positive", step=-1
             )
+    if has_mult and ts.values[:n].min() <= 0.0:
+        first = int(np.argmax(ts.values[:n] <= 0.0))
+        raise DataError(f"a multiplicative model needs positive observations; "
+                        f"observation {first} is {float(ts.values[first])!r}")
     updated = [c for c in components if c[4] != 0.0]
 
     level = float(seeds.level)

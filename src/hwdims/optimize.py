@@ -14,7 +14,7 @@ the returned optimum is always a feasible, in-bounds point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class OptimConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError("tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,15 +433,9 @@ def find_params(
         pattern_search(objective, x0, config, bounds)
     else:
         rng = np.random.default_rng(config.rng_seed)
-        restarts = max(1, config.restarts)
-        per_run = max(1, config.max_evals // restarts)
-        run_config = OptimConfig(
-            algorithm="nelder_mead", objective=config.objective,
-            max_evals=per_run, tolerance=config.tolerance,
-            bounds=config.bounds, restarts=config.restarts,
-            rng_seed=config.rng_seed,
-        )
-        for r in range(restarts):
+        per_run = max(1, config.max_evals // config.restarts)
+        run_config = replace(config, algorithm="nelder_mead", max_evals=per_run)
+        for r in range(config.restarts):
             xs = x0 if r == 0 else lows + rng.uniform(size=len(x0)) * (highs - lows)
             nelder_mead(objective, xs, run_config)
 

@@ -232,17 +232,30 @@ class TestConfig:
         assert "usage error" in err and f"'{key}'" in err and "bogus" in err
 
     @pytest.mark.parametrize("command", ["fit", "forecast", "decompose", "evaluate"])
-    @pytest.mark.parametrize("key", ["max_evals", "horizon", "first_origin", "origin_step"])
+    @pytest.mark.parametrize("key", ["max_evals", "horizon", "first_origin", "origin_step",
+                                     "restarts", "rng_seed", "tolerance", "--seed"])
     def test_count_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys,
                                                key, command):
+        # Also every other out-of-range search setting, as a config key or
+        # as the --seed override.
         monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
-        settings = {"first_origin": "48", key: "0"}
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("data = demand.csv\nseason = 24 multiplicative ratio_to_ma\n"
-                            + "".join(f"{k} = {v}\n" for k, v in settings.items()))
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "usage error" in err and f"{key} must be >= 1" in err
+        bad = {"restarts": ["0", "-4"], "rng_seed": ["-1"], "tolerance": ["nan", "-1"],
+               "--seed": ["-1"]}.get(key, ["0"])
+        for value in bad:
+            settings = {"first_origin": "48"}
+            argv = [command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+            if key == "--seed":
+                argv += [key, value]
+            else:
+                settings[key] = value
+            (tmp_path / "run.cfg").write_text(
+                "data = demand.csv\nseason = 24 multiplicative ratio_to_ma\n"
+                "algorithm = random_restart_nelder_mead\n"
+                + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+            assert main(argv) == 1, value
+            err = capsys.readouterr().err
+            name = "rng_seed" if key == "--seed" else key
+            assert "usage error" in err and f"{name} must be" in err, value
 
     def test_evaluate_checks_first_origin_before_reading_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -537,6 +550,29 @@ class TestCommands:
         )
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "seed level" in capsys.readouterr().err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate"])
+    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    def test_nonpositive_observation_in_multiplicative_model_stops_at_once(
+            self, tmp_path, capsys, monkeypatch, command, bad):
+        import hwdims.optimize as optimize
+
+        calls = []
+        real = optimize.smooth_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "smooth_pass", counted)
+        y, _ = demand_fixture(tmp_path, weeks=3)
+        y[200] = bad
+        write_hourly_csv(tmp_path / "demand.csv", y)
+        cfg = write_fit_config(tmp_path, "first_origin = 336\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "positive observations" in err and "observation 200" in err
         assert len(calls) == 1
 
     @pytest.mark.parametrize("key", [

@@ -14,7 +14,6 @@ import hwdims.decompose as decompose
 from hwdims import (
     DataError,
     DimsSpec,
-    LoessConfig,
     SeasonSpec,
     loess_smooth,
     mstl,
@@ -158,10 +157,10 @@ class TestFitGrid:
             DimsSpec("holidays", "additive", 24, occurrences=holidays),
             DimsSpec("festival", "additive", 72, occurrences=festival),
         ])
-        config = LoessConfig(max_outer_iterations=3)
-        batched = mstl(ts, config)
+        monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", 3)
+        batched = mstl(ts)
         monkeypatch.setattr(decompose, "_fit_grid", scalar_fit_grid)
-        scalar = mstl(ts, config)
+        scalar = mstl(ts)
         atol = 1e-9 * float(np.max(np.abs(y)))
         np.testing.assert_allclose(batched.trend, scalar.trend, rtol=0, atol=atol)
         np.testing.assert_allclose(batched.remainder, scalar.remainder, rtol=0, atol=atol)
@@ -251,17 +250,20 @@ class TestMstlBasics:
 
         monkeypatch.setattr(decompose, "_extract_seasonal", recording)
         result = mstl(ts)
-        assert result.iterations == LoessConfig().max_outer_iterations == 2
+        assert result.iterations == decompose._OUTER_ITERATIONS == 2
         assert cycles == [24, 168] * 2
         assert result.converged  # always: the schedule is fixed
         assert_identity(result)
         cycles.clear()
-        assert mstl(ts, LoessConfig(max_outer_iterations=3)).iterations == 3
+        monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", 3)
+        assert mstl(ts).iterations == 3
         assert cycles == [24, 168] * 3
 
-    @pytest.mark.parametrize("config", [None, LoessConfig(max_outer_iterations=3)])
-    def test_single_cycle_runs_one_outer_pass(self, monkeypatch, config):
+    @pytest.mark.parametrize("outer", [None, 3])
+    def test_single_cycle_runs_one_outer_pass(self, monkeypatch, outer):
         # MSTL with one period: a second pass would re-extract from the same input
+        if outer is not None:
+            monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", outer)
         cycles = []
         real = decompose._extract_seasonal
 
@@ -270,11 +272,11 @@ class TestMstlBasics:
             return real(u, s, *args, **kwargs)
 
         monkeypatch.setattr(decompose, "_extract_seasonal", recording)
-        assert mstl(sinusoid_fixture(), config).iterations == 1
+        assert mstl(sinusoid_fixture()).iterations == 1
         assert cycles == [24]
         cycles.clear()
         two = sinusoid_fixture(cycles=14).add_season(SeasonSpec("weekly", 168, mode="additive"))
-        assert stl(two, "weekly", config).iterations == 1
+        assert stl(two, "weekly").iterations == 1
         assert cycles == [168]
 
 
@@ -383,14 +385,96 @@ class TestDimsExtraction:
         profile = result.dims_profiles["holiday"]
         np.testing.assert_allclose(profile, 10.0, rtol=0.05)
 
-    def test_regular_components_identical_with_and_without_dims(self):
-        spiked = bump_fixture()
-        plain = hourly_series(spiked.values, seasons=spiked.seasons)
-        with_dims = mstl(spiked)
-        without = mstl(plain)
-        np.testing.assert_array_equal(
-            with_dims.seasonals["daily"], without.seasonals["daily"]
-        )
+    @given(st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=72, max_size=72),
+           st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_regular_components_are_event_blind(self, block_values, weekly):
+        # Whatever the values inside the occurrence blocks, trend and
+        # seasonals are the same to the last bit.
+        ts = bump_fixture(noise=0.5, seed=7)
+        if weekly:
+            ts = ts.add_season(SeasonSpec("weekly", 168, mode="additive"))
+        active = ts.recurrence("holiday") >= 0
+        y = ts.values.copy()
+        y[active] = block_values
+        rewritten = hourly_series(y, seasons=ts.seasons, dims=ts.dims)
+        want, got = mstl(ts), mstl(rewritten)
+        np.testing.assert_array_equal(got.trend, want.trend)
+        assert got.seasonals.keys() == want.seasonals.keys()
+        for sid in want.seasonals:
+            np.testing.assert_array_equal(got.seasonals[sid], want.seasonals[sid])
+        assert_identity(got, atol=1e-9 * max(1.0, float(np.max(np.abs(y)))))
+
+    def test_noiseless_components_recovered_exactly(self):
+        result = mstl(bump_fixture())
+        t = np.arange(len(result.series))
+        np.testing.assert_allclose(result.trend, 100.0 + 0.01 * t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.seasonals["daily"], 8.0 * np.sin(2 * np.pi * t / 24),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.remainder, 0.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.dims_profiles["holiday"], 10.0, rtol=0, atol=1e-9)
+
+    def test_one_pass_with_dims(self, monkeypatch):
+        # The regular components are extracted once, masked, and the final
+        # trend is smoothed once.
+        rng = np.random.default_rng(5)
+        t = np.arange(24 * 7 * 4)
+        y = (300 + 20 * np.sin(2 * np.pi * t / 24)
+             + 8 * np.cos(2 * np.pi * t / 168) + rng.normal(0, 1.0, len(t)))
+        occurrences = (24 * 6, 24 * 17)
+        for occ in occurrences:
+            y[occ:occ + 24] -= 40.0
+        ts = hourly_series(y, seasons=[
+            SeasonSpec("daily", 24, mode="additive"),
+            SeasonSpec("weekly", 168, mode="additive"),
+        ], dims=[DimsSpec("holiday", "additive", 24, occurrences=occurrences)])
+        cycles, masks, trend_smooths = [], [], []
+        real_extract, real_loess = decompose._extract_seasonal, decompose.loess_smooth
+        extracting = []
+
+        def record_extract(u, s, window, excluded=None):
+            cycles.append(s)
+            masks.append(excluded)
+            extracting.append(s)
+            try:
+                return real_extract(u, s, window, excluded)
+            finally:
+                extracting.pop()
+
+        def record_loess(values, window, excluded=None):
+            # the weekly inner loop smooths with 281 too; count mstl's own calls
+            if not extracting:
+                trend_smooths.append((window, excluded))
+            return real_loess(values, window, excluded)
+
+        monkeypatch.setattr(decompose, "_extract_seasonal", record_extract)
+        monkeypatch.setattr(decompose, "loess_smooth", record_loess)
+        mstl(ts)
+        assert cycles == [24, 168] * 2
+        ((window, trend_mask),) = trend_smooths
+        assert window == 281
+        blocks = ts.recurrence("holiday") >= 0
+        for mask in masks + [trend_mask]:
+            np.testing.assert_array_equal(mask, blocks)
+
+    @pytest.mark.parametrize("dims", [(), (DimsSpec("never", "additive", 24),)])
+    def test_without_blocks_nothing_is_masked(self, dims):
+        # No registered moving seasonality (or one with no occurrence): the
+        # plain unmasked MSTL, bit for bit.
+        rng = np.random.default_rng(6)
+        t = np.arange(24 * 7 * 3)
+        y = 80 + 6 * np.sin(2 * np.pi * t / 24) + 3 * np.cos(2 * np.pi * t / 168) \
+            + rng.normal(0, 0.5, len(t))
+        seasons = [SeasonSpec("weekly", 168, mode="additive"),
+                   SeasonSpec("daily", 24, mode="additive")]
+        result = mstl(hourly_series(y, seasons=seasons, dims=dims))
+        plain = decompose._extract_all_seasonals(y, seasons[::-1], 2)
+        seasonal_sum = plain["daily"] + plain["weekly"]
+        trend = decompose.loess_smooth(y - seasonal_sum, 281)
+        np.testing.assert_array_equal(result.trend, trend)
+        for sid in ("daily", "weekly"):
+            np.testing.assert_array_equal(result.seasonals[sid], plain[sid])
+        np.testing.assert_array_equal(result.remainder, y - trend - seasonal_sum)
 
     def test_profile_is_the_block_mean(self, monkeypatch):
         # Ten occurrences: the slot mean must add the blocks in series order,
@@ -411,7 +495,7 @@ class TestDimsExtraction:
             return real(values, *args)
 
         monkeypatch.setattr(decompose, "slot_mean", recording)
-        result = mstl(ts, LoessConfig(max_outer_iterations=2))
+        result = mstl(ts)
         (work,) = residuals
         profile = np.stack([work[o:o + 24] for o in occurrences]).mean(axis=0)
         component = np.zeros(len(t))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwdims import (
+    DataError,
     DimsSpec,
     FitInfeasibleError,
     ModelSpec,
@@ -162,13 +163,18 @@ def scalar_rolling(ts, spec, params, origins, horizon):
     over ``ts.prefix(o)``. Where one does, the prefix drops the block, so
     only the first column is known: the one-step fitted value at o of a pass
     over the whole series, if that pass is feasible. The error is the whole
-    series' pass's, if it fails before the last origin."""
+    series' pass's, if it fails before the last origin: at a step, or, for
+    a nonpositive reading in a multiplicative model, before the first."""
     seeds = init_values(ts.prefix(origins[0]), spec)
     rows = np.full((len(origins), horizon), np.nan)
     try:
         fitted = smooth_pass(ts, spec, params, seeds).fitted
     except FitInfeasibleError as exc:
         if exc.step < origins[-1]:
+            return None, exc
+        fitted = None
+    except DataError as exc:
+        if (ts.values[:origins[-1]] <= 0.0).any():
             return None, exc
         fitted = None
     for i, o in enumerate(origins):
@@ -204,9 +210,10 @@ def rolling_cases(draw):
         first_origin = draw(st.integers(first, n - horizon))
     step = draw(st.integers(1, 40))
     if draw(st.integers(0, 3)):  # in about three cases of four
-        # a negative reading between the first and the last origin, where it
-        # can end a multiplicative pass before or at the last origin (not
-        # zero: the percentage errors need nonzero actuals)
+        # a negative reading between the first and the last origin: the one
+        # pass reads it, and a multiplicative one rejects the series, when it
+        # lies before the last origin (not zero: the percentage errors need
+        # nonzero actuals)
         last = first_origin + (n - horizon - first_origin) // step * step
         y[draw(st.integers(first_origin, last))] = draw(st.floats(-1e4, -1.0))
     ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode=draw(st.sampled_from(MODES)))],
@@ -230,10 +237,11 @@ class TestFixedPolicyLanes:
         origins = range(first_origin, len(ts) - horizon + 1, step)
         want, error = scalar_rolling(ts, spec, params, origins, horizon)
         if error is not None:
-            with pytest.raises(FitInfeasibleError) as got:
+            with pytest.raises(type(error)) as got:
                 mforecast(ts, spec, first_origin=first_origin, step=step,
                           horizon=horizon, params=params)
-            assert (str(got.value), got.value.step) == (str(error), error.step)
+            assert (str(got.value), getattr(got.value, "step", None)) \
+                == (str(error), getattr(error, "step", None))
             return
         grid = mforecast(ts, spec, first_origin=first_origin, step=step,
                          horizon=horizon, params=params)
@@ -242,13 +250,15 @@ class TestFixedPolicyLanes:
         np.testing.assert_allclose(grid.forecasts[known], want[known], rtol=1e-12, atol=0)
 
     def test_lowest_infeasible_origin_raises_as_scalar_loop(self):
-        # With alpha 1 the level is y / index, so the negative observation
-        # at step 200 ends the one pass there, before the last origin.
+        # With alpha 1 the level is y minus the additive index, so a reading
+        # of 1 at step 200 (daily index about +17 there) makes it negative
+        # and ends the one pass there, before the last origin; the
+        # multiplicative trend makes the model multiplicative.
         ts = fixture_series(288)
         y = ts.values.copy()
-        y[200] = -60.0
-        ts = hourly_series(y, seasons=ts.seasons)
-        spec = ModelSpec.for_series(ts)
+        y[200] = 1.0
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode="additive")])
+        spec = ModelSpec.for_series(ts, trend="multiplicative")
         params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.1,))
         origins = range(48, 265, 24)
         _rows, error = scalar_rolling(ts, spec, params, origins, 24)

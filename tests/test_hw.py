@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hwdims import (
+    DataError,
     DimsSpec,
     FitInfeasibleError,
     ModelSpec,
@@ -314,12 +315,13 @@ class TestEquivariance:
 
 class TestInfeasibility:
     def test_negative_level_aborts_with_step(self):
-        y = np.full(30, 100.0)
-        y[5] = -50.0
-        ts = hourly_series(y, seasons=[SeasonSpec("pair", 2)])
+        # Readings of 100 and an additive event of 150 at step 5: with alpha 1
+        # the level there is 100 - 150.
+        ts = hourly_series(np.full(30, 100.0), seasons=[SeasonSpec("pair", 2)],
+                           dims=[DimsSpec("shock", "additive", 1, occurrences=(5,))])
         spec = ModelSpec.for_series(ts)
-        seeds = bare_state(100.0, 0.0, seasonal={"pair": [1.0, 1.0]})
-        params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.0,))
+        seeds = bare_state(100.0, 0.0, seasonal={"pair": [1.0, 1.0]}, dims={"shock": [150.0]})
+        params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.0,), deltas_dims=(0.0,))
         with pytest.raises(FitInfeasibleError) as err:
             smooth_pass(ts, spec, params, seeds)
         assert err.value.step == 5
@@ -339,15 +341,18 @@ class TestInfeasibility:
     @pytest.mark.parametrize("component", ["pair", "h"])
     def test_nonpositive_index_names_its_component(self, component):
         # Level frozen at 100 (alpha 0) and delta 1: an index is reset to
-        # y / level, so a negative observation drives it below zero.
-        y = np.full(30, 100.0)
-        y[7 if component == "pair" else 12] = -50.0
-        ts = hourly_series(y, seasons=[SeasonSpec("pair", 2)],
-                           dims=[DimsSpec("h", "multiplicative", 2, occurrences=(12,))])
+        # (y - additive part) / level, so an additive event of 150 on a
+        # reading of 100 drives it below zero.
+        step = 7 if component == "pair" else 12
+        ts = hourly_series(np.full(30, 100.0), seasons=[SeasonSpec("pair", 2)],
+                           dims=[DimsSpec("h", "multiplicative", 2, occurrences=(12,)),
+                                 DimsSpec("shock", "additive", 1, occurrences=(step,))])
         spec = ModelSpec.for_series(ts)
         deltas = (1.0, 0.0) if component == "pair" else (0.0, 1.0)
-        params = SmoothingParams(alpha=0.0, gamma=0.0, deltas=deltas[:1], deltas_dims=deltas[1:])
-        seeds = bare_state(100.0, seasonal={"pair": [1.0, 1.0]}, dims={"h": [1.0, 1.0]})
+        params = SmoothingParams(alpha=0.0, gamma=0.0, deltas=deltas[:1],
+                                 deltas_dims=deltas[1:] + (0.0,))
+        seeds = bare_state(100.0, seasonal={"pair": [1.0, 1.0]},
+                           dims={"h": [1.0, 1.0], "shock": [150.0]})
         with pytest.raises(FitInfeasibleError, match=f"index of '{component}'") as err:
             smooth_pass(ts, spec, params, seeds)
         assert err.value.step == (7 if component == "pair" else 12)
@@ -396,9 +401,8 @@ class TestStops:
         seeds = bare_state(100.0, 0.0, seasonal={"pair": [1.0, 1.0]})
         params = SmoothingParams(alpha=1.0, gamma=0.0, deltas=(0.0,))
         assert smooth_pass(ts, spec, params, seeds, stops=[10, 20]).final_state.level == 100.0
-        with pytest.raises(FitInfeasibleError) as err:
+        with pytest.raises(DataError, match="observation 20 is -50.0"):
             smooth_pass(ts, spec, params, seeds, stops=[10, 21])
-        assert err.value.step == 20
 
     @pytest.mark.parametrize("stops", [[], [8, 6], [0, 6], [6, 31]],
                              ids=["empty", "descending", "zero", "past-end"])
