@@ -24,13 +24,14 @@ import numpy as np
 
 from .calendars import CalendarEvent, build_dims
 from .decompose import mstl, stlplot_export
-from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast
+from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast, rolling_origins
 from .hw import (
     TREND_KINDS,
     FitInfeasibleError,
     ModelSpec,
     ModelState,
     SmoothingParams,
+    check_observations,
     forecast,
     project_dims,
     reduce_check,
@@ -487,6 +488,10 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
     spec = cfg.model_spec(ts)
     params = None
     if cfg.policy == "fixed":
+        # The search reads the first origin's window alone; a bad reading
+        # between it and the last origin must not wait for the whole search.
+        last_origin = rolling_origins(len(ts), cfg.first_origin, step, cfg.horizon)[-1]
+        check_observations(ts, spec, last_origin)
         params, _fit_res = find_params(ts.prefix(cfg.first_origin), spec, cfg.optim_config())
     grid = mforecast(
         ts, spec, first_origin=cfg.first_origin, step=step, horizon=cfg.horizon,

@@ -11,6 +11,7 @@ from .hw import (
     FitResult,
     ModelSpec,
     SmoothingParams,
+    check_observations,
     forecast,
     project_dims,
     smooth_pass,
@@ -74,6 +75,19 @@ def accuracy(fit: FitResult) -> AccuracyReport:
     )
 
 
+def rolling_origins(n: int, first_origin: int, step: int, horizon: int) -> list[int]:
+    """Origins ``first_origin``, ``first_origin + step``, ... whose horizon
+    window ends inside a series of ``n`` observations; ``ValueError`` if
+    there is none."""
+    origins = list(range(first_origin, n - horizon + 1, step))
+    if not origins:
+        raise ValueError(
+            f"no valid origin: first_origin {first_origin} + horizon {horizon} "
+            f"exceeds series length {n}"
+        )
+    return origins
+
+
 def mforecast(
     ts: TimeSeries,
     spec: ModelSpec,
@@ -87,7 +101,10 @@ def mforecast(
 ) -> ForecastGrid:
     """Forecast ``horizon`` steps from every origin ``first_origin``,
     ``first_origin + step``, ... while the horizon window stays inside the
-    series; origins whose window would run past the end are dropped.
+    series; origins whose window would run past the end are dropped. A
+    nonpositive observation before the last origin in a multiplicative model
+    is a :class:`~hwdims.timeseries.DataError` before any seeding or search
+    (see :func:`~hwdims.hw.check_observations`).
 
     ``policy="fixed"`` keeps the given ``params`` and updates the state as
     each observation arrives: the model is seeded once from the first
@@ -117,16 +134,8 @@ def mforecast(
     if policy == "fixed" and params is None:
         raise ValueError("policy 'fixed' requires params")
 
-    origins = []
-    o = first_origin
-    while o + horizon <= n:
-        origins.append(o)
-        o += step
-    if not origins:
-        raise ValueError(
-            f"no valid origin: first_origin {first_origin} + horizon {horizon} "
-            f"exceeds series length {n}"
-        )
+    origins = rolling_origins(n, first_origin, step, horizon)
+    check_observations(ts, spec, origins[-1])
 
     forecasts = np.empty((len(origins), horizon))
     actuals = np.empty((len(origins), horizon))

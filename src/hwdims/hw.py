@@ -17,9 +17,13 @@ Per step t the engine (1) gathers the pre-update value of every component
 whose slot is active, additive terms summed and factors multiplied, (2)
 forms the one-step-ahead forecast from the state at t-1 and records the
 residual, (3) updates level and trend, and (4) updates each active slot.
-Forecasts read the same components through their future slot tables:
-``(position + k - 1) % s`` for a regular cycle, :func:`project_dims` for a
-moving seasonality.
+:func:`smooth_pass` runs these steps in one straight-line loop generated
+for the model's structure: which components are regular or moving,
+additive or multiplicative, updated or frozen, and the trend kind. Each
+structure is compiled once and cached; the generated source is built from
+those flags alone and embeds no user text. Forecasts read the same
+components through their future slot tables: ``(position + k - 1) % s``
+for a regular cycle, :func:`project_dims` for a moving seasonality.
 
 With one multiplicative seasonality, no moving seasonalities, an undamped
 trend and no autocorrelation term, the recursion reduces exactly to the
@@ -30,6 +34,7 @@ equivalence against an independent implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -229,6 +234,112 @@ def _gather(components, t: int) -> tuple[float, float]:
     return sum_add, prod_mul
 
 
+def _is_multiplicative(ts: TimeSeries, spec: ModelSpec) -> bool:
+    """Whether the trend or any index component of the model is multiplicative."""
+    return spec.trend == "multiplicative" \
+        or any(c.mode == "multiplicative" for c in ts.seasons + ts.dims)
+
+
+def check_observations(ts: TimeSeries, spec: ModelSpec, n: int) -> None:
+    """Raise :class:`DataError` naming the first nonpositive observation among
+    the first ``n`` when the model is multiplicative; such a reading has no
+    multiplicative decomposition, so no parameter point can fit it."""
+    values = ts.values[:n]
+    if _is_multiplicative(ts, spec) and values.min() <= 0.0:
+        first = int(np.argmax(values <= 0.0))
+        raise DataError(f"a multiplicative model needs positive observations; "
+                        f"observation {first} is {float(values[first])!r}")
+
+
+@lru_cache(maxsize=64)
+def _step_kernel(mult_trend: bool, has_mult: bool, comps: tuple[tuple[bool, bool, bool], ...]):
+    """The step loop of :func:`smooth_pass`, compiled for one model structure.
+
+    ``comps`` holds ``(is_dims, is_mult, updated)`` per index component, in
+    component order. The generated loop unrolls the gather and the update of
+    every component: a regular cycle's slot is always active, so only a
+    moving seasonality tests ``q >= 0``; a component that is not updated
+    (delta 0) gets no update code; the level test runs only in a
+    multiplicative model. The source is built from these flags and component
+    positions alone and embeds no user text: the error messages read the
+    component ids from the ``ids`` argument. Each expression is that of the
+    generic recursion in the module docstring, in its order, so every
+    structure gives that recursion's results bit for bit; the test suite
+    keeps the generic loop as the reference.
+
+    The kernel runs steps ``start..stop-1``, writes each one-step forecast
+    to ``fitted``, updates the index lists in ``values`` in place and returns
+    the new ``(level, trend, eps)``.
+    """
+    code = [
+        "def kernel(y, fitted, start, stop, level, trend, eps, alpha, gamma, phi, ar1,",
+        "           values, slots, deltas, ids):",
+    ]
+    if comps:
+        for name, seq in (("v", "values"), ("s", "slots"), ("d", "deltas")):
+            code.append(f"    {''.join(f'{name}{i}, ' for i in range(len(comps)))}= {seq}")
+    code += [
+        "    for t in range(start, stop):",
+        "        yt = y[t]",
+        "        sum_add = 0.0",
+        "        prod_mul = 1.0",
+    ]
+    for i, (is_dims, is_mult, _updated) in enumerate(comps):
+        pad = " " * (12 if is_dims else 8)
+        code.append(f"        q{i} = s{i}[t]")
+        if is_dims:
+            code.append(f"        if q{i} >= 0:")
+        code.append(f"{pad}x{i} = v{i}[q{i}]")
+        code.append(f"{pad}prod_mul *= x{i}" if is_mult else f"{pad}sum_add += x{i}")
+    code += [
+        "        base = level * trend ** phi" if mult_trend
+        else "        base = level + phi * trend",
+        "        yhat = (base + sum_add) * prod_mul + ar1 * eps",
+        "        fitted[t] = yhat",
+        "        eps = yt - yhat",
+        "        prev_level = level",
+        "        level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base",
+    ]
+    if has_mult:
+        code += [
+            "        if level <= 0.0:",
+            "            raise FitInfeasibleError(f'level became nonpositive at step {t}',",
+            "                                     step=t)",
+        ]
+    if mult_trend:
+        code += [
+            "        trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi",
+            "        if trend <= 0.0:",
+            "            raise FitInfeasibleError(f'trend ratio became nonpositive at step {t}',",
+            "                                     step=t)",
+        ]
+    else:
+        code.append("        trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend")
+    for i, (is_dims, is_mult, updated) in enumerate(comps):
+        if not updated:
+            continue
+        pad = " " * (12 if is_dims else 8)
+        if is_dims:
+            code.append(f"        if q{i} >= 0:")
+        if is_mult:
+            code += [
+                f"{pad}new = d{i} * ((yt - sum_add) / (level * (prod_mul / x{i})))"
+                f" + (1.0 - d{i}) * x{i}",
+                f"{pad}if new <= 0.0:",
+                f"{pad}    raise FitInfeasibleError(",
+                f"{pad}        f'index of {{ids[{i}]!r}} became nonpositive at step {{t}}',",
+                f"{pad}        step=t)",
+            ]
+        else:
+            code.append(f"{pad}new = d{i} * ((yt - level - (sum_add - x{i})) / prod_mul)"
+                        f" + (1.0 - d{i}) * x{i}")
+        code.append(f"{pad}v{i}[q{i}] = new")
+    code.append("    return level, trend, eps")
+    namespace = {"FitInfeasibleError": FitInfeasibleError}
+    exec(compile("\n".join(code) + "\n", "<hwdims step kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def smooth_pass(
     ts: TimeSeries,
     spec: ModelSpec,
@@ -245,6 +356,10 @@ def smooth_pass(
     straddles a stop is updated up to it. By default the pass consumes the
     whole series and ``states`` holds the final state alone.
 
+    The steps run in one straight-line loop generated for the model's
+    structure (trend kind, each component's kind and mode, which components
+    are updated) and compiled once per structure; see :func:`_step_kernel`.
+
     The objective is the RMSE of the one-step-ahead residuals after the
     warm-up window. Raises :class:`FitInfeasibleError` as soon as a
     multiplicative configuration drives the level or an index nonpositive;
@@ -254,7 +369,6 @@ def smooth_pass(
     """
     _check_consistency(ts, spec, params, seeds)
     eff = params.effective(spec)
-    alpha, gamma, phi, ar1 = eff.alpha, eff.gamma, eff.phi, eff.ar1
     mult_trend = spec.trend == "multiplicative"
 
     stops = [len(ts)] if stops is None else [int(stop) for stop in stops]
@@ -277,7 +391,7 @@ def smooth_pass(
         eff.deltas + eff.deltas_dims,
     )
 
-    has_mult = mult_trend or any(c[3] for c in components)
+    has_mult = _is_multiplicative(ts, spec)
     if has_mult and seeds.level <= 0:
         raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
     if mult_trend and seeds.trend <= 0:
@@ -287,58 +401,26 @@ def smooth_pass(
             raise FitInfeasibleError(
                 f"multiplicative seed index of {cid!r} must be positive", step=-1
             )
-    if has_mult and ts.values[:n].min() <= 0.0:
-        first = int(np.argmax(ts.values[:n] <= 0.0))
-        raise DataError(f"a multiplicative model needs positive observations; "
-                        f"observation {first} is {float(ts.values[first])!r}")
-    updated = [c for c in components if c[4] != 0.0]
+    check_observations(ts, spec, n)
+    n_seasons = len(ts.seasons)
+    kernel = _step_kernel(mult_trend, has_mult, tuple(
+        (i >= n_seasons, c[3], c[4] != 0.0) for i, c in enumerate(components)
+    ))
+    ids = tuple(c[0] for c in components)
+    values = [c[1] for c in components]
+    slots = [c[2] for c in components]
+    deltas = [c[4] for c in components]
 
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
     eps = float(seeds.last_residual)
     fitted = [0.0] * n
-    errors = [0.0] * n
-    n_seasons = len(ts.seasons)
     states = []
     start = 0
-
     for stop in stops:
-        for t in range(start, stop):
-            yt = y[t]
-            sum_add, prod_mul = _gather(components, t)
-
-            base = level * trend ** phi if mult_trend else level + phi * trend
-            yhat = (base + sum_add) * prod_mul + ar1 * eps
-            fitted[t] = yhat
-            eps = yt - yhat
-            errors[t] = eps
-
-            prev_level = level
-            level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base
-            if has_mult and level <= 0.0:
-                raise FitInfeasibleError(f"level became nonpositive at step {t}", step=t)
-            if mult_trend:
-                trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi
-                if trend <= 0.0:
-                    raise FitInfeasibleError(f"trend ratio became nonpositive at step {t}",
-                                             step=t)
-            else:
-                trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
-
-            for cid, values, slots, is_mult, delta in updated:
-                q = slots[t]
-                if q < 0:
-                    continue
-                v = values[q]
-                if is_mult:
-                    new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
-                    if new <= 0.0:
-                        raise FitInfeasibleError(
-                            f"index of {cid!r} became nonpositive at step {t}", step=t
-                        )
-                else:
-                    new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
-                values[q] = new
+        level, trend, eps = kernel(y, fitted, start, stop, level, trend, eps,
+                                   eff.alpha, eff.gamma, eff.phi, eff.ar1,
+                                   values, slots, deltas, ids)
         start = stop
         states.append(ModelState(
             level=level,
@@ -349,12 +431,13 @@ def smooth_pass(
             position=seeds.position + stop,
         ))
 
-    tail = errors[warm:]
-    objective = float(np.sqrt(np.mean(np.square(tail))))
+    fitted = np.array(fitted)
+    errors = ts.values[:n] - fitted
+    objective = float(np.sqrt(np.mean(np.square(errors[warm:]))))
     return FitResult(
         final_state=states[-1],
-        one_step_errors=np.array(errors),
-        fitted=np.array(fitted),
+        one_step_errors=errors,
+        fitted=fitted,
         objective=objective,
         warmup=warm,
         spec=spec,

@@ -573,7 +573,34 @@ class TestCommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "positive observations" in err and "observation 200" in err
-        assert len(calls) == 1
+        # evaluate checks the series before its search; fit and forecast stop
+        # at the search's first pass
+        assert len(calls) == (0 if command == "evaluate" else 1)
+
+    @pytest.mark.parametrize("policy", ["fixed", "refit_per_origin"])
+    def test_nonpositive_reading_after_first_origin_stops_evaluate_before_search(
+            self, tmp_path, capsys, monkeypatch, policy):
+        # The fixed policy searches the first origin's window alone, which
+        # is clean; the reading at 400 lies between the first and the last
+        # origin (336 and 480).
+        import hwdims.optimize as optimize
+
+        calls = []
+        real = optimize.smooth_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "smooth_pass", counted)
+        y, _ = demand_fixture(tmp_path, weeks=3)
+        y[400] = 0.0
+        write_hourly_csv(tmp_path / "demand.csv", y)
+        cfg = write_fit_config(tmp_path, f"first_origin = 336\npolicy = {policy}\n")
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "positive observations" in err and "observation 400 is 0.0" in err
+        assert calls == []
 
     @pytest.mark.parametrize("key", [
         "alpha", "phi", "[]", "null", "state=5",

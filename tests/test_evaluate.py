@@ -209,13 +209,20 @@ def rolling_cases(draw):
     else:
         first_origin = draw(st.integers(first, n - horizon))
     step = draw(st.integers(1, 40))
-    if draw(st.integers(0, 3)):  # in about three cases of four
+    last = first_origin + (n - horizon - first_origin) // step * step
+    dip = draw(st.integers(0, 3))
+    if dip == 1:
         # a negative reading between the first and the last origin: the one
         # pass reads it, and a multiplicative one rejects the series, when it
         # lies before the last origin (not zero: the percentage errors need
         # nonzero actuals)
-        last = first_origin + (n - horizon - first_origin) // step * step
         y[draw(st.integers(first_origin, last))] = draw(st.floats(-1e4, -1.0))
+    elif dip:
+        # a run of near-zero positive readings from there: where an additive
+        # index exceeds them in a multiplicative model, the level or an
+        # index is driven nonpositive and the pass ends at that step
+        start = draw(st.integers(first_origin, last))
+        y[start:start + draw(st.integers(1, 24))] = draw(st.floats(1e-3, 1.0))
     ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode=draw(st.sampled_from(MODES)))],
                        dims=[DimsSpec("event", draw(st.sampled_from(MODES)), length,
                                       occurrences=tuple(occurrences))])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hwdims import (
     DataError,
@@ -11,14 +13,26 @@ from hwdims import (
     FitInfeasibleError,
     ModelSpec,
     ModelState,
+    OptimConfig,
     SeasonSpec,
     SmoothingParams,
+    find_params,
     forecast,
     init_values,
     project_dims,
     reduce_check,
     smooth_pass,
 )
+from hwdims.hw import (
+    TREND_KINDS,
+    FitResult,
+    _check_consistency,
+    _components,
+    _gather,
+    _step_kernel,
+    warmup_length,
+)
+from hwdims.timeseries import MODES
 from helpers import classic_hw, classic_hw_seeds, hourly_series
 
 
@@ -28,6 +42,121 @@ def bare_state(level, trend=0.0, seasonal=None, dims=None, residual=0.0, positio
         seasonal={k: np.asarray(v, float) for k, v in (seasonal or {}).items()},
         dims={k: np.asarray(v, float) for k, v in (dims or {}).items()},
         last_residual=residual, position=position,
+    )
+
+
+def reference_pass(ts, spec, params, seeds, stops=None) -> FitResult:
+    """The generic per-step recursion, one loop for every model structure:
+    the reference that the step loops ``smooth_pass`` generates per
+    structure must match bit for bit."""
+    _check_consistency(ts, spec, params, seeds)
+    eff = params.effective(spec)
+    alpha, gamma, phi, ar1 = eff.alpha, eff.gamma, eff.phi, eff.ar1
+    mult_trend = spec.trend == "multiplicative"
+
+    stops = [len(ts)] if stops is None else [int(stop) for stop in stops]
+    if not stops or any(b < a for a, b in zip(stops, stops[1:])) \
+            or stops[0] < 1 or stops[-1] > len(ts):
+        raise ValueError(f"stops must be ascending in 1..{len(ts)}, got {stops}")
+    n = stops[-1]
+    y = ts.values[:n].tolist()
+    warm = warmup_length(ts)
+    if n <= warm:
+        raise DataError(f"series length {n} does not exceed warm-up window {warm}")
+
+    specs = ts.seasons + ts.dims
+    components = _components(
+        [c.id for c in specs],
+        [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims],
+        [c.mode for c in specs],
+        [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons]
+        + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims],
+        eff.deltas + eff.deltas_dims,
+    )
+
+    has_mult = mult_trend or any(c[3] for c in components)
+    if has_mult and seeds.level <= 0:
+        raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
+    if mult_trend and seeds.trend <= 0:
+        raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
+    for cid, values, _slots, is_mult, _delta in components:
+        if is_mult and min(values) <= 0.0:
+            raise FitInfeasibleError(
+                f"multiplicative seed index of {cid!r} must be positive", step=-1
+            )
+    if has_mult and ts.values[:n].min() <= 0.0:
+        first = int(np.argmax(ts.values[:n] <= 0.0))
+        raise DataError(f"a multiplicative model needs positive observations; "
+                        f"observation {first} is {float(ts.values[first])!r}")
+    updated = [c for c in components if c[4] != 0.0]
+
+    level = float(seeds.level)
+    trend = 0.0 if spec.trend == "none" else float(seeds.trend)
+    eps = float(seeds.last_residual)
+    fitted = [0.0] * n
+    errors = [0.0] * n
+    n_seasons = len(ts.seasons)
+    states = []
+    start = 0
+
+    for stop in stops:
+        for t in range(start, stop):
+            yt = y[t]
+            sum_add, prod_mul = _gather(components, t)
+
+            base = level * trend ** phi if mult_trend else level + phi * trend
+            yhat = (base + sum_add) * prod_mul + ar1 * eps
+            fitted[t] = yhat
+            eps = yt - yhat
+            errors[t] = eps
+
+            prev_level = level
+            level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base
+            if has_mult and level <= 0.0:
+                raise FitInfeasibleError(f"level became nonpositive at step {t}", step=t)
+            if mult_trend:
+                trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi
+                if trend <= 0.0:
+                    raise FitInfeasibleError(f"trend ratio became nonpositive at step {t}",
+                                             step=t)
+            else:
+                trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend
+
+            for cid, values, slots, is_mult, delta in updated:
+                q = slots[t]
+                if q < 0:
+                    continue
+                v = values[q]
+                if is_mult:
+                    new = delta * ((yt - sum_add) / (level * (prod_mul / v))) + (1.0 - delta) * v
+                    if new <= 0.0:
+                        raise FitInfeasibleError(
+                            f"index of {cid!r} became nonpositive at step {t}", step=t
+                        )
+                else:
+                    new = delta * ((yt - level - (sum_add - v)) / prod_mul) + (1.0 - delta) * v
+                values[q] = new
+        start = stop
+        states.append(ModelState(
+            level=level,
+            trend=trend,
+            seasonal={c[0]: np.array(c[1]) for c in components[:n_seasons]},
+            dims={c[0]: np.array(c[1]) for c in components[n_seasons:]},
+            last_residual=eps,
+            position=seeds.position + stop,
+        ))
+
+    tail = errors[warm:]
+    objective = float(np.sqrt(np.mean(np.square(tail))))
+    return FitResult(
+        final_state=states[-1],
+        one_step_errors=np.array(errors),
+        fitted=np.array(fitted),
+        objective=objective,
+        warmup=warm,
+        spec=spec,
+        params=params,
+        states=tuple(states),
     )
 
 
@@ -463,3 +592,159 @@ class TestReduceCheck:
 
     def test_no_seasonality(self):
         assert "no seasonality" in reduce_check(ModelSpec(trend="additive"))
+
+
+# Component ids that would break generated source if they were pasted into it.
+IDS = st.text(alphabet="ab'\"{}\n\\!r", min_size=1, max_size=6)
+# Weights at either end of [0, 1] half of the time: delta 0 drops a
+# component's update, alpha and gamma 1 reach the trend-ratio check.
+WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def engine_cases(draw):
+    """A model of 0-3 regular cycles and 0-2 moving seasonalities in either
+    mode, seeds, weights and stops. Large additive seed values and readings
+    near or below zero make multiplicative passes fail at each check."""
+    cycles = draw(st.lists(st.integers(2, 8), unique=True, max_size=3))
+    n_dims = draw(st.integers(0, 2))
+    ids = draw(st.lists(IDS, min_size=len(cycles) + n_dims,
+                        max_size=len(cycles) + n_dims, unique=True))
+    n = draw(st.integers(max(cycles, default=0) + 1, 48))
+    modes = st.sampled_from(MODES)
+    seasons = [SeasonSpec(cid, s, mode=draw(modes)) for cid, s in zip(ids, cycles)]
+    dims = []
+    for cid in ids[len(cycles):]:
+        length = draw(st.integers(1, min(6, n)))
+        occurrences = []
+        for start in sorted(draw(st.sets(st.integers(0, n - length), max_size=4))):
+            if not occurrences or start >= occurrences[-1] + length:
+                occurrences.append(start)
+        dims.append(DimsSpec(cid, draw(modes), length, occurrences=tuple(occurrences)))
+    t = np.arange(n)
+    y = 100.0 * (1 + 0.2 * np.sin(2 * np.pi * t / 6)) \
+        + np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.one_of(st.floats(-20.0, 20.0), st.floats(1e-6, 1.0))),
+                              max_size=2)):
+        y[i] = v
+    ts = hourly_series(y, seasons=seasons, dims=dims)
+    spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(TREND_KINDS)),
+                                damping_enabled=draw(st.booleans()),
+                                ar_adjustment_enabled=draw(st.booleans()))
+
+    def index(mode, size):
+        values = st.floats(0.5, 1.5) if mode == "multiplicative" else st.floats(-150.0, 150.0)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    seeds = ModelState(
+        level=draw(st.floats(1.0, 150.0)),
+        trend=draw(st.floats(0.9, 1.1) if spec.trend == "multiplicative"
+                   else st.floats(-2.0, 2.0)),
+        seasonal={s.id: index(s.mode, s.cycle_length) for s in seasons},
+        dims={d.id: index(d.mode, d.length) for d in dims},
+        last_residual=draw(st.floats(-5.0, 5.0)),
+        position=draw(st.integers(0, 100)),
+    )
+    params = SmoothingParams(
+        alpha=draw(WEIGHT), gamma=draw(WEIGHT), phi=draw(WEIGHT),
+        deltas=tuple(draw(WEIGHT) for _ in seasons),
+        deltas_dims=tuple(draw(WEIGHT) for _ in dims),
+        ar1=draw(st.floats(-0.95, 0.95)),
+    )
+    stops = draw(st.one_of(st.none(), st.lists(st.integers(1, n), min_size=1, max_size=4)
+                           .map(sorted)))
+    return ts, spec, params, seeds, stops
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_matches_reference(ts, spec, params, seeds, stops):
+    """Run ``smooth_pass`` and the reference on one case and require the same
+    bits everywhere, or the same exception; returns that exception."""
+    try:
+        want = reference_pass(ts, spec, params, seeds, stops)
+    except Exception as exc:  # compared, not handled
+        with pytest.raises(Exception) as got:
+            smooth_pass(ts, spec, params, seeds, stops)
+        assert (type(got.value), str(got.value), getattr(got.value, "step", None)) \
+            == (type(exc), str(exc), getattr(exc, "step", None))
+        return exc
+    fit = smooth_pass(ts, spec, params, seeds, stops)
+    assert bits(fit.fitted) == bits(want.fitted)
+    assert bits(fit.one_step_errors) == bits(want.one_step_errors)
+    assert bits(fit.objective) == bits(want.objective)
+    assert fit.warmup == want.warmup
+    assert len(fit.states) == len(want.states)
+    for got_state, want_state in zip(fit.states, want.states):
+        assert bits([got_state.level, got_state.trend, got_state.last_residual]) \
+            == bits([want_state.level, want_state.trend, want_state.last_residual])
+        assert got_state.position == want_state.position
+        for name in ("seasonal", "dims"):
+            got_rings, want_rings = getattr(got_state, name), getattr(want_state, name)
+            assert list(got_rings) == list(want_rings)
+            assert all(bits(got_rings[k]) == bits(want_rings[k]) for k in want_rings)
+    return None
+
+
+# An id with quotes, braces and a newline.
+ODD_ID = "it's {t}\n\"x\""
+
+
+def collapse_case(site):
+    """A multiplicative pass that fails at ``site``: the level, the trend
+    ratio or an index."""
+    odd = ODD_ID
+    if site == "trend":
+        # With alpha 1, gamma 1 and phi 0 the trend is the ratio of
+        # successive readings, which underflows to zero from 1e200 to 1e-200.
+        y = np.full(12, 100.0)
+        y[4:6] = 1e200, 1e-200
+        ts = hourly_series(y)
+        spec = ModelSpec.for_series(ts, trend="multiplicative", damping_enabled=True)
+        return (ts, spec, SmoothingParams(alpha=1.0, gamma=1.0, phi=0.0),
+                bare_state(100.0, 1.0), None)
+    ts = hourly_series(np.full(12, 100.0), seasons=[SeasonSpec(odd, 2)],
+                       dims=[DimsSpec("{ids[0]!r}", "additive", 1, occurrences=(7,))])
+    spec = ModelSpec.for_series(ts)
+    # an additive event of 100 on a reading of 100: with alpha 1 the level
+    # becomes exactly 0; with a frozen level and delta 1 the index does (a
+    # zero fails the check as a negative value does)
+    params = SmoothingParams(alpha=1.0 if site == "level" else 0.0,
+                             deltas=(0.0 if site == "level" else 1.0,), deltas_dims=(0.0,))
+    seeds = bare_state(100.0, seasonal={odd: [1.0, 1.0]}, dims={"{ids[0]!r}": [100.0]})
+    return ts, spec, params, seeds, [3, 12]
+
+
+class TestGeneratedKernel:
+    """The step loop generated per model structure against the reference."""
+
+    @given(engine_cases())
+    @example(collapse_case("level"))
+    @example(collapse_case("trend"))
+    @example(collapse_case("index"))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("site, message", [
+        ("level", "level became nonpositive at step 7"),
+        ("trend", "trend ratio became nonpositive at step 5"),
+        ("index", f"index of {ODD_ID!r} became nonpositive at step 7"),
+    ])
+    def test_each_raise_site(self, site, message):
+        exc = assert_matches_reference(*collapse_case(site))
+        assert isinstance(exc, FitInfeasibleError) and str(exc) == message
+
+    def test_one_compilation_per_search(self):
+        ts = hourly_series(100 + 10 * np.sin(np.arange(96) * 2 * np.pi / 24),
+                           seasons=[SeasonSpec("daily", 24)],
+                           dims=[DimsSpec("ev", "multiplicative", 4, occurrences=(30, 70))])
+        spec = ModelSpec.for_series(ts, damping_enabled=True)
+        before = _step_kernel.cache_info()
+        find_params(ts, spec, OptimConfig(max_evals=60))
+        after = _step_kernel.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits + after.misses - before.hits - before.misses > 1
