@@ -208,7 +208,8 @@ _FLAGS = {"on": True, "off": False, "true": True, "false": False}
 def parse_config(path) -> RunConfig:
     """Parse the flat ``key = value`` run configuration.
 
-    ``season`` and ``dims`` keys may repeat:
+    ``season`` and ``dims`` keys may repeat; no two seasons share an id or a
+    cycle, and no two ``dims`` lines share a group:
         season = 24 multiplicative ratio_to_ma [id]
         dims   = Holidays multiplicative neutral
     Relative paths resolve against the config file's directory.
@@ -242,6 +243,8 @@ def parse_config(path) -> RunConfig:
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad cycle length {parts[0]!r}") from None
             sid = parts[3] if len(parts) == 4 else f"s{cycle}"
+            if any(sid == s.id or cycle == s.cycle_length for s in seasons):
+                raise UsageError(f"{path}:{lineno}: duplicate season {sid!r} / cycle {cycle}")
             try:
                 seasons.append(SeasonSpec(sid, cycle, parts[1], parts[2]))
             except ValueError as exc:
@@ -254,6 +257,8 @@ def parse_config(path) -> RunConfig:
                 if given not in allowed:
                     raise UsageError(f"{path}:{lineno}: bad value {given!r} for 'dims', "
                                      f"expected one of {', '.join(allowed)}")
+            if any(parts[0] == d.group for d in dims):
+                raise UsageError(f"{path}:{lineno}: duplicate dims group {parts[0]!r}")
             dims.append(DimsDecl(*parts))
         elif key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -386,15 +391,21 @@ def _json_field(doc: dict, key: str, kind: type, where: str = "artifact"):
     return value
 
 
-def _rings(state: dict, key: str, specs) -> dict[str, np.ndarray]:
+def _rings(state: dict, key: str, lengths: dict[str, int]) -> dict[str, np.ndarray]:
     """The state's ``key`` map of index rings in declaration order: the engine
-    pairs rings with spec modes positionally, and the JSON has sorted keys."""
+    pairs rings with spec modes positionally, and the JSON has sorted keys.
+    ``lengths`` maps each declared id to the number of values its ring holds."""
     table = _json_field(state, key, dict, "artifact state")
-    rings = {s.id: _json_field(table, s.id, list, f"artifact state {key}") for s in specs}
+    rings = {sid: _json_field(table, sid, list, f"artifact state {key}") for sid in lengths}
     try:
-        return {sid: np.array(values, dtype=float) for sid, values in rings.items()}
+        arrays = {sid: np.array(values, dtype=float) for sid, values in rings.items()}
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed artifact state {key}: {exc}") from exc
+    for sid, size in lengths.items():
+        if arrays[sid].shape != (size,):
+            raise DataError(f"artifact state {key} {sid} must be a list of {size} numbers, "
+                            f"not of shape {arrays[sid].shape}")
+    return arrays
 
 
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
@@ -413,8 +424,8 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     state = ModelState(
         level=_json_field(raw, "level", float, "artifact state"),
         trend=_json_field(raw, "trend", float, "artifact state"),
-        seasonal=_rings(raw, "seasonal", seasons),
-        dims=_rings(raw, "dims", dims),
+        seasonal=_rings(raw, "seasonal", {s.id: s.cycle_length for s in seasons}),
+        dims=_rings(raw, "dims", {d.id: d.length for d in dims}),
         last_residual=_json_field(raw, "last_residual", float, "artifact state"),
         position=_json_field(raw, "position", int, "artifact state"),
     )

@@ -21,9 +21,10 @@ residual, (3) updates level and trend, and (4) updates each active slot.
 for the model's structure: which components are regular or moving,
 additive or multiplicative, updated or frozen, and the trend kind. Each
 structure is compiled once and cached; the generated source is built from
-those flags alone and embeds no user text. Forecasts read the same
-components through their future slot tables: ``(position + k - 1) % s``
-for a regular cycle, :func:`project_dims` for a moving seasonality.
+those flags alone and embeds no user text. :func:`forecast` computes the
+whole horizon at once with array reads of the same components through
+their future slot tables: ``(position + k - 1) % s`` for a regular cycle,
+:func:`project_dims` for a moving seasonality.
 
 With one multiplicative seasonality, no moving seasonalities, an undamped
 trend and no autocorrelation term, the recursion reduces exactly to the
@@ -210,30 +211,6 @@ def _check_consistency(ts: TimeSeries, spec: ModelSpec, params: SmoothingParams,
             raise ValueError(f"seed slots for dims {d.id!r} missing or wrong length")
 
 
-def _components(ids, values, modes, slots, deltas) -> list[tuple]:
-    """Index components as ``(id, values, slots, is_mult, delta)`` tuples of
-    plain Python lists, the form the scalar loops index fastest."""
-    return [
-        (cid, [float(v) for v in vals], slot_list, mode == "multiplicative", delta)
-        for cid, vals, mode, slot_list, delta in zip(ids, values, modes, slots, deltas)
-    ]
-
-
-def _gather(components, t: int) -> tuple[float, float]:
-    """Sum of the additive and product of the multiplicative index values
-    read at step ``t``; components with slot -1 contribute nothing."""
-    sum_add = 0.0
-    prod_mul = 1.0
-    for _cid, values, slots, is_mult, _delta in components:
-        q = slots[t]
-        if q >= 0:
-            if is_mult:
-                prod_mul *= values[q]
-            else:
-                sum_add += values[q]
-    return sum_add, prod_mul
-
-
 def _is_multiplicative(ts: TimeSeries, spec: ModelSpec) -> bool:
     """Whether the trend or any index component of the model is multiplicative."""
     return spec.trend == "multiplicative" \
@@ -382,34 +359,30 @@ def smooth_pass(
         raise DataError(f"series length {n} does not exceed warm-up window {warm}")
 
     specs = ts.seasons + ts.dims
-    components = _components(
-        [c.id for c in specs],
-        [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims],
-        [c.mode for c in specs],
-        [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons]
-        + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims],
-        eff.deltas + eff.deltas_dims,
-    )
+    ids = tuple(c.id for c in specs)
+    mults = [c.mode == "multiplicative" for c in specs]
+    values = [np.asarray(ring, dtype=float).tolist() for ring in
+              [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims]]
+    slots = [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons] \
+        + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims]
+    deltas = eff.deltas + eff.deltas_dims
 
     has_mult = _is_multiplicative(ts, spec)
     if has_mult and seeds.level <= 0:
         raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
     if mult_trend and seeds.trend <= 0:
         raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
-    for cid, values, _slots, is_mult, _delta in components:
-        if is_mult and min(values) <= 0.0:
+    for cid, vals, is_mult in zip(ids, values, mults):
+        if is_mult and min(vals) <= 0.0:
             raise FitInfeasibleError(
                 f"multiplicative seed index of {cid!r} must be positive", step=-1
             )
     check_observations(ts, spec, n)
     n_seasons = len(ts.seasons)
     kernel = _step_kernel(mult_trend, has_mult, tuple(
-        (i >= n_seasons, c[3], c[4] != 0.0) for i, c in enumerate(components)
+        (i >= n_seasons, is_mult, delta != 0.0)
+        for i, (is_mult, delta) in enumerate(zip(mults, deltas))
     ))
-    ids = tuple(c[0] for c in components)
-    values = [c[1] for c in components]
-    slots = [c[2] for c in components]
-    deltas = [c[4] for c in components]
 
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
@@ -425,8 +398,8 @@ def smooth_pass(
         states.append(ModelState(
             level=level,
             trend=trend,
-            seasonal={c[0]: np.array(c[1]) for c in components[:n_seasons]},
-            dims={c[0]: np.array(c[1]) for c in components[n_seasons:]},
+            seasonal={cid: np.array(v) for cid, v in zip(ids[:n_seasons], values)},
+            dims={cid: np.array(v) for cid, v in zip(ids[n_seasons:], values[n_seasons:])},
             last_residual=eps,
             position=seeds.position + stop,
         ))
@@ -470,14 +443,18 @@ def forecast(
     horizon: int,
     future_dims: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Point forecasts for k = 1..horizon from the given state.
+    """Point forecasts for k = 1..horizon from the given state, computed for
+    the whole horizon at once.
 
     The damped trend contributes the running sum of powers of the damping
-    factor; the last in-sample residual is carried across the horizon with a
-    geometrically decaying weight. Regular cycles read slot
-    ``(position + k - 1) % s``; moving seasonalities read the slots given in
-    ``future_dims`` (see :func:`project_dims`) and contribute the neutral
-    element where a slot is -1 or missing.
+    factor (a multiplicative trend is raised to that sum); the last in-sample
+    residual is carried across the horizon with a geometrically decaying
+    weight. Regular cycles read slot ``(position + k - 1) % s``; moving
+    seasonalities read the slots given in ``future_dims`` (see
+    :func:`project_dims`) and contribute the neutral element where a slot is
+    -1 or missing. Additive components are summed and multiplicative ones
+    multiplied in component order, so each forecast equals that of the
+    one-step recursion bit for bit.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -488,38 +465,33 @@ def forecast(
         if dims_id not in state.dims:
             raise KeyError(f"unknown dims id {dims_id!r} in future_dims")
     eff = params.effective(spec)
-    phi, ar1 = eff.phi, eff.ar1
-    mult_trend = spec.trend == "multiplicative"
-    trend_term = 0.0 if spec.trend == "none" else state.trend
+    phi_acc = np.cumsum(np.cumprod(np.full(horizon, eff.phi)))
+    ar_pow = np.cumprod(np.full(horizon, eff.ar1))
+    trend = 0.0 if spec.trend == "none" else state.trend
+    if spec.trend == "multiplicative":
+        # Python's float power: np.power can differ from it in the last bit.
+        base = np.array([state.level * trend ** a for a in phi_acc.tolist()], dtype=float)
+    else:
+        base = state.level + phi_acc * trend
 
     steps = np.arange(state.position, state.position + horizon)
-    future_slots = [(steps % len(ring)).tolist() for ring in state.seasonal.values()]
+    future_slots = [steps % len(ring) for ring in state.seasonal.values()]
     for dims_id in state.dims:
         slots = np.full(horizon, -1, dtype=np.int64)
         given = np.asarray(future_dims.get(dims_id, ()), dtype=np.int64)[:horizon]
         slots[:len(given)] = given
-        future_slots.append(slots.tolist())
-    components = _components(
-        [*state.seasonal, *state.dims],
-        [*state.seasonal.values(), *state.dims.values()],
-        spec.season_modes + spec.dims_modes,
-        future_slots,
-        [0.0] * len(future_slots),
-    )
-
-    out = np.empty(horizon)
-    phi_pow = 1.0
-    phi_acc = 0.0
-    ar_pow = 1.0
-    for k in range(1, horizon + 1):
-        phi_pow *= phi
-        phi_acc += phi_pow
-        ar_pow *= ar1
-        base = state.level * trend_term ** phi_acc if mult_trend \
-            else state.level + phi_acc * trend_term
-        sum_add, prod_mul = _gather(components, k - 1)
-        out[k - 1] = (base + sum_add) * prod_mul + ar_pow * state.last_residual
-    return out
+        future_slots.append(slots)
+    sum_add = np.zeros(horizon)
+    prod_mul = np.ones(horizon)
+    for ring, slots, mode in zip([*state.seasonal.values(), *state.dims.values()],
+                                 future_slots, spec.season_modes + spec.dims_modes):
+        # a negative slot reads the neutral element, whatever the ring length
+        read = np.asarray(ring, dtype=float)[np.maximum(slots, 0)]
+        if mode == "multiplicative":
+            prod_mul *= np.where(slots >= 0, read, 1.0)
+        else:
+            sum_add += np.where(slots >= 0, read, 0.0)
+    return (base + sum_add) * prod_mul + ar_pow * state.last_residual
 
 
 def reduce_check(spec: ModelSpec) -> str:

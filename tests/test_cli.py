@@ -257,6 +257,24 @@ class TestConfig:
             name = "rng_seed" if key == "--seed" else key
             assert "usage error" in err and f"{name} must be" in err, value
 
+    @pytest.mark.parametrize("command", ["fit", "forecast", "decompose", "evaluate"])
+    @pytest.mark.parametrize("line, message", [
+        ("season = 24 additive difference_to_ma other", "duplicate season 'other' / cycle 24"),
+        ("season = 168 multiplicative ratio_to_ma s24", "duplicate season 's24' / cycle 168"),
+        ("dims = Holidays additive neutral", "duplicate dims group 'Holidays'"),
+    ], ids=["cycle", "id", "dims"])
+    def test_duplicate_declaration_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     line, message, command):
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        (tmp_path / "run.cfg").write_text(
+            "data = demand.csv\ncalendar = events.csv\nfirst_origin = 48\n"
+            "season = 24 multiplicative ratio_to_ma\n"
+            "dims = Holidays multiplicative neutral\n" + line + "\n")
+        argv = [command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"run.cfg:6: {message}" in err
+
     def test_evaluate_checks_first_origin_before_reading_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("data = missing.csv\nseason = 24 multiplicative ratio_to_ma\n")
@@ -395,6 +413,25 @@ class TestCommands:
         got = forecast(state2, spec2, params2, horizon,
                        project_dims(dims2, state2.position, horizon))
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("key, sid, size", [("seasonal", "daily", 24), ("dims", "event", 4)])
+    def test_artifact_ring_of_wrong_length_is_a_data_error(self, tmp_path, key, sid, size):
+        # A ring that does not match its declared cycle or block length
+        # would otherwise forecast with the wrong cycle.
+        ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
+                           dims=[DimsSpec("event", "additive", 4, occurrences=(30,))])
+        state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)},
+                           dims={"event": np.zeros(4)})
+        params = SmoothingParams(alpha=0.5, deltas=(0.1,), deltas_dims=(0.1,))
+        path = tmp_path / "model.json"
+        save_artifact(path, ts, ModelSpec.for_series(ts), params, state, 1.0)
+        doc = json.loads(path.read_text())
+        for ring in ([1.0] * (size - 1), [1.0] * (size + 1), [[1.0] * size]):
+            doc["state"][key][sid] = ring
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError,
+                               match=f"artifact state {key} {sid} must be a list of {size} numbers"):
+                load_artifact(path)
 
     def test_artifact_preserves_mixed_mode_season_order(self, tmp_path):
         # Ids chosen so alphabetical order inverts declaration order; with
@@ -605,7 +642,8 @@ class TestCommands:
     @pytest.mark.parametrize("key", [
         "alpha", "phi", "[]", "null", "state=5",
         "seasons=5", "dims={}", "state.seasonal=5", "state.dims=[]", "state.seasonal.daily",
-        "state.seasonal.daily=5", 'state.level="abc"', "state.trend=null",
+        "state.seasonal.daily=5", "state.seasonal.daily=[1.0]", 'state.level="abc"',
+        "state.trend=null",
         "state.last_residual=[]", "state.position=1.5", "state.position=true",
         "series=5", "series.start=5", "series.step_seconds=null",
     ])
