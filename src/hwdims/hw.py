@@ -19,12 +19,24 @@ forms the one-step-ahead forecast from the state at t-1 and records the
 residual, (3) updates level and trend, and (4) updates each active slot.
 :func:`smooth_pass` runs these steps in one straight-line loop generated
 for the model's structure: which components are regular or moving,
-additive or multiplicative, updated or frozen, and the trend kind. Each
-structure is compiled once and cached; the generated source is built from
-those flags alone and embeds no user text. :func:`forecast` computes the
-whole horizon at once with array reads of the same components through
-their future slot tables: ``(position + k - 1) % s`` for a regular cycle,
-:func:`project_dims` for a moving seasonality.
+additive or multiplicative, updated or frozen, the trend kind and whether
+the trend is damped. Each structure is compiled once and cached; the
+generated source is built from those flags alone and embeds no user text.
+The loop zips the step index with the series' observation and slot lists,
+which each series builds once (:meth:`TimeSeries.step_lists`); the
+per-pass constants (``1 - alpha``, ``1 - gamma`` or, for an additive
+trend, ``(1 - gamma) * phi``, each ``1 - delta``) are computed before it,
+and ``yt - sum_add`` once per step. A neutral operation is dropped only
+where an exact IEEE identity allows it (``1.0 * x`` and ``x - 0.0`` are
+``x``); ``base + 0.0`` and the ``ar1 * eps`` term are kept, because adding
+0.0 turns -0.0 into 0.0 and ``0.0 * eps`` is not 0.0 for a negative or
+non-finite ``eps``. So every structure gives the bits of the generic
+recursion.
+
+:func:`forecast` computes the whole horizon at once with array reads of
+the same components through their future slot tables:
+``(position + k - 1) % s`` for a regular cycle, :func:`project_dims` for a
+moving seasonality.
 
 With one multiplicative seasonality, no moving seasonalities, an undamped
 trend and no autocorrelation term, the recursion reduces exactly to the
@@ -34,6 +46,7 @@ equivalence against an independent implementation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -229,25 +242,41 @@ def check_observations(ts: TimeSeries, spec: ModelSpec, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _step_kernel(mult_trend: bool, has_mult: bool, comps: tuple[tuple[bool, bool, bool], ...]):
+def _step_kernel(mult_trend: bool, has_mult: bool, damped: bool,
+                 comps: tuple[tuple[bool, bool, bool], ...]):
     """The step loop of :func:`smooth_pass`, compiled for one model structure.
 
     ``comps`` holds ``(is_dims, is_mult, updated)`` per index component, in
-    component order. The generated loop unrolls the gather and the update of
-    every component: a regular cycle's slot is always active, so only a
-    moving seasonality tests ``q >= 0``; a component that is not updated
-    (delta 0) gets no update code; the level test runs only in a
-    multiplicative model. The source is built from these flags and component
-    positions alone and embeds no user text: the error messages read the
-    component ids from the ``ids`` argument. Each expression is that of the
+    component order; ``damped`` says whether the damping factor may differ
+    from 1. The generated loop unrolls the gather and the update of every
+    component: a regular cycle's slot is always active, so only a moving
+    seasonality tests ``q >= 0``; a component that is not updated (delta 0)
+    gets no update code; the level test runs only in a multiplicative model.
+    The source is built from these flags and component positions alone and
+    embeds no user text: the error messages read the component ids from the
+    ``ids`` argument.
+
+    The loop zips the step index with slices of the observation list and of
+    every slot list, so a step reads each of them without indexing by ``t``.
+    ``1 - alpha``, ``1 - gamma`` (times ``phi`` for an additive trend) and
+    each ``1 - delta`` are computed once per call, and ``yt - sum_add`` and a
+    multiplicative trend's ``trend ** phi`` once per step. A neutral operation is dropped
+    only where an exact IEEE identity allows it: the first multiplicative
+    regular factor is taken as is (``1.0 * x == x``); without additive
+    components ``yt - 0.0`` is ``yt`` (``base + 0.0`` is kept: it turns -0.0
+    into 0.0); undamped, ``1.0 * trend`` is ``trend``. The ``ar1 * eps`` term
+    stays even when ``ar1`` is 0: ``0.0 * eps`` is -0.0, NaN or 0.0 by the
+    sign and finiteness of ``eps``. Every other expression is that of the
     generic recursion in the module docstring, in its order, so every
     structure gives that recursion's results bit for bit; the test suite
     keeps the generic loop as the reference.
 
     The kernel runs steps ``start..stop-1``, writes each one-step forecast
-    to ``fitted``, updates the index lists in ``values`` in place and returns
-    the new ``(level, trend, eps)``.
+    to ``fitted``, updates the index lists in ``values`` in place (it never
+    writes into ``y`` or ``slots``) and returns the new ``(level, trend,
+    eps)``.
     """
+    adds = any(not is_mult for _, is_mult, _ in comps)
     code = [
         "def kernel(y, fitted, start, stop, level, trend, eps, alpha, gamma, phi, ar1,",
         "           values, slots, deltas, ids):",
@@ -255,28 +284,46 @@ def _step_kernel(mult_trend: bool, has_mult: bool, comps: tuple[tuple[bool, bool
     if comps:
         for name, seq in (("v", "values"), ("s", "slots"), ("d", "deltas")):
             code.append(f"    {''.join(f'{name}{i}, ' for i in range(len(comps)))}= {seq}")
-    code += [
-        "    for t in range(start, stop):",
-        "        yt = y[t]",
-        "        sum_add = 0.0",
-        "        prod_mul = 1.0",
-    ]
+    code.append("    one_alpha = 1.0 - alpha")
+    code.append("    one_gamma = 1.0 - gamma" if mult_trend
+                else "    gamma_phi = (1.0 - gamma) * phi")
+    code += [f"    c{i} = 1.0 - d{i}" for i, (_, _, updated) in enumerate(comps) if updated]
+    code.append("    for t, yt"
+                + "".join(f", q{i}" for i in range(len(comps)))
+                + " in zip(range(start, stop), y[start:stop]"
+                + "".join(f", s{i}[start:stop]" for i in range(len(comps)))
+                + "):")
+    if adds:
+        code.append("        sum_add = 0.0")
+    # the first multiplicative factor of a regular cycle starts the product
+    first_mult = next((i for i, (_, is_mult, _) in enumerate(comps) if is_mult), None)
+    if first_mult is None or comps[first_mult][0]:
+        code.append("        prod_mul = 1.0")
     for i, (is_dims, is_mult, _updated) in enumerate(comps):
         pad = " " * (12 if is_dims else 8)
-        code.append(f"        q{i} = s{i}[t]")
         if is_dims:
             code.append(f"        if q{i} >= 0:")
         code.append(f"{pad}x{i} = v{i}[q{i}]")
-        code.append(f"{pad}prod_mul *= x{i}" if is_mult else f"{pad}sum_add += x{i}")
+        if i == first_mult and not is_dims:
+            code.append(f"{pad}prod_mul = x{i}")
+        else:
+            code.append(f"{pad}prod_mul *= x{i}" if is_mult else f"{pad}sum_add += x{i}")
+    sum_add = "sum_add" if adds else "0.0"
+    ysa = "ysa" if adds else "yt"
+    if mult_trend:
+        code += ["        trend_phi = trend ** phi",
+                 "        base = level * trend_phi"]
+    else:
+        code.append("        base = level + phi * trend" if damped else "        base = level + trend")
     code += [
-        "        base = level * trend ** phi" if mult_trend
-        else "        base = level + phi * trend",
-        "        yhat = (base + sum_add) * prod_mul + ar1 * eps",
+        f"        yhat = (base + {sum_add}) * prod_mul + ar1 * eps",
         "        fitted[t] = yhat",
         "        eps = yt - yhat",
         "        prev_level = level",
-        "        level = alpha * ((yt - sum_add) / prod_mul) + (1.0 - alpha) * base",
     ]
+    if adds:
+        code.append("        ysa = yt - sum_add")
+    code.append(f"        level = alpha * ({ysa} / prod_mul) + one_alpha * base")
     if has_mult:
         code += [
             "        if level <= 0.0:",
@@ -285,13 +332,13 @@ def _step_kernel(mult_trend: bool, has_mult: bool, comps: tuple[tuple[bool, bool
         ]
     if mult_trend:
         code += [
-            "        trend = gamma * (level / prev_level) + (1.0 - gamma) * trend ** phi",
+            "        trend = gamma * (level / prev_level) + one_gamma * trend_phi",
             "        if trend <= 0.0:",
             "            raise FitInfeasibleError(f'trend ratio became nonpositive at step {t}',",
             "                                     step=t)",
         ]
     else:
-        code.append("        trend = gamma * (level - prev_level) + (1.0 - gamma) * phi * trend")
+        code.append("        trend = gamma * (level - prev_level) + gamma_phi * trend")
     for i, (is_dims, is_mult, updated) in enumerate(comps):
         if not updated:
             continue
@@ -300,16 +347,15 @@ def _step_kernel(mult_trend: bool, has_mult: bool, comps: tuple[tuple[bool, bool
             code.append(f"        if q{i} >= 0:")
         if is_mult:
             code += [
-                f"{pad}new = d{i} * ((yt - sum_add) / (level * (prod_mul / x{i})))"
-                f" + (1.0 - d{i}) * x{i}",
+                f"{pad}new = d{i} * ({ysa} / (level * (prod_mul / x{i}))) + c{i} * x{i}",
                 f"{pad}if new <= 0.0:",
                 f"{pad}    raise FitInfeasibleError(",
                 f"{pad}        f'index of {{ids[{i}]!r}} became nonpositive at step {{t}}',",
                 f"{pad}        step=t)",
             ]
         else:
-            code.append(f"{pad}new = d{i} * ((yt - level - (sum_add - x{i})) / prod_mul)"
-                        f" + (1.0 - d{i}) * x{i}")
+            code.append(f"{pad}new = d{i} * ((yt - level - ({sum_add} - x{i})) / prod_mul)"
+                        f" + c{i} * x{i}")
         code.append(f"{pad}v{i}[q{i}] = new")
     code.append("    return level, trend, eps")
     namespace = {"FitInfeasibleError": FitInfeasibleError}
@@ -334,8 +380,11 @@ def smooth_pass(
     whole series and ``states`` holds the final state alone.
 
     The steps run in one straight-line loop generated for the model's
-    structure (trend kind, each component's kind and mode, which components
-    are updated) and compiled once per structure; see :func:`_step_kernel`.
+    structure (trend kind, damping, each component's kind and mode, which
+    components are updated) and compiled once per structure; see
+    :func:`_step_kernel`. It reads the observation and slot lists that
+    ``ts`` builds once (:meth:`~hwdims.timeseries.TimeSeries.step_lists`),
+    so the passes of a search over one series share them.
 
     The objective is the RMSE of the one-step-ahead residuals after the
     warm-up window. Raises :class:`FitInfeasibleError` as soon as a
@@ -353,7 +402,6 @@ def smooth_pass(
             or stops[0] < 1 or stops[-1] > len(ts):
         raise ValueError(f"stops must be ascending in 1..{len(ts)}, got {stops}")
     n = stops[-1]
-    y = ts.values[:n].tolist()
     warm = warmup_length(ts)
     if n <= warm:
         raise DataError(f"series length {n} does not exceed warm-up window {warm}")
@@ -363,8 +411,6 @@ def smooth_pass(
     mults = [c.mode == "multiplicative" for c in specs]
     values = [np.asarray(ring, dtype=float).tolist() for ring in
               [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims]]
-    slots = [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons] \
-        + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims]
     deltas = eff.deltas + eff.deltas_dims
 
     has_mult = _is_multiplicative(ts, spec)
@@ -379,7 +425,7 @@ def smooth_pass(
             )
     check_observations(ts, spec, n)
     n_seasons = len(ts.seasons)
-    kernel = _step_kernel(mult_trend, has_mult, tuple(
+    kernel = _step_kernel(mult_trend, has_mult, spec.damping_enabled, tuple(
         (i >= n_seasons, is_mult, delta != 0.0)
         for i, (is_mult, delta) in enumerate(zip(mults, deltas))
     ))
@@ -387,7 +433,8 @@ def smooth_pass(
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
     eps = float(seeds.last_residual)
-    fitted = [0.0] * n
+    y, slots = ts.step_lists()
+    fitted = array("d", bytes(8 * n))
     states = []
     start = 0
     for stop in stops:
@@ -404,7 +451,7 @@ def smooth_pass(
             position=seeds.position + stop,
         ))
 
-    fitted = np.array(fitted)
+    fitted = np.frombuffer(fitted)
     errors = ts.values[:n] - fitted
     objective = float(np.sqrt(np.mean(np.square(errors[warm:]))))
     return FitResult(

@@ -137,7 +137,14 @@ def compute_recurrence(spec: DimsSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Evenly spaced observations with seasonal structure attached."""
+    """Evenly spaced observations with seasonal structure attached.
+
+    The slot tables of the moving seasonalities are computed when the series
+    is built. The plain lists that the smoothing step loop reads (see
+    :meth:`step_lists`) are built lazily, on first use, once per series, so
+    the passes of a search share them; a derived series (``prefix``,
+    ``add_dims`` and the like) builds its own.
+    """
 
     values: np.ndarray
     step: timedelta = timedelta(hours=1)
@@ -146,6 +153,9 @@ class TimeSeries:
     dims: tuple[DimsSpec, ...] = ()
     _recurrences: dict[str, np.ndarray] = field(
         init=False, repr=False, default_factory=dict
+    )
+    _step_lists: tuple[list[float], tuple[list[int], ...]] | None = field(
+        init=False, repr=False, default=None
     )
 
     def __post_init__(self):
@@ -197,6 +207,18 @@ class TimeSeries:
             return self._recurrences[dims_id]
         except KeyError:
             raise KeyError(f"unknown dims id {dims_id!r}") from None
+
+    def step_lists(self) -> tuple[list[float], tuple[list[int], ...]]:
+        """The observations and the slot table of every index component
+        (regular cycles, ``t % cycle_length``, then moving seasonalities) as
+        plain lists over the whole series: the form the smoothing step loop
+        reads. Built on first use and kept; callers must not modify them."""
+        if self._step_lists is None:
+            positions = np.arange(len(self.values))
+            slots = [(positions % s.cycle_length).tolist() for s in self.seasons] \
+                + [self._recurrences[d.id].tolist() for d in self.dims]
+            object.__setattr__(self, "_step_lists", (self.values.tolist(), tuple(slots)))
+        return self._step_lists
 
     def add_season(self, spec: SeasonSpec) -> TimeSeries:
         return replace(self, seasons=self.seasons + (spec,))

@@ -740,7 +740,12 @@ def assert_matches_reference(ts, spec, params, seeds, stops):
         assert (type(got.value), str(got.value), getattr(got.value, "step", None)) \
             == (type(exc), str(exc), getattr(exc, "step", None))
         return exc
-    fit = smooth_pass(ts, spec, params, seeds, stops)
+    assert_same_fit(smooth_pass(ts, spec, params, seeds, stops), want)
+    return None
+
+
+def assert_same_fit(fit, want):
+    """Require the same bits in every output of two smoothing passes."""
     assert bits(fit.fitted) == bits(want.fitted)
     assert bits(fit.one_step_errors) == bits(want.one_step_errors)
     assert bits(fit.objective) == bits(want.objective)
@@ -754,7 +759,36 @@ def assert_matches_reference(ts, spec, params, seeds, stops):
             got_rings, want_rings = getattr(got_state, name), getattr(want_state, name)
             assert list(got_rings) == list(want_rings)
             assert all(bits(got_rings[k]) == bits(want_rings[k]) for k in want_rings)
-    return None
+
+
+def structure_case(season_modes, dims_mode, trend="additive", damped=False, ar=False):
+    """A pass over cycles 3 and 6 and one 2-step moving seasonality in the
+    given modes, stopped at 20 and 36. The blocks start at 7, 19 and 29, so
+    one straddles the first stop."""
+    t = np.arange(36)
+    ts = hourly_series(100.0 * (1 + 0.2 * np.sin(2 * np.pi * t / 6)) + np.cos(t),
+                       seasons=[SeasonSpec(f"c{s}", s, mode=mode)
+                                for s, mode in zip((3, 6), season_modes)],
+                       dims=[DimsSpec("ev", dims_mode, 2, occurrences=(7, 19, 29))])
+    spec = ModelSpec.for_series(ts, trend=trend, damping_enabled=damped,
+                                ar_adjustment_enabled=ar)
+
+    def ring(mode, size):
+        wave = np.sin(np.arange(size) + 1.0)
+        return 1.0 + 0.1 * wave if mode == "multiplicative" else 10.0 * wave
+
+    seeds = bare_state(100.0, 1.01 if trend == "multiplicative" else 0.5,
+                       seasonal={s.id: ring(s.mode, s.cycle_length) for s in ts.seasons},
+                       dims={"ev": ring(dims_mode, 2)}, residual=-1.5)
+    params = SmoothingParams(alpha=0.3, gamma=0.1, deltas=(0.2, 0.4), deltas_dims=(0.5,),
+                             phi=0.9, ar1=0.3)
+    return ts, spec, params, seeds, [20, 36]
+
+
+def bench_case():
+    """The bench's structure: two multiplicative cycles and one multiplicative
+    moving seasonality, additive trend, damping and autocorrelation off."""
+    return structure_case(("multiplicative", "multiplicative"), "multiplicative")
 
 
 # An id with quotes, braces and a newline.
@@ -793,6 +827,10 @@ class TestGeneratedKernel:
     @example(collapse_case("level"))
     @example(collapse_case("trend"))
     @example(collapse_case("index"))
+    @example(bench_case())
+    @example(structure_case(("additive", "additive"), "additive", damped=True))
+    @example(structure_case(("additive", "multiplicative"), "multiplicative",
+                            trend="multiplicative", ar=True))
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_reference(self, case):
         assert_matches_reference(*case)
@@ -816,6 +854,37 @@ class TestGeneratedKernel:
         after = _step_kernel.cache_info()
         assert after.misses - before.misses <= 1
         assert after.hits + after.misses - before.hits - before.misses > 1
+
+
+class TestStepLists:
+    """The observation and slot lists a series builds once for the step loop."""
+
+    def test_repeated_passes_equal_passes_on_fresh_series(self):
+        # The passes share one set of lists; had the loop written into them,
+        # a later pass would differ from one on a newly built copy.
+        ts, spec, _params, seeds, stops = bench_case()
+        lists = ts.step_lists()
+        for alpha, deltas, deltas_dims in [(0.3, (0.2, 0.4), (0.5,)), (1.0, (1.0, 0.0), (1.0,)),
+                                           (0.05, (0.7, 0.9), (0.0,)), (0.3, (0.2, 0.4), (0.5,))]:
+            varied = SmoothingParams(alpha=alpha, gamma=0.2, deltas=deltas,
+                                     deltas_dims=deltas_dims)
+            fresh = hourly_series(ts.values, ts.seasons, ts.dims)
+            assert_same_fit(smooth_pass(ts, spec, varied, seeds, stops),
+                            smooth_pass(fresh, spec, varied, seeds, stops))
+        assert ts.step_lists() is lists
+
+    def test_prefix_pass_equals_fresh_series(self):
+        # The prefix drops the block at 19, which straddles 20: it must not
+        # read the lists of the series it was cut from.
+        ts, spec, params, seeds, _stops = bench_case()
+        smooth_pass(ts, spec, params, seeds)
+        head = ts.prefix(20)
+        assert head.dims[0].occurrences == (7,)
+        fresh = hourly_series(ts.values[:20], ts.seasons,
+                              [DimsSpec("ev", "multiplicative", 2, occurrences=(7,))])
+        assert_same_fit(smooth_pass(head, spec, params, seeds),
+                        smooth_pass(fresh, spec, params, seeds))
+        assert head.step_lists()[1][2] != ts.step_lists()[1][2][:20]
 
 
 @st.composite
