@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .calendars import CalendarEvent, build_dims
-from .decompose import mstl, stlplot_export
+from .decompose import mstl, panel_names, stlplot_export
 from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast, rolling_origins
 from .hw import (
     TREND_KINDS,
@@ -484,6 +484,11 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, out: Path) -> int:
+    try:
+        panel_names("seasonal_", [s.id for s in cfg.seasons])
+        panel_names("dims_", [d.group for d in cfg.dims])
+    except ValueError as exc:
+        raise UsageError(f"decompose: {exc}") from None
     ts = load_series(cfg)
     result = mstl(ts)
     written = stlplot_export(result, out)

@@ -18,13 +18,18 @@ Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
 multiplicative decomposition should log-transform first.
 
-Every smoother is a degree-1 Loess fit with tricube weights. Interior
-windows that touch no excluded point are a single convolution; all other
-fits (series edges, windows that touch an excluded block, and every point
-of the cycle-subseries with their one-cycle extensions) are exact weighted
-fits, solved in batches by :func:`_fit_grid`. The scalar :func:`_fit_point`
-defines those fits: it is the reference the batched kernel is tested
-against, and the fallback for a window whose points are all excluded.
+Every smoother is a degree-1 Loess fit with tricube weights, on one of three
+paths. Interior windows that touch no excluded point are a single
+convolution. Interior windows that touch an excluded block but keep one of
+their end points keep the full bandwidth, so they are fitted from five
+correlations of the kept mask and the kept values with the kernel moments
+(:func:`_moment_fits`), behind a conditioning guard. All other fits (series
+edges, windows whose end points are both excluded, windows the guard turns
+away, and every point of the cycle-subseries with their one-cycle
+extensions) are exact weighted fits, solved in batches by :func:`_fit_grid`.
+The scalar :func:`_fit_point` defines every fit: it is the reference the
+other paths are tested against, and the fallback for a window whose points
+are all excluded.
 """
 
 from __future__ import annotations
@@ -206,18 +211,60 @@ def _fit_grid(Y: np.ndarray, x0s, window: int,
     return out
 
 
+# A masked window's moment fit is kept only when the centred second moment
+# sxx = S2 - S1^2/S0 keeps this share of S2, so that its cancellation costs at
+# most a factor 10 in precision; thinner windows (few kept points, or all on
+# one side) take the exact fit.
+_MOMENT_GUARD = 0.1
+
+
+def _moment_fits(y: np.ndarray, kept: np.ndarray, kernel: np.ndarray,
+                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-1 fits at the interior positions ``pos`` with the tricube
+    ``kernel`` times the ``kept`` mask as weights, from five correlations:
+    the mask against K, K·d and K·d² (S0, S1, S2) and the kept values against
+    K and K·d (T0, T1), d being the offset from the fitted position.
+
+    Returns the fits and a mask of those that pass the conditioning guard
+    (``S0 > 0`` and ``sxx > _MOMENT_GUARD * S2``); the others are not valid.
+    """
+    half = len(kernel) // 2
+    lo, hi = pos[0] - half, pos[-1] + half + 1   # the span the fits read
+    d = np.arange(-half, half + 1, dtype=float)
+    kd = kernel * d
+    k = kept[lo:hi].astype(float)
+    yk = np.where(kept[lo:hi], y[lo:hi], 0.0)
+    at = pos - pos[0]
+    s0, s1, s2 = (np.correlate(k, v, "valid")[at] for v in (kernel, kd, kd * d))
+    t0, t1 = (np.correlate(yk, v, "valid")[at] for v in (kernel, kd))
+    ok = s0 > 0.0
+    s0 = np.where(ok, s0, 1.0)
+    db, yb = s1 / s0, t0 / s0
+    sxx = s2 - s1 * db
+    ok &= sxx > _MOMENT_GUARD * s2
+    return yb - (t1 - s1 * yb) / np.where(ok, sxx, 1.0) * db, ok
+
+
 def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarray:
     """Loess-smoothed values at every position of an evenly spaced series.
 
     ``excluded`` marks positions whose values must not influence the fit
     (they still receive a fitted value, interpolated from their neighbours).
 
-    Interior windows that touch no excluded point are one convolution with
-    the tricube kernel. Every other position (the series edges and each
-    window that touches an excluded point) gets the exact weighted fit,
-    all of them in one batched :func:`_fit_grid` call; a window whose points
-    are all excluded falls back to the scalar :func:`_fit_point`, which fits
-    from the nearest kept points instead.
+    Three fit paths:
+
+    * an interior window that touches no excluded point: one convolution
+      with the tricube kernel;
+    * an interior window that touches an excluded point but keeps one of its
+      two end points: its bandwidth is still half the window, so its weights
+      are the kernel times the kept mask, and :func:`_moment_fits` fits it
+      from five correlations with the kernel's moments;
+    * every other position (the series edges, a window whose two end points
+      are both excluded, and a moment fit that fails its conditioning
+      guard): the exact weighted fit, all of them in one batched
+      :func:`_fit_grid` call. A window whose points are all excluded falls
+      back to the scalar :func:`_fit_point`, which fits from the nearest kept
+      points instead.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -245,8 +292,17 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
     redo[:half] = True
     redo[n - half:] = True
     if excluded is not None:
-        # windows overlapping an excluded point need the exact weighted fit
-        redo |= np.convolve(excluded[0].astype(float), np.ones(w), mode="same") > 0
+        # windows overlapping an excluded point need the masked weights
+        touched = np.convolve(excluded[0].astype(float), np.ones(w), mode="same") > 0
+        kept = ~excluded[0]
+        end_kept = np.zeros(n, dtype=bool)
+        end_kept[half:n - half] = kept[:n - 2 * half] | kept[2 * half:]
+        moments = np.flatnonzero(touched & end_kept)
+        if moments.size:
+            fit, ok = _moment_fits(y, kept, kernel, moments)
+            out[moments[ok]] = fit[ok]
+            touched[moments[ok]] = False
+        redo |= touched
     pos = np.flatnonzero(redo)
     out[pos] = _fit_grid(y[None, :], pos, w, excluded)[0]
     return out
@@ -421,26 +477,45 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
+def panel_names(prefix: str, ids) -> list[str]:
+    """File stems ``prefix + safe id`` of the export panels, one per id.
+
+    Raises :class:`ValueError`, naming both ids, when two ids map to the same
+    stem, since one panel would overwrite the other.
+    """
+    owners: dict[str, str] = {}
+    for pid in ids:
+        name = prefix + _safe_name(pid)
+        if name in owners:
+            raise ValueError(f"ids {owners[name]!r} and {pid!r} would both be "
+                             f"exported as {name!r}")
+        owners[name] = pid
+    return list(owners)
+
+
 def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
     """Write the decomposition as plot-ready CSV panels.
 
     One ``timestamp,value`` file per panel (original, trend, each seasonal,
     remainder); per moving seasonality a ``slot,value`` profile file plus a
     ``start_timestamp,end_timestamp`` occurrence-location file (end
-    exclusive).
+    exclusive). Two season ids, or two moving-seasonality ids, that share a
+    file name (see :func:`panel_names`) raise :class:`ValueError` before any
+    file is written.
     """
+    ts = result.series
+    season_names = panel_names("seasonal_", [s.id for s in ts.seasons])
+    dims_names = panel_names("dims_", [d.id for d in ts.dims])
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
-    ts = result.series
     stamps = [t.isoformat() for t in ts.timestamps]
     panels = [("original", ts.values), ("trend", result.trend)]
-    panels += [(f"seasonal_{_safe_name(s.id)}", result.seasonals[s.id]) for s in ts.seasons]
+    panels += [(name, result.seasonals[s.id]) for name, s in zip(season_names, ts.seasons)]
     panels.append(("remainder", result.remainder))
     written = [write_csv(out / f"{name}.csv", "timestamp,value", stamps, map(repr, v.tolist()))
                for name, v in panels]
 
-    for dspec in ts.dims:
-        name = f"dims_{_safe_name(dspec.id)}"
+    for name, dspec in zip(dims_names, ts.dims):
         profile = result.dims_profiles[dspec.id]
         written.append(write_csv(out / f"{name}_profile.csv", "slot,value",
                                  map(str, range(len(profile))), map(repr, profile.tolist())))

@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -267,13 +268,21 @@ def read_csv(path, header: str):
             yield lineno, row
 
 
+# Rows joined per write in write_csv: one join per block of rows is as fast
+# as one per file, and the joined text stays near 100 kB however long the file.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header: str, *columns) -> Path:
     """Write ``header``, then one comma-joined row per position of the equally
     long ``columns`` of formatted fields; returns the path."""
     path = Path(path)
+    rows = map(",".join, zip(*columns, strict=True))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            block.append("")
+            fh.write("\n".join(block))
     return path
 
 

@@ -479,6 +479,23 @@ class TestCommands:
             "trend.csv",
         ]
 
+    @pytest.mark.parametrize("lines, names", [
+        ("season = 24 multiplicative ratio_to_ma a/b\n"
+         "season = 168 multiplicative ratio_to_ma a_b\n", "'seasonal_a_b'"),
+        ("season = 24 multiplicative ratio_to_ma daily\ncalendar = events.csv\n"
+         "dims = a/b multiplicative neutral\ndims = a_b multiplicative neutral\n", "'dims_a_b'"),
+    ], ids=["seasons", "dims"])
+    def test_decompose_clashing_panel_names_are_a_config_error(self, tmp_path, monkeypatch,
+                                                                capsys, lines, names):
+        # one panel file would overwrite the other; nothing is read or written
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        (tmp_path / "run.cfg").write_text("data = demand.csv\n" + lines)
+        out = tmp_path / "o"
+        assert main(["decompose", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'a/b' and 'a_b'" in err and names in err
+        assert list(out.iterdir()) == []
+
     def test_decompose_nested_cycles_log_no_warning(self, tmp_path, caplog):
         # 24 inside 168 never settles; the fixed MSTL schedule has no cap to hit
         demand_fixture(tmp_path, weeks=4)

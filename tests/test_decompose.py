@@ -4,10 +4,11 @@ moving-seasonality profiles, plot-data export."""
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hwdims.decompose as decompose
@@ -50,7 +51,103 @@ def assert_identity(result, atol=1e-9):
     )
 
 
+def scalar_loess(y, window, excluded=None):
+    """:func:`loess_smooth`'s contract, one :func:`_fit_point` call per position."""
+    w = decompose._odd_at_least(window)
+    return np.array([decompose._fit_point(y, float(i), w, excluded) for i in range(len(y))])
+
+
+@st.composite
+def masked_series(draw):
+    n = draw(st.integers(3, 200))
+    window = draw(st.integers(3, 61))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    y = offset + np.array(draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n,
+    )))
+    excluded = np.zeros(n, bool)
+    for start, length in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, 2 * window)), min_size=1, max_size=3,
+    )):
+        excluded[start:start + length] = True
+    if excluded.all():
+        excluded[draw(st.integers(0, n - 1))] = False
+    return y, window, excluded
+
+
+def masked_example(n, window, *blocks):
+    t = np.arange(n)
+    y = 500.0 + 2.0 * t + 30.0 * np.sin(t / 3.0) + np.random.default_rng(n).normal(0, 5.0, n)
+    excluded = np.zeros(n, bool)
+    for start, stop in blocks:
+        excluded[start:stop] = True
+    return y, window, excluded
+
+
 class TestLoess:
+    @given(masked_series())
+    # a block shorter than the window: the windows over its ends keep an end
+    # point, so every masked interior window takes the moment fit
+    @example(masked_example(60, 13, (24, 30)))
+    # a block longer than the window: next to it the windows keep a few
+    # points on one side only and fail the conditioning guard (16-20, 46-50)
+    @example(masked_example(60, 13, (15, 52)))
+    # windows inside a block keep no point at all (the nearest-points fallback)
+    @example(masked_example(48, 9, (10, 40)))
+    @settings(max_examples=300, deadline=None)
+    def test_masked_equals_scalar_fit_point(self, case):
+        y, window, excluded = case
+        got = loess_smooth(y, window, excluded)
+        want = scalar_loess(y, window, excluded)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
+        )
+
+    def test_masked_trend_smooth_fits_only_edges_and_guarded_windows_exactly(
+            self, monkeypatch):
+        # Eight weeks hourly with six one-day holidays and a four-day block,
+        # smoothed with the daily (43) and weekly (281) trend windows.
+        t = np.arange(24 * 7 * 8)
+        n = len(t)
+        y = (1000.0 + 0.05 * t + 150.0 * np.sin(2 * np.pi * t / 24)
+             + 60.0 * np.cos(2 * np.pi * t / 168)
+             + np.random.default_rng(11).normal(0.0, 10.0, n))
+        excluded = np.zeros(n, bool)
+        for day in (4, 12, 19, 27, 33, 50):
+            excluded[24 * day:24 * day + 24] = True
+        excluded[24 * 40:24 * 44] = True
+        sent = []
+        real = decompose._fit_grid
+
+        def recording(Y, x0s, window, *args):
+            sent.extend(np.asarray(x0s, dtype=int).tolist())
+            return real(Y, x0s, window, *args)
+
+        monkeypatch.setattr(decompose, "_fit_grid", recording)
+        for window, guarded in ((43, 32), (281, 0)):
+            sent.clear()
+            got = loess_smooth(y, window, excluded)
+            half = window // 2
+            interior = [p for p in sent if half <= p < n - half]
+            assert sorted(set(sent) - set(interior)) == [*range(half), *range(n - half, n)]
+            # exact fits inside the four-day block only: its middle windows
+            # exclude both end points, the next ones fail the guard
+            assert all(24 * 40 <= p < 24 * 44 for p in interior)
+            d = np.arange(-half, half + 1)
+            kernel = np.clip(1.0 - (np.abs(d) / half) ** 3, 0.0, None) ** 3
+            guard = []
+            for p in interior:
+                window_excluded = excluded[p - half:p + half + 1]
+                if window_excluded[0] and window_excluded[-1]:
+                    continue
+                wts = kernel * ~window_excluded
+                s0, s1, s2 = wts.sum(), (wts * d).sum(), (wts * d * d).sum()
+                assert s0 <= 0.0 or s2 - s1 * s1 / s0 <= 0.1 * s2, p
+                guard.append(p)
+            assert len(guard) == guarded
+            np.testing.assert_allclose(got, scalar_loess(y, window, excluded),
+                                       rtol=0, atol=1e-10 * float(np.max(np.abs(y))))
+
     def test_linear_data_reproduced_exactly(self):
         y = 3.0 + 0.5 * np.arange(100)
         np.testing.assert_allclose(loess_smooth(y, 11), y, atol=1e-9)
@@ -159,7 +256,10 @@ class TestFitGrid:
         ])
         monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", 3)
         batched = mstl(ts)
+        # every fit of loess_smooth (convolution, moments, exact) and of the
+        # subseries smoother goes through _fit_point
         monkeypatch.setattr(decompose, "_fit_grid", scalar_fit_grid)
+        monkeypatch.setattr(decompose, "loess_smooth", scalar_loess)
         scalar = mstl(ts)
         atol = 1e-9 * float(np.max(np.abs(y)))
         np.testing.assert_allclose(batched.trend, scalar.trend, rtol=0, atol=atol)
@@ -585,6 +685,26 @@ class TestExport:
             ["start_timestamp", "end_timestamp"],
             [stamps[50], stamps[80]], [stamps[300], stamps[330]],
         )
+
+    @pytest.mark.parametrize("kind", ["seasons", "dims"])
+    def test_clashing_file_names_rejected_before_any_file(self, tmp_path, kind):
+        # "a/b" and "a_b" both become "..._a_b.csv": one panel would be lost
+        t = np.arange(24 * 7 * 3)
+        y = 50 + 3 * np.sin(2 * np.pi * t / 24) + np.cos(2 * np.pi * t / 168)
+        if kind == "seasons":
+            ts = hourly_series(y, seasons=[SeasonSpec("a/b", 24, mode="additive"),
+                                           SeasonSpec("a_b", 168, mode="additive")])
+            message = "ids 'a/b' and 'a_b' would both be exported as 'seasonal_a_b'"
+        else:
+            ts = hourly_series(y, seasons=[SeasonSpec("daily", 24, mode="additive")], dims=[
+                DimsSpec("a/b", "additive", 24, occurrences=(48,)),
+                DimsSpec("a_b", "additive", 24, occurrences=(200,)),
+            ])
+            message = "ids 'a/b' and 'a_b' would both be exported as 'dims_a_b'"
+        result = mstl(ts)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stlplot_export(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_no_dims_files_without_dims(self, tmp_path):
         result = mstl(sinusoid_fixture())

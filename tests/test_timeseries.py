@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwdims import DataError, DimsSpec, SeasonSpec, compute_recurrence, project_dims
-from hwdims.timeseries import slot_mean
+from hwdims.timeseries import slot_mean, write_csv
 
 from helpers import hourly_series
 
@@ -176,3 +176,15 @@ def test_slot_mean_matches_a_per_slot_loop(case):
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
     assert (got[np.bincount(slots[slots >= 0], minlength=size) == 0] == fallback).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+def test_write_csv_text_across_row_blocks(tmp_path, n):
+    # rows are joined in blocks; the text must not show where a block ends
+    keys = [str(i) for i in range(n)]
+    values = [repr(0.1 * i) for i in range(n)]
+    path = write_csv(tmp_path / "out.csv", "key,value", keys, iter(values))
+    assert path.read_text() == "key,value\n" + "".join(
+        f"{k},{v}\n" for k, v in zip(keys, values))
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "short.csv", "key,value", keys, values[:-1] + ["1", "2"])
