@@ -16,7 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -66,76 +66,79 @@ def _parse_timestamp(text: str, row: int) -> datetime:
     return stamp
 
 
+_TICK = timedelta(microseconds=1)  # the resolution of datetime
+
+
 def ingest(path) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free series.
 
-    Duplicate timestamps (clock-change repeats) are averaged; a single
-    missing step is filled by linear interpolation; longer gaps are
-    rejected. Timestamps must be ISO-8601 at a fixed nominal step.
+    Duplicate timestamps (clock-change repeats) are averaged. The step is
+    the most common gap between distinct timestamps, the shortest on a tie;
+    a gap that is not a whole number of steps is rejected. A single missing
+    step is filled by linear interpolation; longer gaps are rejected.
+    Timestamps must be ISO-8601.
     """
-    rows: list[tuple[datetime, float]] = []
+    stamps: list[datetime] = []
+    values: list[float] = []
     for lineno, row in read_csv(path, "timestamp,value"):
-        stamp = _parse_timestamp(row[0], lineno)
+        stamps.append(_parse_timestamp(row[0], lineno))
         try:
-            value = float(row[1])
+            values.append(float(row[1]))
         except ValueError as exc:
             raise DataError(f"row {lineno}: unparseable value {row[1]!r}") from exc
-        rows.append((stamp, value))
-    if len(rows) < 2:
+    if len(stamps) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
 
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur < prev:
-            raise DataError(f"non-monotone timestamps: {cur.isoformat()} after {prev.isoformat()}")
+    # Integer microseconds from the first stamp: numpy's own conversion of
+    # datetime objects is several times slower than this subtraction.
+    ticks = np.fromiter(((s - stamps[0]) // _TICK for s in stamps), np.int64, len(stamps))
+    diffs = np.diff(ticks)
+    back = np.flatnonzero(diffs < 0)
+    if back.size:
+        i = int(back[0])
+        raise DataError(f"non-monotone timestamps: {stamps[i + 1].isoformat()} "
+                        f"after {stamps[i].isoformat()}")
 
     # Average duplicate timestamps (daylight-saving fall-back produces them).
-    deduped: list[tuple[datetime, float]] = []
-    averaged = 0
-    i = 0
-    while i < len(rows):
-        j = i
-        total = 0.0
-        while j < len(rows) and rows[j][0] == rows[i][0]:
-            total += rows[j][1]
-            j += 1
-        if j - i > 1:
-            averaged += 1
-        deduped.append((rows[i][0], total / (j - i)))
-        i = j
+    # bincount adds each group from 0.0 in row order, as a running sum would.
+    starts = np.r_[True, diffs != 0]
+    first = np.flatnonzero(starts)
+    if first.size < 2:
+        raise DataError(f"{path}: need at least 2 distinct timestamps")
+    group = np.cumsum(starts) - 1
+    counts = np.bincount(group)
+    means = np.bincount(group, weights=values) / counts
 
-    diffs = [b[0] - a[0] for a, b in zip(deduped, deduped[1:])]
-    step = min(diffs)
-    if step <= timedelta(0):
-        raise DataError("could not infer a positive step")
+    gaps = diffs[diffs != 0]
+    lengths, freq = np.unique(gaps, return_counts=True)
+    step_ticks = lengths[np.argmax(freq)]
+    step = int(step_ticks) * _TICK
+    steps, rem = np.divmod(gaps, step_ticks)
+    bad = np.flatnonzero((rem != 0) | (steps > 2))
+    end = int(bad[0]) if bad.size else gaps.size
 
-    values = [deduped[0][1]]
-    interpolated = 0
-    for (prev_t, prev_v), (cur_t, cur_v) in zip(deduped, deduped[1:]):
-        gap = cur_t - prev_t
-        steps, rem = divmod(gap, step)
-        if rem:
+    holes = np.flatnonzero(steps[:end] == 2)
+    fills = (means[holes] + means[holes + 1]) / 2.0
+    for i, fill in zip(holes.tolist(), fills.tolist()):
+        log.warning("missing step at %s interpolated as %s",
+                    (stamps[first[i]] + step).isoformat(), fill)
+    if end < gaps.size:
+        prev_t, cur_t = stamps[first[end]], stamps[first[end + 1]]
+        if rem[end]:
             raise DataError(
                 f"timestamp {cur_t.isoformat()} is not a whole number of steps "
                 f"after {prev_t.isoformat()} (step {step})"
             )
-        if steps > 2:
-            raise DataError(
-                f"gap of {steps - 1} missing steps between {prev_t.isoformat()} "
-                f"and {cur_t.isoformat()}; at most one consecutive missing step is filled"
-            )
-        if steps == 2:
-            values.append((prev_v + cur_v) / 2.0)
-            interpolated += 1
-            log.warning(
-                "missing step at %s interpolated as %s",
-                (prev_t + step).isoformat(), (prev_v + cur_v) / 2.0,
-            )
-        values.append(cur_v)
+        raise DataError(
+            f"gap of {steps[end] - 1} missing steps between {prev_t.isoformat()} "
+            f"and {cur_t.isoformat()}; at most one consecutive missing step is filled"
+        )
+    averaged = np.count_nonzero(counts > 1)
     if averaged:
         log.warning("averaged %d duplicated timestamp(s)", averaged)
-    if interpolated:
-        log.warning("interpolated %d missing step(s)", interpolated)
-    return TimeSeries(values=np.array(values), step=step, start=deduped[0][0])
+    if holes.size:
+        log.warning("interpolated %d missing step(s)", holes.size)
+    return TimeSeries(values=np.insert(means, holes + 1, fills), step=step, start=stamps[0])
 
 
 def read_calendar_csv(path) -> list[CalendarEvent]:
@@ -174,12 +177,7 @@ class RunConfig:
     trend: str = "additive"
     damping: bool = False
     ar: bool = False
-    algorithm: str = "nelder_mead"
-    objective: str = "rmse"
-    max_evals: int = 2000
-    tolerance: float = 1e-8
-    restarts: int = 3
-    rng_seed: int = 0
+    optim: OptimConfig = field(default_factory=OptimConfig)
     horizon: int = 24
     first_origin: int | None = None
     origin_step: int | None = None
@@ -191,15 +189,13 @@ class RunConfig:
             ar_adjustment_enabled=self.ar,
         )
 
-    def optim_config(self) -> OptimConfig:
-        try:
-            return OptimConfig(
-                algorithm=self.algorithm, objective=self.objective,
-                max_evals=self.max_evals, tolerance=self.tolerance,
-                restarts=self.restarts, rng_seed=self.rng_seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+
+def _search_config(base: OptimConfig = OptimConfig(), **changes) -> OptimConfig:
+    """``base`` with ``changes``; a search setting out of range is a usage error."""
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 _FLAGS = {"on": True, "off": False, "true": True, "false": False}
@@ -268,9 +264,9 @@ def parse_config(path) -> RunConfig:
     if "data" not in values:
         raise UsageError(f"{path}: missing required key 'data'")
 
-    cfg = RunConfig(data=(base / values.pop("data")).resolve(), seasons=seasons, dims=dims)
+    settings = {"data": (base / values.pop("data")).resolve()}
     if "calendar" in values:
-        cfg.calendar = (base / values.pop("calendar")).resolve()
+        settings["calendar"] = (base / values.pop("calendar")).resolve()
 
     def take(key, conv, allowed=None):
         if key in values:
@@ -279,7 +275,7 @@ def parse_config(path) -> RunConfig:
                 raise UsageError(f"{path}: bad value {raw!r} for {key!r}, "
                                  f"expected one of {', '.join(allowed)}")
             try:
-                setattr(cfg, key, conv(raw))
+                settings[key] = conv(raw)
             except (ValueError, KeyError):
                 raise UsageError(f"{path}: bad value {raw!r} for {key!r}") from None
 
@@ -299,9 +295,10 @@ def parse_config(path) -> RunConfig:
     if values:
         raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(values))}")
     for key in ("horizon", "first_origin", "origin_step"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+        if settings.get(key, 1) < 1:
             raise UsageError(f"{path}: {key} must be >= 1")
-    return cfg
+    search = {f.name: settings.pop(f.name) for f in fields(OptimConfig) if f.name in settings}
+    return RunConfig(seasons=seasons, dims=dims, optim=_search_config(**search), **settings)
 
 
 def load_series(cfg: RunConfig) -> TimeSeries:
@@ -420,6 +417,9 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     params = _from_json(SmoothingParams, _json_field(doc, "params", dict))
     seasons = [_from_json(SeasonSpec, s) for s in _json_field(doc, "seasons", list)]
     dims = [_from_json(DimsSpec, d) for d in _json_field(doc, "dims", list)]
+    if spec.season_modes != tuple(s.mode for s in seasons) \
+            or spec.dims_modes != tuple(d.mode for d in dims):
+        raise DataError("artifact spec modes do not match its seasons and dims")
     raw = _json_field(doc, "state", dict)
     state = ModelState(
         level=_json_field(raw, "level", float, "artifact state"),
@@ -438,7 +438,7 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
 
 def _fit(ts: TimeSeries, cfg: RunConfig):
     spec = cfg.model_spec(ts)
-    params, fit = find_params(ts, spec, cfg.optim_config())
+    params, fit = find_params(ts, spec, cfg.optim)
     return spec, params, fit
 
 
@@ -508,10 +508,10 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
         # between it and the last origin must not wait for the whole search.
         last_origin = rolling_origins(len(ts), cfg.first_origin, step, cfg.horizon)[-1]
         check_observations(ts, spec, last_origin)
-        params, _fit_res = find_params(ts.prefix(cfg.first_origin), spec, cfg.optim_config())
+        params, _fit_res = find_params(ts.prefix(cfg.first_origin), spec, cfg.optim)
     grid = mforecast(
         ts, spec, first_origin=cfg.first_origin, step=step, horizon=cfg.horizon,
-        policy=cfg.policy, params=params, optim_config=cfg.optim_config(),
+        policy=cfg.policy, params=params, optim_config=cfg.optim,
     )
     grid_to_csv(grid, ts, out / "grid.csv")
     _write_json(out / "summary.json", {
@@ -566,8 +566,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.rng_seed = args.seed
-        cfg.optim_config()  # out-of-range search settings fail before any data is read
+            cfg.optim = _search_config(cfg.optim, rng_seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "fit":
@@ -584,9 +583,6 @@ def main(argv=None) -> int:
     except FitInfeasibleError as exc:
         print(f"fit infeasible: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

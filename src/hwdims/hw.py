@@ -207,9 +207,11 @@ def _check_consistency(ts: TimeSeries, spec: ModelSpec, params: SmoothingParams,
         raise ValueError("spec season_modes do not match series seasons")
     if len(spec.dims_modes) != len(ts.dims):
         raise ValueError("spec dims_modes do not match series dims")
-    for s, mode in zip(ts.seasons, spec.season_modes):
-        if s.mode != mode:
-            raise ValueError(f"season {s.id!r}: spec mode {mode!r} != series mode {s.mode!r}")
+    for kind, components, modes in (("season", ts.seasons, spec.season_modes),
+                                    ("dims", ts.dims, spec.dims_modes)):
+        for c, mode in zip(components, modes):
+            if c.mode != mode:
+                raise ValueError(f"{kind} {c.id!r}: spec mode {mode!r} != series mode {c.mode!r}")
     if len(params.deltas) != len(ts.seasons):
         raise ValueError(f"expected {len(ts.seasons)} seasonal deltas, got {len(params.deltas)}")
     if len(params.deltas_dims) != len(ts.dims):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hwdims import (
@@ -18,10 +19,11 @@ from hwdims import (
 )
 from hwdims import cli
 from hwdims.cli import (
-    cmd_forecast, ingest, load_artifact, main, parse_config, read_calendar_csv, save_artifact,
+    _parse_timestamp, cmd_forecast, ingest, load_artifact, main, parse_config, read_calendar_csv,
+    save_artifact,
 )
 from hwdims.hw import TREND_KINDS
-from hwdims.timeseries import MODES
+from hwdims.timeseries import MODES, TimeSeries, read_csv
 
 from helpers import hourly_series, smooth_daily_pattern
 
@@ -39,7 +41,160 @@ def write_hourly_csv(path, values, start=datetime(2023, 1, 2), skip=(), dup=()):
                 fh.write(f"{stamp},{v + 2.0}\n")
 
 
+# The reference logs through the CLI's logger, so its warnings compare one for one.
+log = cli.log
+
+
+def reference_ingest(path) -> TimeSeries:
+    """Read a ``timestamp,value`` CSV into a gap-free series.
+
+    Duplicate timestamps (clock-change repeats) are averaged; a single
+    missing step is filled by linear interpolation; longer gaps are
+    rejected. Timestamps must be ISO-8601 at a fixed nominal step.
+    """
+    rows: list[tuple[datetime, float]] = []
+    for lineno, row in read_csv(path, "timestamp,value"):
+        stamp = _parse_timestamp(row[0], lineno)
+        try:
+            value = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"row {lineno}: unparseable value {row[1]!r}") from exc
+        rows.append((stamp, value))
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 data rows")
+
+    for (prev, _), (cur, _) in zip(rows, rows[1:]):
+        if cur < prev:
+            raise DataError(f"non-monotone timestamps: {cur.isoformat()} after {prev.isoformat()}")
+
+    # Average duplicate timestamps (daylight-saving fall-back produces them).
+    deduped: list[tuple[datetime, float]] = []
+    averaged = 0
+    i = 0
+    while i < len(rows):
+        j = i
+        total = 0.0
+        while j < len(rows) and rows[j][0] == rows[i][0]:
+            total += rows[j][1]
+            j += 1
+        if j - i > 1:
+            averaged += 1
+        deduped.append((rows[i][0], total / (j - i)))
+        i = j
+
+    diffs = [b[0] - a[0] for a, b in zip(deduped, deduped[1:])]
+    step = min(diffs)
+    if step <= timedelta(0):
+        raise DataError("could not infer a positive step")
+
+    values = [deduped[0][1]]
+    interpolated = 0
+    for (prev_t, prev_v), (cur_t, cur_v) in zip(deduped, deduped[1:]):
+        gap = cur_t - prev_t
+        steps, rem = divmod(gap, step)
+        if rem:
+            raise DataError(
+                f"timestamp {cur_t.isoformat()} is not a whole number of steps "
+                f"after {prev_t.isoformat()} (step {step})"
+            )
+        if steps > 2:
+            raise DataError(
+                f"gap of {steps - 1} missing steps between {prev_t.isoformat()} "
+                f"and {cur_t.isoformat()}; at most one consecutive missing step is filled"
+            )
+        if steps == 2:
+            values.append((prev_v + cur_v) / 2.0)
+            interpolated += 1
+            log.warning(
+                "missing step at %s interpolated as %s",
+                (prev_t + step).isoformat(), (prev_v + cur_v) / 2.0,
+            )
+        values.append(cur_v)
+    if averaged:
+        log.warning("averaged %d duplicated timestamp(s)", averaged)
+    if interpolated:
+        log.warning("interpolated %d missing step(s)", interpolated)
+    return TimeSeries(values=np.array(values), step=step, start=deduped[0][0])
+
+
+def ingest_outcome(reader, path):
+    """What ``reader`` makes of ``path`` (the value bits, step and start, or
+    the :class:`DataError` message) and the warnings it logs, in order."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    cli.log.addHandler(handler)
+    try:
+        ts = reader(path)
+        result = (ts.values.tobytes(), ts.step, ts.start)
+    except DataError as exc:
+        result = str(exc)
+    finally:
+        cli.log.removeHandler(handler)
+    return result, [r.getMessage() for r in records]
+
+
+@st.composite
+def hourly_files(draw):
+    """Data lines of an hourly file on the grid from 2023-01-02: repeated
+    timestamps (repeated rows and -0.0 among them), single and adjacent
+    missing hours, stamps in UTC with ``Z``, ``+01:00`` or no suffix, and
+    at times two neighbouring rows swapped. At most a third of the gaps are
+    longer than an hour, so the most common gap is the shortest one."""
+    n = draw(st.integers(2, 40))
+    holes = draw(st.sets(st.integers(1, n - 2), max_size=(n - 1) // 3)) if n > 2 else set()
+    value = st.one_of(st.sampled_from([0.0, -0.0, 2.5]), st.floats(-1e6, 1e6))
+    lines = []
+    for i in sorted(set(range(n)) - holes):
+        stamp = datetime(2023, 1, 2) + timedelta(hours=i)
+        for v in draw(st.lists(value, min_size=1, max_size=3)):
+            suffix = draw(st.sampled_from(["", "Z", "+01:00"]))
+            local = stamp + timedelta(hours=1) if suffix == "+01:00" else stamp
+            lines.append(f"{local.isoformat()}{suffix},{v!r}")
+    if draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, len(lines) - 2))
+        lines[j], lines[j + 1] = lines[j + 1], lines[j]
+    return lines
+
+
 class TestIngest:
+    @given(hourly_files())
+    @example(["2023-01-02T00:00:00,-0.0", "2023-01-02T01:00:00,1.0"])
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_row_loop(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("ingest") / "d.csv"
+        path.write_text("timestamp,value\n" + "".join(line + "\n" for line in lines))
+        assert ingest_outcome(ingest, path) == ingest_outcome(reference_ingest, path)
+
+    def test_off_grid_row_is_a_data_error(self, tmp_path, capsys):
+        # One half-hour row among hourly ones must not halve the step.
+        path = tmp_path / "d.csv"
+        write_hourly_csv(path, np.arange(48.0))
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(12, "2023-01-02T10:30:00,10.5\n")  # after 10:00
+        path.write_text("".join(lines))
+        message = ("timestamp 2023-01-02T10:30:00 is not a whole number of steps "
+                   "after 2023-01-02T10:00:00 (step 1:00:00)")
+        with pytest.raises(DataError, match=re.escape(message)):
+            ingest(path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = d.csv\nseason = 24 multiplicative ratio_to_ma\n")
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_step_is_the_shortest_of_equally_common_gaps(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_hourly_csv(path, [1.0, 2.0, 3.0, 4.0], skip=(2,))  # gaps of 1 h and 2 h
+        ts = ingest(path)
+        assert ts.step == timedelta(hours=1)
+        assert ts.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_one_distinct_timestamp_is_a_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,value\n" + "2023-01-02T00:00:00,1\n" * 3)
+        with pytest.raises(DataError, match="need at least 2 distinct timestamps"):
+            ingest(path)
+
     def test_clean_series(self, tmp_path):
         path = tmp_path / "d.csv"
         write_hourly_csv(path, np.arange(48.0))
@@ -192,7 +347,7 @@ class TestConfig:
         assert [s.id for s in cfg.seasons] == ["daily", "weekly"]
         assert cfg.dims[0].group == "Holidays"
         assert cfg.ar is True and cfg.damping is False
-        assert cfg.max_evals == 500
+        assert cfg.optim.max_evals == 500
         assert cfg.first_origin == 336
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -431,6 +586,24 @@ class TestCommands:
             path.write_text(json.dumps(doc))
             with pytest.raises(DataError,
                                match=f"artifact state {key} {sid} must be a list of {size} numbers"):
+                load_artifact(path)
+
+    @pytest.mark.parametrize("key", ["season_modes", "dims_modes"])
+    def test_artifact_spec_modes_must_match_its_components(self, tmp_path, key):
+        # forecast reads the spec's modes; they must be the ones the state was fitted in
+        ts = hourly_series(np.full(96, 100.0),
+                           seasons=[SeasonSpec("daily", 24, mode="multiplicative")],
+                           dims=[DimsSpec("event", "multiplicative", 4, occurrences=(30,))])
+        state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)},
+                           dims={"event": np.ones(4)})
+        params = SmoothingParams(alpha=0.5, deltas=(0.1,), deltas_dims=(0.1,))
+        path = tmp_path / "model.json"
+        save_artifact(path, ts, ModelSpec.for_series(ts), params, state, 1.0)
+        doc = json.loads(path.read_text())
+        for modes in (["additive"], ["multiplicative"] * 2, []):
+            doc["spec"][key] = modes
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match="artifact spec modes do not match"):
                 load_artifact(path)
 
     def test_artifact_preserves_mixed_mode_season_order(self, tmp_path):

@@ -79,6 +79,19 @@ class TestEngineConsistencyChecks:
         with pytest.raises(ValueError, match="mode"):
             smooth_pass(ts, spec, SmoothingParams(alpha=0.1, deltas=(0.1,)), seeds)
 
+    def test_dims_mode_mismatch(self):
+        # forecast reads the spec's mode, so a pass in the series' mode
+        # would fit one model and forecast another
+        ts = self.series().add_dims(DimsSpec("event", "multiplicative", 4, occurrences=(30,)))
+        spec = ModelSpec.for_series(ts)
+        seeds = init_values(ts, spec)
+        wrong = ModelSpec(trend="additive", season_modes=spec.season_modes,
+                          dims_modes=("additive",))
+        params = SmoothingParams(alpha=0.1, deltas=(0.1,), deltas_dims=(0.1,))
+        with pytest.raises(ValueError, match="dims 'event': spec mode 'additive' "
+                                             "!= series mode 'multiplicative'"):
+            smooth_pass(ts, wrong, params, seeds)
+
     def test_missing_seed_ring(self):
         ts = self.series()
         spec = ModelSpec.for_series(ts)
