@@ -462,7 +462,6 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
-    ts = load_series(cfg)
     if model_path is not None:
         spec, params, state, dims_specs, _doc = load_artifact(model_path)
         projection_source = tuple(dims_specs)
@@ -471,6 +470,7 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
         start = datetime.fromisoformat(_json_field(series, "start", str, "artifact series"))
         step = timedelta(seconds=_json_field(series, "step_seconds", float, "artifact series"))
     else:
+        ts = load_series(cfg)
         spec, params, fit = _fit(ts, cfg)
         state = fit.final_state
         projection_source = ts.dims

@@ -18,22 +18,28 @@ Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
 multiplicative decomposition should log-transform first.
 
-Every smoother is a degree-1 Loess fit with tricube weights, on one of three
-paths. Interior windows that touch no excluded point are a single
-convolution. Interior windows that touch an excluded block but keep one of
-their end points keep the full bandwidth, so they are fitted from five
-correlations of the kept mask and the kept values with the kernel moments
-(:func:`_moment_fits`), behind a conditioning guard. All other fits (series
-edges, windows whose end points are both excluded, windows the guard turns
-away, and every point of the cycle-subseries with their one-cycle
-extensions) are exact weighted fits, solved in batches by :func:`_fit_grid`.
-The scalar :func:`_fit_point` defines every fit: it is the reference the
-other paths are tested against, and the fallback for a window whose points
-are all excluded.
+Every smoother is a degree-1 Loess fit with tricube weights. What a
+smoother needs that depends only on its shape, window and mask (the route
+of each fit, the mask's kernel moments, the nearest kept points of windows
+that keep none) is its plan, built once by :func:`_plan` and kept in a
+small memo, so the passes of one decomposition, which repeat each smoother
+with one mask, reuse it. The trend and low-pass smoothers are plans over
+one row; the cycle-subseries smoother is one plan over the stacked
+subseries, fitted one point past both ends. Interior windows that touch no
+excluded point are a single convolution. Interior windows that touch an
+excluded block but keep one of their end points keep the full bandwidth,
+so they are fitted from the correlations of the kept values with the
+kernel and its first moment, and two coefficients per window from the kept
+mask's moments, behind a conditioning guard. All other fits (the row ends,
+windows whose end points are both excluded, windows the guard turns away)
+are exact weighted fits, with the nearest kept points standing in for a
+window that keeps none. The scalar :func:`_fit_point` defines every fit: it
+is the reference the other routes are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -42,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import DataError, TimeSeries, slot_mean, write_csv
+from .timeseries import DataError, TimeSeries, iso_stamps, slot_mean, write_csv
 
 
 # STL inner-loop passes per seasonal extraction (Cleveland et al. 1990).
@@ -85,20 +91,19 @@ def _odd_at_least(x: float) -> int:
     return w if w % 2 == 1 else w + 1
 
 
-# Elements of one gathered (rows, points, window) block in _fit_grid. At
-# 128 KiB per float array the block's temporaries stay near 1 MB, while the
-# per-block numpy overhead stays small next to the arithmetic.
-_GATHER_BLOCK = 1 << 14
+# Elements of one gathered (fits, window) block of exact fits. At 64 KiB per
+# float array the block's temporaries stay near 0.5 MB, while the per-block
+# numpy overhead stays small next to the arithmetic.
+_GATHER_BLOCK = 1 << 13
+
+# Smoother plans kept by _plan; one mstl uses six (two trend windows, two
+# cycle-subseries smoothers and two low-pass windows).
+_PLANS = 16
 
 
 def _fit_point(y: np.ndarray, x0: float, window: int,
-               excluded: np.ndarray | None = None,
-               kept_idx: np.ndarray | None = None) -> float:
-    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points.
-
-    ``kept_idx``, when given, is ``np.flatnonzero(~excluded)``, so that a
-    caller fitting many points of one row computes it once.
-    """
+               excluded: np.ndarray | None = None) -> float:
+    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points."""
     n = len(y)
     if window >= n:
         lo, hi = 0, n
@@ -112,7 +117,7 @@ def _fit_point(y: np.ndarray, x0: float, window: int,
         if kept.size == 0:
             # the nearest `window` kept points lie within `window` of x0's
             # insertion point among them
-            kept = np.flatnonzero(~excluded) if kept_idx is None else kept_idx
+            kept = np.flatnonzero(~excluded)
             p = int(np.searchsorted(kept, x0))
             kept = kept[max(p - window, 0):p + window]
             order = np.argsort(np.abs(kept - x0), kind="stable")
@@ -138,77 +143,131 @@ def _fit_point(y: np.ndarray, x0: float, window: int,
     return yb + slope * (x0 - xb)
 
 
-def _fit_grid(Y: np.ndarray, x0s, window: int,
-              excluded: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_fit_point` for every row of ``Y`` (k, L) at every coordinate of
-    ``x0s``, returned as a (k, len(x0s)) array.
+def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+    """Weights of :func:`_fit_point`'s fit at offset 0 from points at the signed
+    offsets ``d`` (b, w), of which ``kept`` marks those that count (every one
+    when ``None``; each row keeps at least one): the fit is the dot product of
+    a row of weights with the values at those points.
 
-    Each fit is one row of a gathered (k, points, window) block with masked
-    tricube weights: the window placement, the bandwidth (the largest distance
-    over the kept points of that row) and the degenerate branches are those of
-    :func:`_fit_point`, which still handles any (row, x0) whose window keeps no
-    point. ``excluded`` is a (k, L) mask or ``None``.
+    The bandwidth is the largest kept distance. The degenerate branches are
+    those of :func:`_fit_point`: a single kept point at offset 0 gives its
+    value, zero total weight the mean of the kept values.
     """
-    k, n = Y.shape
+    dist = np.abs(d)
+    h = (dist if kept is None else np.where(kept, dist, 0.0)).max(axis=1)
+    # tricube weights (1 - u^3)^3, zero beyond the bandwidth and off the mask
+    u = dist / np.where(h > 0.0, h, 1.0)[:, None]
+    wts = u * u
+    wts *= u
+    np.subtract(1.0, wts, out=wts)
+    np.maximum(wts, 0.0, out=wts)
+    np.multiply(wts, wts, out=u)
+    wts *= u
+    if kept is not None:
+        wts *= kept
+    sw = wts.sum(axis=1)
+    unweighted = sw <= 0.0
+    if unweighted.any():
+        wts[unweighted] = 1.0 if kept is None else kept[unweighted]
+        sw = wts.sum(axis=1)
+    # fit = yb - db * sxy / sxx, with yb and sxy linear in the values
+    db = np.einsum("bw,bw->b", wts, d) / sw
+    dc = d - db[:, None]
+    sxx = np.einsum("bw,bw,bw->b", wts, dc, dc)
+    flat = (sxx <= 1e-12 * np.maximum(h * h, 1.0)) | unweighted
+    slope = np.divide(db, sxx, out=np.zeros_like(sxx), where=~flat)
+    dc *= slope[:, None]
+    np.subtract((1.0 / sw)[:, None], dc, out=dc)
+    wts *= dc
+    return wts
+
+
+def _kept_mask(excluded: np.ndarray | None) -> np.ndarray | None:
+    """The kept points of a (k, L) ``excluded`` mask, ``None`` when every point
+    is kept. A row with every point excluded keeps them all: :func:`_fit_point`
+    fits it unmasked."""
+    if excluded is None:
+        return None
+    kept = ~excluded
+    kept[~kept.any(axis=1)] = True
+    return None if kept.all() else kept
+
+
+@dataclass(frozen=True, eq=False)
+class _ExactFits:
+    """Exact fits (those of :func:`_fit_point`) in a (k, L) matrix, with what
+    depends only on the kept mask worked out once. Positions are flat: row
+    times L plus the position in the row.
+
+    Fit ``i`` is at the coordinate ``x0[i]``. A ``near`` fit reads the
+    ``width`` points from ``start[i]``, its window, of which ``kept`` marks
+    those that count. A ``far`` fit, whose window keeps no point, reads the
+    nearest kept points of its row instead: ``far_idx``, padded to the
+    window, with ``far_kept`` marking the real entries.
+    """
+
+    x0: np.ndarray
+    start: np.ndarray
+    width: int
+    kept: np.ndarray | None
+    near: np.ndarray
+    far: np.ndarray
+    far_idx: np.ndarray
+    far_kept: np.ndarray
+
+    def fit(self, Y: np.ndarray) -> np.ndarray:
+        """The fits of the rows of ``Y``, in the order they were planned."""
+        values = Y.reshape(-1)
+        out = np.empty(len(self.x0))
+        span = np.arange(self.width)
+        step = max(1, _GATHER_BLOCK // self.width)
+        for a in range(0, len(self.near), step):
+            at = self.near[a:a + step]
+            idx = self.start[at, None] + span
+            kept = None if self.kept is None else self.kept[idx]
+            wts = _tricube_weights(idx - self.x0[at, None], kept)
+            out[at] = np.einsum("bw,bw->b", wts, values[idx])
+        if len(self.far):
+            wts = _tricube_weights(self.far_idx - self.x0[self.far, None], self.far_kept)
+            out[self.far] = np.einsum("bw,bw->b", wts, values[self.far_idx])
+        return out
+
+
+def _exact_fits(kept: np.ndarray | None, rows, x0s, window: int, length: int) -> _ExactFits:
+    """Plan the exact fits of window ``window`` at the coordinates ``x0s`` of
+    the ``rows`` of a matrix with rows of ``length`` points and the kept mask
+    ``kept`` (see :func:`_kept_mask`)."""
+    rows = np.asarray(rows, dtype=np.int64)
     x0s = np.asarray(x0s, dtype=float)
-    w = min(window, n)
-    if window >= n:
-        lo = np.zeros(len(x0s), dtype=np.int64)
+    if window >= length:
+        width, lo = length, np.zeros(len(x0s), dtype=np.int64)
     else:
-        half = (window - 1) // 2
-        lo = np.clip(np.floor(x0s).astype(np.int64) - half, 0, n - window)
-    out = np.empty((k, len(x0s)))
-    span = np.arange(w)
-    kept_all = None if excluded is None else ~excluded
-    kept_idx = {}  # row -> its kept indices, for the empty-window fallback
-    step = max(1, _GATHER_BLOCK // (k * w))
-    for a in range(0, len(x0s), step):
-        x0 = x0s[a:a + step]
-        idx = lo[a:a + step, None] + span                   # (b, w)
-        d = idx - x0[:, None]                               # signed offsets
-        dist = np.abs(d)
-        vals = Y[:, idx]                                    # (k, b, w)
-        if kept_all is None:
-            kept = None
-            h = np.broadcast_to(dist.max(axis=1), (k, len(x0)))
-        else:
-            kept = kept_all[:, idx]
-            h = np.where(kept, dist, -1.0).max(axis=2)      # -1: nothing kept
-        # tricube weights (1 - u^3)^3, zero beyond the bandwidth and off the mask
-        u = dist / np.where(h > 0.0, h, 1.0)[..., None]
-        wts = u * u
-        wts *= u
-        np.subtract(1.0, wts, out=wts)
-        np.maximum(wts, 0.0, out=wts)
-        np.multiply(wts, wts, out=u)
-        wts *= u
-        if kept is not None:
-            wts *= kept
-        sw = wts.sum(axis=2)
-        safe_sw = np.where(sw > 0.0, sw, 1.0)
-        db = np.einsum("kbw,bw->kb", wts, d) / safe_sw
-        yb = np.einsum("kbw,kbw->kb", wts, vals) / safe_sw
-        dc = d - db[..., None]
-        wts *= dc
-        sxx = np.einsum("kbw,kbw->kb", wts, dc)
-        vals -= yb[..., None]
-        sxy = np.einsum("kbw,kbw->kb", wts, vals)
-        flat = sxx <= 1e-12 * np.maximum(h * h, 1.0)
-        fit = yb - np.divide(sxy, sxx, out=np.zeros_like(sxx), where=~flat) * db
-        out[:, a:a + step] = fit
-        # degenerate fits, as in _fit_point: one point at x0 gives its value,
-        # zero total weight the mean of the kept values, an empty window the
-        # scalar fallback
-        for r, j in zip(*np.nonzero((sw <= 0.0) | (h <= 0.0))):
-            if h[r, j] < 0.0:
-                if r not in kept_idx:
-                    kept_idx[r] = np.flatnonzero(kept_all[r])
-                out[r, a + j] = _fit_point(Y[r], float(x0[j]), window, excluded[r],
-                                           kept_idx[r])
-                continue
-            row = Y[r, idx[j]] if kept is None else Y[r, idx[j]][kept[r, j]]
-            out[r, a + j] = row[0] if h[r, j] == 0.0 else row.mean()
-    return out
+        width = window
+        lo = np.clip(np.floor(x0s).astype(np.int64) - (window - 1) // 2, 0, length - window)
+    far = np.zeros(0, dtype=np.int64)
+    if kept is not None:
+        counts = np.zeros((len(kept), length + 1), dtype=np.int64)
+        np.cumsum(kept, axis=1, out=counts[:, 1:])
+        far = np.flatnonzero(counts[rows, lo + width] == counts[rows, lo])
+    far_idx = np.zeros((len(far), window), dtype=np.int64)
+    far_kept = np.zeros((len(far), window), dtype=bool)
+    kept_idx = {}  # row -> its kept indices
+    for j, f in enumerate(far):
+        r, x0 = rows[f], x0s[f]
+        if r not in kept_idx:
+            kept_idx[r] = np.flatnonzero(kept[r])
+        # as in _fit_point: the nearest `window` kept points, ties to the lower index
+        idx = kept_idx[r]
+        p = int(np.searchsorted(idx, x0))
+        idx = idx[max(p - window, 0):p + window]
+        idx = idx[np.argsort(np.abs(idx - x0), kind="stable")[:window]]
+        far_idx[j, :len(idx)] = r * length + idx
+        far_kept[j, :len(idx)] = True
+    near = np.ones(len(x0s), dtype=bool)
+    near[far] = False
+    base = rows * length
+    return _ExactFits(base + x0s, base + lo, width, None if kept is None else kept.reshape(-1),
+                      np.flatnonzero(near), far, far_idx, far_kept)
 
 
 # A masked window's moment fit is kept only when the centred second moment
@@ -218,31 +277,113 @@ def _fit_grid(Y: np.ndarray, x0s, window: int,
 _MOMENT_GUARD = 0.1
 
 
-def _moment_fits(y: np.ndarray, kept: np.ndarray, kernel: np.ndarray,
-                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-1 fits at the interior positions ``pos`` with the tricube
-    ``kernel`` times the ``kept`` mask as weights, from five correlations:
-    the mask against K, K·d and K·d² (S0, S1, S2) and the kept values against
-    K and K·d (T0, T1), d being the offset from the fitted position.
+def _correlate(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Valid correlations of each row of the (k, L) ``rows`` with each column
+    of the (w, c) ``kernels``, as a (c, k, L - w + 1) array."""
+    if len(rows) == 1:
+        # one long row: numpy's correlate, since the windowed product below
+        # would copy its L x w windows
+        out = np.empty((kernels.shape[1], 1, rows.shape[1] - len(kernels) + 1))
+        for v, o in zip(kernels.T, out):
+            o[0] = np.correlate(rows[0], v, "valid")
+        return out
+    windows = np.lib.stride_tricks.sliding_window_view(rows, len(kernels), axis=1)
+    return np.moveaxis(windows @ kernels, -1, 0).copy()
 
-    Returns the fits and a mask of those that pass the conditioning guard
-    (``S0 > 0`` and ``sxx > _MOMENT_GUARD * S2``); the others are not valid.
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a Loess smoother of one window over a (k, L) matrix, fitted at the
+    coordinates -ext..L-1+ext of each row, needs that depends only on the
+    shape, the window and the mask (see :func:`_plan`).
+
+    The interior columns ``half..L-1-half`` are the correlations of the kept
+    values with ``kernels``: the tricube kernel K, and with a mask also K·d
+    (d the offset). There a window that keeps every point is the first
+    correlation T0 (the convolution), and each flat interior position in
+    ``moment_at`` is ``A·T0 - B·T1`` with (A, B) from ``moment_coef``. Every
+    other output (flat positions ``exact_at``) is an exact fit.
     """
-    half = len(kernel) // 2
-    lo, hi = pos[0] - half, pos[-1] + half + 1   # the span the fits read
-    d = np.arange(-half, half + 1, dtype=float)
-    kd = kernel * d
-    k = kept[lo:hi].astype(float)
-    yk = np.where(kept[lo:hi], y[lo:hi], 0.0)
-    at = pos - pos[0]
-    s0, s1, s2 = (np.correlate(k, v, "valid")[at] for v in (kernel, kd, kd * d))
-    t0, t1 = (np.correlate(yk, v, "valid")[at] for v in (kernel, kd))
-    ok = s0 > 0.0
-    s0 = np.where(ok, s0, 1.0)
-    db, yb = s1 / s0, t0 / s0
-    sxx = s2 - s1 * db
-    ok &= sxx > _MOMENT_GUARD * s2
-    return yb - (t1 - s1 * yb) / np.where(ok, sxx, 1.0) * db, ok
+
+    ext: int
+    half: int
+    kernels: np.ndarray | None
+    kept: np.ndarray | None
+    moment_at: np.ndarray
+    moment_coef: np.ndarray
+    exact_at: np.ndarray
+    exact: _ExactFits
+
+    def fit(self, Y: np.ndarray) -> np.ndarray:
+        """The smoothed (k, L + 2·ext) values of the (k, L) ``Y``."""
+        k, n = Y.shape
+        out = np.empty((k, n + 2 * self.ext))
+        if self.kernels is not None:
+            t = _correlate(Y if self.kept is None else np.where(self.kept, Y, 0.0), self.kernels)
+            if len(self.moment_at):
+                at = self.moment_at
+                a, b = self.moment_coef
+                t0 = t[0].reshape(-1)
+                t0[at] = a * t0[at] - b * t[1].reshape(-1)[at]
+            out[:, self.ext + self.half:self.ext + n - self.half] = t[0]
+        out.reshape(-1)[self.exact_at] = self.exact.fit(Y)
+        return out
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes | None) -> _Plan:
+    """The plan of the smoother of odd ``window`` over a ``shape`` (k, L)
+    matrix, fitted at -ext..L-1+ext, with the points of ``mask`` (the bytes of
+    a (k, L) bool array, or ``None``) excluded.
+
+    Each fit takes one of three routes. An interior window that keeps every
+    point is a convolution. An interior window that excludes a point but keeps
+    one of its two end points keeps the full bandwidth, so its weights are the
+    kernel times the kept mask: it is fitted from the correlations T0 and T1
+    of the kept values with K and K·d, and the correlations S0, S1, S2 of the
+    kept mask with K, K·d and K·d², worked out here, give its two
+    coefficients, unless the conditioning guard (``S0 > 0`` and
+    ``sxx > _MOMENT_GUARD * S2``) turns it away. Every other fit (the row
+    ends, windows that keep neither end point, guarded windows, and every fit
+    when the window is longer than a row) is exact, planned by
+    :func:`_exact_fits`.
+    """
+    k, n = shape
+    half = window // 2
+    kept = None if mask is None else _kept_mask(np.frombuffer(mask, bool).reshape(shape))
+    exact = np.ones((k, n + 2 * ext), dtype=bool)
+    kernels = None
+    moment_at = np.zeros(0, dtype=np.int64)
+    moment_coef = np.zeros((2, 0))
+    inner = n - 2 * half  # interior positions per row
+    if inner > 0:
+        d = np.arange(-half, half + 1, dtype=float)
+        kernel = np.clip(1.0 - (np.abs(d) / half) ** 3, 0.0, None) ** 3
+        kernel /= kernel.sum()
+        kernels = kernel[:, None]
+        interior = exact[:, ext + half:ext + n - half]
+        interior[:] = False
+        if kept is not None:
+            kernels = np.stack([kernel, kernel * d], axis=1)
+            counts = np.zeros((k, n + 1), dtype=np.int64)
+            np.cumsum(~kept, axis=1, out=counts[:, 1:])
+            touched = counts[:, window:] > counts[:, :inner]
+            candidates = np.flatnonzero(touched & (kept[:, :inner] | kept[:, 2 * half:]))
+            s0, s1, s2 = _correlate(kept.astype(float), np.stack(
+                [kernel, kernel * d, kernel * d * d], axis=1)).reshape(3, -1)[:, candidates]
+            ok = s0 > 0.0
+            s0[~ok] = 1.0
+            db = s1 / s0
+            sxx = s2 - s1 * db
+            ok &= sxx > _MOMENT_GUARD * s2
+            moment_at = candidates[ok]
+            db, sxx = db[ok], sxx[ok]
+            moment_coef = np.stack([(1.0 + s1[ok] * db / sxx) / s0[ok], db / sxx])
+            touched.reshape(-1)[moment_at] = False
+            interior[:] = touched
+    rows, cols = np.nonzero(exact)
+    return _Plan(ext, half, kernels, kept, moment_at, moment_coef, np.flatnonzero(exact),
+                 _exact_fits(kept, rows, cols - ext, window, n))
 
 
 def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarray:
@@ -250,62 +391,20 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
 
     ``excluded`` marks positions whose values must not influence the fit
     (they still receive a fitted value, interpolated from their neighbours).
-
-    Three fit paths:
-
-    * an interior window that touches no excluded point: one convolution
-      with the tricube kernel;
-    * an interior window that touches an excluded point but keeps one of its
-      two end points: its bandwidth is still half the window, so its weights
-      are the kernel times the kept mask, and :func:`_moment_fits` fits it
-      from five correlations with the kernel's moments;
-    * every other position (the series edges, a window whose two end points
-      are both excluded, and a moment fit that fails its conditioning
-      guard): the exact weighted fit, all of them in one batched
-      :func:`_fit_grid` call. A window whose points are all excluded falls
-      back to the scalar :func:`_fit_point`, which fits from the nearest kept
-      points instead.
+    The fits follow the routes of :func:`_plan`, whose plan is built once per
+    length, window and mask and reused by later calls.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n == 0:
         raise ValueError("empty input")
-    w = _odd_at_least(window)
+    mask = None
     if excluded is not None:
         excluded = np.asarray(excluded, dtype=bool)
         if excluded.all():
             raise ValueError("all positions excluded")
-        excluded = excluded[None, :] if excluded.any() else None
-
-    if w >= n:
-        return _fit_grid(y[None, :], np.arange(n), w, excluded)[0]
-
-    out = np.empty(n)
-    half = w // 2
-    offsets = np.arange(-half, half + 1)
-    u = np.abs(offsets) / half
-    kernel = np.clip(1.0 - u ** 3, 0.0, None) ** 3
-    kernel /= kernel.sum()
-    out[half:n - half] = np.convolve(y, kernel, mode="valid")
-
-    redo = np.zeros(n, dtype=bool)
-    redo[:half] = True
-    redo[n - half:] = True
-    if excluded is not None:
-        # windows overlapping an excluded point need the masked weights
-        touched = np.convolve(excluded[0].astype(float), np.ones(w), mode="same") > 0
-        kept = ~excluded[0]
-        end_kept = np.zeros(n, dtype=bool)
-        end_kept[half:n - half] = kept[:n - 2 * half] | kept[2 * half:]
-        moments = np.flatnonzero(touched & end_kept)
-        if moments.size:
-            fit, ok = _moment_fits(y, kept, kernel, moments)
-            out[moments[ok]] = fit[ok]
-            touched[moments[ok]] = False
-        redo |= touched
-    pos = np.flatnonzero(redo)
-    out[pos] = _fit_grid(y[None, :], pos, w, excluded)[0]
-    return out
+        mask = excluded.tobytes() if excluded.any() else None
+    return _plan((1, n), _odd_at_least(window), 0, mask).fit(y[None, :])[0]
 
 
 def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
@@ -317,8 +416,8 @@ def _subseries_smooth_extended(u: np.ndarray, s: int, window: int,
     """Smooth each cycle-subseries and extend it one cycle at both ends.
 
     Subseries of equal length are stacked into one matrix (``len(u) % s``
-    splits them into at most two lengths) and fitted at the coordinates
-    -1..m in one :func:`_fit_grid` call. A subseries with every point
+    splits them into at most two lengths) and smoothed at the coordinates
+    -1..m by one plan (see :func:`_plan`). A subseries with every point
     excluded is smoothed unmasked, since no event-free cycle exists for it.
     """
     n = len(u)
@@ -330,11 +429,8 @@ def _subseries_smooth_extended(u: np.ndarray, s: int, window: int,
             continue
         rows = np.arange(q0, q1)[:, None]
         pos = rows + s * np.arange(m)
-        mask = None
-        if excluded is not None:
-            mask = excluded[pos]
-            mask[mask.all(axis=1)] = False
-        ext[rows + s * np.arange(m + 2)] = _fit_grid(u[pos], np.arange(-1, m + 1), w, mask)
+        mask = None if excluded is None else excluded[pos].tobytes()
+        ext[rows + s * np.arange(m + 2)] = _plan(pos.shape, w, 1, mask).fit(u[pos])
     return ext
 
 
@@ -508,7 +604,7 @@ def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
     dims_names = panel_names("dims_", [d.id for d in ts.dims])
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
-    stamps = [t.isoformat() for t in ts.timestamps]
+    stamps = iso_stamps(ts.start, ts.step, len(ts))
     panels = [("original", ts.values), ("trend", result.trend)]
     panels += [(name, result.seasonals[s.id]) for name, s in zip(season_names, ts.seasons)]
     panels.append(("remainder", result.remainder))

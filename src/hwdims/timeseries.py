@@ -273,6 +273,25 @@ def read_csv(path, header: str):
 _CSV_BLOCK_ROWS = 1024
 
 
+def iso_stamps(start: datetime, step: timedelta, count: int) -> list[str]:
+    """``(start + i * step).isoformat()`` for every ``i < count``.
+
+    A naive ``start`` is formatted by numpy, one call per block of rows (one
+    call for the whole series would hold a wide fixed-width string array),
+    and the ``.000000`` that ``isoformat`` leaves out is stripped. An aware
+    one, whose offset numpy cannot show, goes through ``isoformat``.
+    """
+    if start.tzinfo is not None:
+        return [(start + i * step).isoformat() for i in range(count)]
+    first, delta = np.datetime64(start, "us"), np.timedelta64(step, "us")
+    stamps = []
+    for a in range(0, count, _CSV_BLOCK_ROWS):
+        block = first + delta * np.arange(a, min(a + _CSV_BLOCK_ROWS, count))
+        stamps += [s.removesuffix(".000000")
+                   for s in np.datetime_as_string(block, unit="us").tolist()]
+    return stamps
+
+
 def write_csv(path, header: str, *columns) -> Path:
     """Write ``header``, then one comma-joined row per position of the equally
     long ``columns`` of formatted fields; returns the path."""

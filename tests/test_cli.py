@@ -499,6 +499,20 @@ class TestCommands:
         for (_, a), (_, b) in zip(saved, inline):
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_forecast_from_model_reads_no_data(self, tmp_path):
+        # a saved model carries its own state and calendar: the data file is
+        # not read, so forecasting works without it
+        demand_fixture(tmp_path, weeks=2)
+        cfg = write_fit_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        model = ["--model", str(out / "model.json")]
+        assert main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "a"), *model]) == 0
+        (tmp_path / "demand.csv").unlink()
+        assert main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "b"), *model]) == 0
+        assert (tmp_path / "b" / "forecast.csv").read_text() == \
+            (tmp_path / "a" / "forecast.csv").read_text()
+
     def test_forecast_csv_text(self, tmp_path):
         _, start = demand_fixture(tmp_path, weeks=2)
         cfg = write_fit_config(tmp_path)

@@ -57,6 +57,28 @@ def scalar_loess(y, window, excluded=None):
     return np.array([decompose._fit_point(y, float(i), w, excluded) for i in range(len(y))])
 
 
+def scalar_subseries(u, s, window, excluded=None):
+    """:func:`_subseries_smooth_extended`'s contract: each cycle-subseries fitted
+    by :func:`_fit_point` at -1..m, unmasked when every point of it is excluded."""
+    w = decompose._odd_at_least(window)
+    ext = np.empty(len(u) + 2 * s)
+    for q in range(s):
+        sub = u[q::s]
+        mask = None if excluded is None or excluded[q::s].all() else excluded[q::s]
+        ext[q::s] = [decompose._fit_point(sub, float(x0), w, mask)
+                     for x0 in range(-1, len(sub) + 1)]
+    return ext
+
+
+def other_mask(excluded, shift):
+    """A different mask of the same shape and kept count: ``excluded`` rolled."""
+    other = np.roll(excluded, shift)
+    if (other == excluded).all():
+        other[np.flatnonzero(excluded)[0]] = False
+        other[np.flatnonzero(~excluded)[0]] = True
+    return other
+
+
 @st.composite
 def masked_series(draw):
     n = draw(st.integers(3, 200))
@@ -103,6 +125,23 @@ class TestLoess:
             got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
         )
 
+    @given(masked_series(), st.integers(1, 1000))
+    # blocks over both series ends, one wider than the window
+    @example(masked_example(50, 9, (0, 4), (38, 50)), 17)
+    @settings(max_examples=100, deadline=None)
+    def test_plan_reuse_equals_scalar_fit_point(self, case, shift):
+        # The plan of a (length, window, mask) is built on the first call and
+        # reused: by a call on other values with the same mask, but not by a
+        # call with another mask of the same length and window.
+        y, window, excluded = case
+        other = other_mask(excluded, shift)
+        values = y[::-1] + 1.0
+        atol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
+        decompose._plan.cache_clear()
+        for vals, mask in ((y, excluded), (values, excluded), (y, other), (values, excluded)):
+            np.testing.assert_allclose(loess_smooth(vals, window, mask),
+                                       scalar_loess(vals, window, mask), rtol=0, atol=atol)
+
     def test_masked_trend_smooth_fits_only_edges_and_guarded_windows_exactly(
             self, monkeypatch):
         # Eight weeks hourly with six one-day holidays and a four-day block,
@@ -117,13 +156,14 @@ class TestLoess:
             excluded[24 * day:24 * day + 24] = True
         excluded[24 * 40:24 * 44] = True
         sent = []
-        real = decompose._fit_grid
+        real = decompose._exact_fits
 
-        def recording(Y, x0s, window, *args):
+        def recording(kept, rows, x0s, *args):
             sent.extend(np.asarray(x0s, dtype=int).tolist())
-            return real(Y, x0s, window, *args)
+            return real(kept, rows, x0s, *args)
 
-        monkeypatch.setattr(decompose, "_fit_grid", recording)
+        monkeypatch.setattr(decompose, "_exact_fits", recording)
+        decompose._plan.cache_clear()   # plans are built, and recorded, on first use
         for window, guarded in ((43, 32), (281, 0)):
             sent.clear()
             got = loess_smooth(y, window, excluded)
@@ -176,6 +216,14 @@ class TestLoess:
         assert np.std(smoothed - np.sin(np.arange(200) / 30.0)) < 0.15
 
 
+def fit_grid(Y, x0s, window, excluded=None):
+    """The batched exact fits of every row of ``Y`` at every coordinate of ``x0s``."""
+    k, n = Y.shape
+    fits = decompose._exact_fits(decompose._kept_mask(excluded), np.repeat(np.arange(k), len(x0s)),
+                                 np.tile(x0s, k), window, n)
+    return fits.fit(Y).reshape(k, len(x0s))
+
+
 def scalar_fit_grid(Y, x0s, window, excluded=None):
     """The batched kernel's contract, one :func:`_fit_point` call per fit."""
     return np.array([
@@ -211,7 +259,7 @@ class TestFitGrid:
     def test_matches_scalar_fit_point(self, case):
         y, window, excluded = case
         x0s = np.arange(-1, y.shape[1] + 1)   # every point and both extensions
-        got = decompose._fit_grid(y, x0s, window, excluded)
+        got = fit_grid(y, x0s, window, excluded)
         want = scalar_fit_grid(y, x0s, window, excluded)
         np.testing.assert_allclose(
             got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
@@ -238,6 +286,29 @@ class TestFitGrid:
         got = decompose._fit_point(y, x0, window, excluded)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @given(st.integers(2, 30), st.integers(2, 30), st.integers(0, 29), st.integers(3, 25),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subseries_smoother_equals_scalar_fit_point(self, s, cycles, extra, window, data):
+        # every route (convolution, moments, exact, nearest kept points) of the
+        # subseries plan, fresh, reused on other values, and for another mask
+        n = s * cycles + extra % s
+        rng = np.random.default_rng(n * window)
+        u = 100.0 + rng.normal(0.0, 10.0, n)
+        excluded = np.zeros(n, bool)
+        for start, length in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, 3 * window * s)), max_size=3,
+        )):
+            excluded[start:start + length] = True
+        if excluded.all():
+            excluded[data.draw(st.integers(0, n - 1))] = False
+        other = other_mask(excluded, data.draw(st.integers(1, n))) if excluded.any() else None
+        decompose._plan.cache_clear()
+        for vals, mask in ((u, excluded), (u[::-1] - 50.0, excluded), (u, other), (u, None)):
+            np.testing.assert_allclose(
+                decompose._subseries_smooth_extended(vals, s, window, mask),
+                scalar_subseries(vals, s, window, mask), rtol=0, atol=1e-10 * 200.0)
+
     def test_mstl_equals_scalar_path(self, monkeypatch):
         rng = np.random.default_rng(31)
         t = np.arange(24 * 7 * 3)
@@ -256,9 +327,9 @@ class TestFitGrid:
         ])
         monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", 3)
         batched = mstl(ts)
-        # every fit of loess_smooth (convolution, moments, exact) and of the
-        # subseries smoother goes through _fit_point
-        monkeypatch.setattr(decompose, "_fit_grid", scalar_fit_grid)
+        # every fit of loess_smooth and of the subseries smoother (convolution,
+        # moments, exact) goes through _fit_point
+        monkeypatch.setattr(decompose, "_subseries_smooth_extended", scalar_subseries)
         monkeypatch.setattr(decompose, "loess_smooth", scalar_loess)
         scalar = mstl(ts)
         atol = 1e-9 * float(np.max(np.abs(y)))

@@ -3,13 +3,15 @@ slot tables."""
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwdims import DataError, DimsSpec, SeasonSpec, compute_recurrence, project_dims
-from hwdims.timeseries import slot_mean, write_csv
+from hwdims.timeseries import iso_stamps, slot_mean, write_csv
 
 from helpers import hourly_series
 
@@ -125,6 +127,20 @@ class TestTimeSeries:
         ts = hourly_series(demand(10))
         stamps = ts.timestamps
         assert all((b - a) == ts.step for a, b in zip(stamps, stamps[1:]))
+
+    @pytest.mark.parametrize("start, step", [
+        (datetime(2018, 3, 25), timedelta(minutes=90)),
+        (datetime(2020, 2, 28, 23, 59), timedelta(seconds=30)),
+        # microseconds at the start, and a step that adds and clears them
+        (datetime(2019, 12, 31, 23, 0, 0, 250000), timedelta(hours=1)),
+        (datetime(2019, 12, 31, 23, 0, 0, 250000), timedelta(microseconds=250000)),
+        # an aware start keeps its offset
+        (datetime(2021, 6, 1, tzinfo=timezone(timedelta(hours=2))), timedelta(hours=1)),
+    ])
+    def test_iso_stamps_equal_isoformat(self, start, step):
+        count = 2500  # three blocks of rows, the last one partial
+        assert iso_stamps(start, step, count) == [
+            (start + i * step).isoformat() for i in range(count)]
 
 
 @given(
