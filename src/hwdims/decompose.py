@@ -33,8 +33,9 @@ kernel and its first moment, and two coefficients per window from the kept
 mask's moments, behind a conditioning guard. All other fits (the row ends,
 windows whose end points are both excluded, windows the guard turns away)
 are exact weighted fits, with the nearest kept points standing in for a
-window that keeps none. The scalar :func:`_fit_point` defines every fit: it
-is the reference the other routes are tested against.
+window that keeps none. Every route computes the same weighted fit over
+the nearest ``window`` grid points; the test suite keeps it as a scalar
+reference, one call per point, and checks every route against it.
 """
 
 from __future__ import annotations
@@ -101,57 +102,15 @@ _GATHER_BLOCK = 1 << 13
 _PLANS = 16
 
 
-def _fit_point(y: np.ndarray, x0: float, window: int,
-               excluded: np.ndarray | None = None) -> float:
-    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points."""
-    n = len(y)
-    if window >= n:
-        lo, hi = 0, n
-    else:
-        half = (window - 1) // 2
-        lo = min(max(int(math.floor(x0)) - half, 0), n - window)
-        hi = lo + window
-    idx = np.arange(lo, hi)
-    if excluded is not None:
-        kept = idx[~excluded[lo:hi]]
-        if kept.size == 0:
-            # the nearest `window` kept points lie within `window` of x0's
-            # insertion point among them
-            kept = np.flatnonzero(~excluded)
-            p = int(np.searchsorted(kept, x0))
-            kept = kept[max(p - window, 0):p + window]
-            order = np.argsort(np.abs(kept - x0), kind="stable")
-            kept = kept[order[:window]]
-        # nothing unmasked anywhere: fit from what exists
-        idx = kept if kept.size else idx
-    vals = y[idx]
-    dist = np.abs(idx - x0)
-    h = dist.max()
-    if h <= 0:
-        return float(vals[0])
-    u = dist / h
-    wts = np.clip(1.0 - u ** 3, 0.0, None) ** 3
-    sw = wts.sum()
-    if sw <= 0.0:
-        return float(vals.mean())
-    xb = float((wts * idx).sum() / sw)
-    yb = float((wts * vals).sum() / sw)
-    sxx = float((wts * (idx - xb) ** 2).sum())
-    if sxx <= 1e-12 * max(h * h, 1.0):
-        return yb
-    slope = float((wts * (idx - xb) * (vals - yb)).sum() / sxx)
-    return yb + slope * (x0 - xb)
-
-
 def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
-    """Weights of :func:`_fit_point`'s fit at offset 0 from points at the signed
+    """Weights of the exact fit at offset 0 from points at the signed
     offsets ``d`` (b, w), of which ``kept`` marks those that count (every one
     when ``None``; each row keeps at least one): the fit is the dot product of
     a row of weights with the values at those points.
 
-    The bandwidth is the largest kept distance. The degenerate branches are
-    those of :func:`_fit_point`: a single kept point at offset 0 gives its
-    value, zero total weight the mean of the kept values.
+    The bandwidth is the largest kept distance. A single kept point at
+    offset 0 gives its value, zero total weight the mean of the kept values,
+    and a flat design the weighted mean.
     """
     dist = np.abs(d)
     h = (dist if kept is None else np.where(kept, dist, 0.0)).max(axis=1)
@@ -184,8 +143,8 @@ def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
 
 def _kept_mask(excluded: np.ndarray | None) -> np.ndarray | None:
     """The kept points of a (k, L) ``excluded`` mask, ``None`` when every point
-    is kept. A row with every point excluded keeps them all: :func:`_fit_point`
-    fits it unmasked."""
+    is kept. A row with every point excluded keeps them all: it is fitted
+    unmasked."""
     if excluded is None:
         return None
     kept = ~excluded
@@ -195,7 +154,7 @@ def _kept_mask(excluded: np.ndarray | None) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class _ExactFits:
-    """Exact fits (those of :func:`_fit_point`) in a (k, L) matrix, with what
+    """Exact weighted fits (see the module docstring) in a (k, L) matrix, with what
     depends only on the kept mask worked out once. Positions are flat: row
     times L plus the position in the row.
 
@@ -256,7 +215,7 @@ def _exact_fits(kept: np.ndarray | None, rows, x0s, window: int, length: int) ->
         r, x0 = rows[f], x0s[f]
         if r not in kept_idx:
             kept_idx[r] = np.flatnonzero(kept[r])
-        # as in _fit_point: the nearest `window` kept points, ties to the lower index
+        # the nearest `window` kept points, ties to the lower index
         idx = kept_idx[r]
         p = int(np.searchsorted(idx, x0))
         idx = idx[max(p - window, 0):p + window]

@@ -17,21 +17,27 @@ Per step t the engine (1) gathers the pre-update value of every component
 whose slot is active, additive terms summed and factors multiplied, (2)
 forms the one-step-ahead forecast from the state at t-1 and records the
 residual, (3) updates level and trend, and (4) updates each active slot.
-:func:`smooth_pass` runs these steps in one straight-line loop generated
-for the model's structure: which components are regular or moving,
-additive or multiplicative, updated or frozen, the trend kind and whether
-the trend is damped. Each structure is compiled once and cached; the
-generated source is built from those flags alone and embeds no user text.
-The loop zips the step index with the series' observation and slot lists,
-which each series builds once (:meth:`TimeSeries.step_lists`); the
-per-pass constants (``1 - alpha``, ``1 - gamma`` or, for an additive
-trend, ``(1 - gamma) * phi``, each ``1 - delta``) are computed before it,
-and ``yt - sum_add`` once per step. A neutral operation is dropped only
-where an exact IEEE identity allows it (``1.0 * x`` and ``x - 0.0`` are
-``x``); ``base + 0.0`` and the ``ar1 * eps`` term are kept, because adding
-0.0 turns -0.0 into 0.0 and ``0.0 * eps`` is not 0.0 for a negative or
-non-finite ``eps``. So every structure gives the bits of the generic
-recursion.
+:func:`smooth_pass` runs these steps in straight-line loops generated for
+the model's structure: which components are regular or moving, additive or
+multiplicative, updated or frozen, the trend kind and whether the trend is
+damped. Each series is cut into runs, maximal stretches of steps over which
+the set of active moving seasonalities stays the same
+(:meth:`TimeSeries.step_runs`), and each kind of run gets its own loop,
+which reads the regular cycles and exactly the moving seasonalities active
+in it, so no step tests a slot. Each structure and set of run kinds is
+compiled once and cached; the generated source is built from those flags
+alone and embeds no user text. The loops zip the step index with the
+series' observation and slot lists, which each series builds once
+(:meth:`TimeSeries.step_lists`); the per-pass constants (``1 - alpha``,
+``1 - gamma`` or, for an additive trend, ``(1 - gamma) * phi``, each
+``1 - delta``) are computed before them, and ``yt - sum_add`` once per
+step. A neutral operation is dropped only where an exact IEEE identity
+allows it (``1.0 * x`` and ``x - 0.0`` are ``x``, and so is ``x + 0.0``
+unless ``x`` is -0.0, which the forecast base of a multiplicative model
+never is); ``base + 0.0`` in a model with no multiplicative part and the
+``ar1 * eps`` term are kept, because adding 0.0 turns -0.0 into 0.0 and
+``0.0 * eps`` is not 0.0 for a negative or non-finite ``eps``. So every
+structure gives the bits of the generic recursion.
 
 :func:`forecast` computes the whole horizon at once with array reads of
 the same components through their future slot tables:
@@ -47,8 +53,10 @@ equivalence against an independent implementation.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -243,44 +251,122 @@ def check_observations(ts: TimeSeries, spec: ModelSpec, n: int) -> None:
                         f"observation {first} is {float(values[first])!r}")
 
 
+def _run_loop(comps: tuple[tuple[bool, bool, bool], ...], live: list[int],
+              has_mult: bool, mult_trend: bool, damped: bool) -> list[str]:
+    """Source lines, unindented, of the step loop over one run
+    ``lo..hi-1`` in which the components ``live`` (regular cycles and the
+    run's active moving seasonalities, in component order) read their
+    slots; see :func:`_step_kernel`."""
+    adds = [f"x{i}" for i in live if not comps[i][1]]
+    mults = [f"x{i}" for i in live if comps[i][1]]
+    code = ["for t, yt" + "".join(f", q{i}" for i in live)
+            + " in zip(range(lo, hi), y[lo:hi]" + "".join(f", s{i}[lo:hi]" for i in live)
+            + "):"]
+    code += [f"    x{i} = v{i}[q{i}]" for i in live]
+    if adds:
+        code.append(f"    sum_add = {' + '.join(['0.0', *adds])}")
+    code.append(f"    prod_mul = {' * '.join(mults) or '1.0'}")
+    sum_add = "sum_add" if adds else "0.0"
+    ysa = "ysa" if adds else "yt"
+    if mult_trend:
+        code += ["    trend_phi = trend ** phi",
+                 "    base = level * trend_phi"]
+    else:
+        code.append("    base = level + phi * trend" if damped else "    base = level + trend")
+    code += [
+        f"    yhat = (base + {sum_add}) * prod_mul + ar1 * eps" if adds or not has_mult
+        else "    yhat = base * prod_mul + ar1 * eps",
+        "    fitted[t] = yhat",
+        "    eps = yt - yhat",
+        "    prev_level = level",
+    ]
+    if adds:
+        code.append("    ysa = yt - sum_add")
+    code.append(f"    level = alpha * ({ysa} / prod_mul) + one_alpha * base")
+    if has_mult:
+        code += [
+            "    if level <= 0.0:",
+            "        raise FitInfeasibleError(f'level became nonpositive at step {t}',",
+            "                                 step=t)",
+        ]
+    if mult_trend:
+        code += [
+            "    trend = gamma * (level / prev_level) + one_gamma * trend_phi",
+            "    if trend <= 0.0:",
+            "        raise FitInfeasibleError(f'trend ratio became nonpositive at step {t}',",
+            "                                 step=t)",
+        ]
+    else:
+        code.append("    trend = gamma * (level - prev_level) + gamma_phi * trend")
+    for i in live:
+        _, is_mult, updated = comps[i]
+        if not updated:
+            continue
+        if is_mult:
+            code += [
+                f"    new = d{i} * ({ysa} / (level * (prod_mul / x{i}))) + c{i} * x{i}",
+                "    if new <= 0.0:",
+                "        raise FitInfeasibleError(",
+                f"            f'index of {{ids[{i}]!r}} became nonpositive at step {{t}}',",
+                "            step=t)",
+            ]
+        else:
+            code.append(f"    new = d{i} * ((yt - level - ({sum_add} - x{i})) / prod_mul)"
+                        f" + c{i} * x{i}")
+        code.append(f"    v{i}[q{i}] = new")
+    return code
+
+
 @lru_cache(maxsize=64)
 def _step_kernel(mult_trend: bool, has_mult: bool, damped: bool,
-                 comps: tuple[tuple[bool, bool, bool], ...]):
-    """The step loop of :func:`smooth_pass`, compiled for one model structure.
+                 comps: tuple[tuple[bool, bool, bool], ...],
+                 kinds: tuple[tuple[int, ...], ...]):
+    """The step loop of :func:`smooth_pass`, compiled for one model structure
+    and one set of run kinds.
 
     ``comps`` holds ``(is_dims, is_mult, updated)`` per index component, in
     component order; ``damped`` says whether the damping factor may differ
-    from 1. The generated loop unrolls the gather and the update of every
-    component: a regular cycle's slot is always active, so only a moving
-    seasonality tests ``q >= 0``; a component that is not updated (delta 0)
-    gets no update code; the level test runs only in a multiplicative model.
-    The source is built from these flags and component positions alone and
-    embeds no user text: the error messages read the component ids from the
-    ``ids`` argument.
+    from 1; ``kinds`` holds the run kinds of the series
+    (:meth:`~hwdims.timeseries.TimeSeries.step_runs`), each the indices of
+    the moving seasonalities active in a run. The kernel walks the runs it is
+    given and sends each to the step loop of its kind. That loop unrolls the
+    gather and the update of the regular cycles and of exactly that kind's
+    moving seasonalities, whose slots are all active there, so no step tests
+    a slot; a component that is not updated (delta 0) gets no update code;
+    the level test runs only in a multiplicative model. The source is built
+    from these flags, component positions and run kinds alone and embeds no
+    user text: the error messages read the component ids from the ``ids``
+    argument.
 
-    The loop zips the step index with slices of the observation list and of
-    every slot list, so a step reads each of them without indexing by ``t``.
-    ``1 - alpha``, ``1 - gamma`` (times ``phi`` for an additive trend) and
-    each ``1 - delta`` are computed once per call, and ``yt - sum_add`` and a
-    multiplicative trend's ``trend ** phi`` once per step. A neutral operation is dropped
-    only where an exact IEEE identity allows it: the first multiplicative
-    regular factor is taken as is (``1.0 * x == x``); without additive
-    components ``yt - 0.0`` is ``yt`` (``base + 0.0`` is kept: it turns -0.0
-    into 0.0); undamped, ``1.0 * trend`` is ``trend``. The ``ar1 * eps`` term
-    stays even when ``ar1`` is 0: ``0.0 * eps`` is -0.0, NaN or 0.0 by the
-    sign and finiteness of ``eps``. Every other expression is that of the
-    generic recursion in the module docstring, in its order, so every
+    Each loop zips the step index with slices of the observation list and of
+    the slot lists of its components, so a step reads each of them without
+    indexing by ``t``. ``1 - alpha``, ``1 - gamma`` (times ``phi`` for an
+    additive trend) and each ``1 - delta`` are computed once per call, and
+    ``yt - sum_add`` and a multiplicative trend's ``trend ** phi`` once per
+    step. A neutral operation is dropped only where an exact IEEE identity
+    allows it: the first multiplicative factor of a run is taken as is
+    (``1.0 * x == x``); without additive components in the run ``yt - 0.0``
+    is ``yt``, and in a multiplicative model ``base + 0.0`` is ``base``
+    (adding 0.0 only turns -0.0 into 0.0, and ``base`` is never -0.0 there:
+    the level is checked positive, and a multiplicative trend too);
+    undamped, ``1.0 * trend`` is ``trend``. ``base + 0.0`` stays in a model
+    with no multiplicative part, and the ``ar1 * eps`` term stays even when
+    ``ar1`` is 0: ``0.0 * eps`` is -0.0, NaN or 0.0 by the sign and
+    finiteness of ``eps``. An inactive moving seasonality contributes
+    nothing in the generic recursion either, and every other expression is
+    that of the recursion in the module docstring, in its order, so every
     structure gives that recursion's results bit for bit; the test suite
     keeps the generic loop as the reference.
 
-    The kernel runs steps ``start..stop-1``, writes each one-step forecast
-    to ``fitted``, updates the index lists in ``values`` in place (it never
-    writes into ``y`` or ``slots``) and returns the new ``(level, trend,
-    eps)``.
+    The kernel runs the ``(lo, hi, kind)`` runs it is given, ascending and
+    back to back, ``kind`` an index into ``kinds``; writes each one-step
+    forecast to ``fitted``; updates the index lists in ``values`` in place
+    (it never writes into ``y`` or ``slots``) and returns the new ``(level,
+    trend, eps)``.
     """
-    adds = any(not is_mult for _, is_mult, _ in comps)
+    n_regular = sum(not is_dims for is_dims, _, _ in comps)
     code = [
-        "def kernel(y, fitted, start, stop, level, trend, eps, alpha, gamma, phi, ar1,",
+        "def kernel(y, fitted, runs, level, trend, eps, alpha, gamma, phi, ar1,",
         "           values, slots, deltas, ids):",
     ]
     if comps:
@@ -290,79 +376,31 @@ def _step_kernel(mult_trend: bool, has_mult: bool, damped: bool,
     code.append("    one_gamma = 1.0 - gamma" if mult_trend
                 else "    gamma_phi = (1.0 - gamma) * phi")
     code += [f"    c{i} = 1.0 - d{i}" for i, (_, _, updated) in enumerate(comps) if updated]
-    code.append("    for t, yt"
-                + "".join(f", q{i}" for i in range(len(comps)))
-                + " in zip(range(start, stop), y[start:stop]"
-                + "".join(f", s{i}[start:stop]" for i in range(len(comps)))
-                + "):")
-    if adds:
-        code.append("        sum_add = 0.0")
-    # the first multiplicative factor of a regular cycle starts the product
-    first_mult = next((i for i, (_, is_mult, _) in enumerate(comps) if is_mult), None)
-    if first_mult is None or comps[first_mult][0]:
-        code.append("        prod_mul = 1.0")
-    for i, (is_dims, is_mult, _updated) in enumerate(comps):
-        pad = " " * (12 if is_dims else 8)
-        if is_dims:
-            code.append(f"        if q{i} >= 0:")
-        code.append(f"{pad}x{i} = v{i}[q{i}]")
-        if i == first_mult and not is_dims:
-            code.append(f"{pad}prod_mul = x{i}")
-        else:
-            code.append(f"{pad}prod_mul *= x{i}" if is_mult else f"{pad}sum_add += x{i}")
-    sum_add = "sum_add" if adds else "0.0"
-    ysa = "ysa" if adds else "yt"
-    if mult_trend:
-        code += ["        trend_phi = trend ** phi",
-                 "        base = level * trend_phi"]
-    else:
-        code.append("        base = level + phi * trend" if damped else "        base = level + trend")
-    code += [
-        f"        yhat = (base + {sum_add}) * prod_mul + ar1 * eps",
-        "        fitted[t] = yhat",
-        "        eps = yt - yhat",
-        "        prev_level = level",
-    ]
-    if adds:
-        code.append("        ysa = yt - sum_add")
-    code.append(f"        level = alpha * ({ysa} / prod_mul) + one_alpha * base")
-    if has_mult:
-        code += [
-            "        if level <= 0.0:",
-            "            raise FitInfeasibleError(f'level became nonpositive at step {t}',",
-            "                                     step=t)",
-        ]
-    if mult_trend:
-        code += [
-            "        trend = gamma * (level / prev_level) + one_gamma * trend_phi",
-            "        if trend <= 0.0:",
-            "            raise FitInfeasibleError(f'trend ratio became nonpositive at step {t}',",
-            "                                     step=t)",
-        ]
-    else:
-        code.append("        trend = gamma * (level - prev_level) + gamma_phi * trend")
-    for i, (is_dims, is_mult, updated) in enumerate(comps):
-        if not updated:
-            continue
-        pad = " " * (12 if is_dims else 8)
-        if is_dims:
-            code.append(f"        if q{i} >= 0:")
-        if is_mult:
-            code += [
-                f"{pad}new = d{i} * ({ysa} / (level * (prod_mul / x{i}))) + c{i} * x{i}",
-                f"{pad}if new <= 0.0:",
-                f"{pad}    raise FitInfeasibleError(",
-                f"{pad}        f'index of {{ids[{i}]!r}} became nonpositive at step {{t}}',",
-                f"{pad}        step=t)",
-            ]
-        else:
-            code.append(f"{pad}new = d{i} * ((yt - level - ({sum_add} - x{i})) / prod_mul)"
-                        f" + c{i} * x{i}")
-        code.append(f"{pad}v{i}[q{i}] = new")
+    code.append("    for lo, hi, kind in runs:")
+    for k, kind in enumerate(kinds):
+        live = list(range(n_regular)) + [n_regular + j for j in kind]
+        code.append(f"        {'elif' if k else 'if'} kind == {k}:")
+        code += [" " * 12 + line
+                 for line in _run_loop(comps, live, has_mult, mult_trend, damped)]
     code.append("    return level, trend, eps")
     namespace = {"FitInfeasibleError": FitInfeasibleError}
     exec(compile("\n".join(code) + "\n", "<hwdims step kernel>", "exec"), namespace)
     return namespace["kernel"]
+
+
+def _clip_runs(runs: list[tuple[int, int, int]], start: int,
+               stop: int) -> list[tuple[int, int, int]]:
+    """The ``(lo, hi, kind)`` runs of a run table that cover steps
+    ``start..stop-1``, the first and last cut to that range."""
+    if start >= stop:
+        return []
+    part = runs[bisect_right(runs, start, key=itemgetter(0)) - 1:
+                bisect_left(runs, stop, key=itemgetter(0))]
+    _lo, hi, kind = part[0]
+    part[0] = (start, hi, kind)
+    lo, _hi, kind = part[-1]
+    part[-1] = (lo, stop, kind)
+    return part
 
 
 def smooth_pass(
@@ -381,12 +419,16 @@ def smooth_pass(
     straddles a stop is updated up to it. By default the pass consumes the
     whole series and ``states`` holds the final state alone.
 
-    The steps run in one straight-line loop generated for the model's
+    The steps run in straight-line loops generated for the model's
     structure (trend kind, damping, each component's kind and mode, which
-    components are updated) and compiled once per structure; see
-    :func:`_step_kernel`. It reads the observation and slot lists that
-    ``ts`` builds once (:meth:`~hwdims.timeseries.TimeSeries.step_lists`),
-    so the passes of a search over one series share them.
+    components are updated), one per kind of run of the series, and
+    compiled once per structure and set of run kinds; see
+    :func:`_step_kernel`. They read the observation and slot lists and the
+    run table that ``ts`` builds once
+    (:meth:`~hwdims.timeseries.TimeSeries.step_lists`,
+    :meth:`~hwdims.timeseries.TimeSeries.step_runs`), so the passes of a
+    search over one series share them; each stop's stretch of steps is cut
+    from the run table.
 
     The objective is the RMSE of the one-step-ahead residuals after the
     warm-up window. Raises :class:`FitInfeasibleError` as soon as a
@@ -427,10 +469,11 @@ def smooth_pass(
             )
     check_observations(ts, spec, n)
     n_seasons = len(ts.seasons)
+    kinds, runs = ts.step_runs()
     kernel = _step_kernel(mult_trend, has_mult, spec.damping_enabled, tuple(
         (i >= n_seasons, is_mult, delta != 0.0)
         for i, (is_mult, delta) in enumerate(zip(mults, deltas))
-    ))
+    ), kinds)
 
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
@@ -440,7 +483,8 @@ def smooth_pass(
     states = []
     start = 0
     for stop in stops:
-        level, trend, eps = kernel(y, fitted, start, stop, level, trend, eps,
+        level, trend, eps = kernel(y, fitted, _clip_runs(runs, start, stop),
+                                   level, trend, eps,
                                    eff.alpha, eff.gamma, eff.phi, eff.ar1,
                                    values, slots, deltas, ids)
         start = stop

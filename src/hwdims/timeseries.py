@@ -141,10 +141,10 @@ class TimeSeries:
     """Evenly spaced observations with seasonal structure attached.
 
     The slot tables of the moving seasonalities are computed when the series
-    is built. The plain lists that the smoothing step loop reads (see
-    :meth:`step_lists`) are built lazily, on first use, once per series, so
-    the passes of a search share them; a derived series (``prefix``,
-    ``add_dims`` and the like) builds its own.
+    is built. The plain lists and the run table that the smoothing step loop
+    reads (see :meth:`step_lists` and :meth:`step_runs`) are built lazily, on
+    first use, once per series, so the passes of a search share them; a
+    derived series (``prefix``, ``add_dims`` and the like) builds its own.
     """
 
     values: np.ndarray
@@ -156,6 +156,9 @@ class TimeSeries:
         init=False, repr=False, default_factory=dict
     )
     _step_lists: tuple[list[float], tuple[list[int], ...]] | None = field(
+        init=False, repr=False, default=None
+    )
+    _step_runs: tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int]]] | None = field(
         init=False, repr=False, default=None
     )
 
@@ -220,6 +223,26 @@ class TimeSeries:
                 + [self._recurrences[d.id].tolist() for d in self.dims]
             object.__setattr__(self, "_step_lists", (self.values.tolist(), tuple(slots)))
         return self._step_lists
+
+    def step_runs(self) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int]]]:
+        """The series cut into runs for the smoothing step loop, as ``(kinds,
+        runs)``. A run is a maximal stretch of steps over which the set of
+        active moving seasonalities stays the same; its kind is the tuple of
+        their indices in ``dims``, ``()`` outside every block. ``kinds`` holds
+        each kind that occurs, sorted; ``runs`` holds one ``(start, stop,
+        kind)`` per run in series order, ``kind`` an index into ``kinds``.
+        Built on first use and kept; callers must not modify them."""
+        if self._step_runs is None:
+            n = len(self.values)
+            active = np.array([self._recurrences[d.id] >= 0 for d in self.dims],
+                              dtype=bool).reshape(len(self.dims), n)
+            edges = (np.flatnonzero((active[:, 1:] != active[:, :-1]).any(axis=0)) + 1).tolist()
+            starts = [0, *edges] if n else []
+            members = [tuple(np.flatnonzero(active[:, a]).tolist()) for a in starts]
+            kinds = tuple(sorted(set(members)))
+            runs = [(a, b, kinds.index(k)) for a, b, k in zip(starts, edges + [n], members)]
+            object.__setattr__(self, "_step_runs", (kinds, runs))
+        return self._step_runs
 
     def add_season(self, spec: SeasonSpec) -> TimeSeries:
         return replace(self, seasons=self.seasons + (spec,))

@@ -4,6 +4,7 @@ moving-seasonality profiles, plot-data export."""
 from __future__ import annotations
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -51,21 +52,64 @@ def assert_identity(result, atol=1e-9):
     )
 
 
+def fit_point(y: np.ndarray, x0: float, window: int,
+              excluded: np.ndarray | None = None) -> float:
+    """Weighted degree-1 fit at coordinate ``x0`` over the nearest grid points:
+    the scalar reference every smoother route is tested against."""
+    n = len(y)
+    if window >= n:
+        lo, hi = 0, n
+    else:
+        half = (window - 1) // 2
+        lo = min(max(int(math.floor(x0)) - half, 0), n - window)
+        hi = lo + window
+    idx = np.arange(lo, hi)
+    if excluded is not None:
+        kept = idx[~excluded[lo:hi]]
+        if kept.size == 0:
+            # the nearest `window` kept points lie within `window` of x0's
+            # insertion point among them
+            kept = np.flatnonzero(~excluded)
+            p = int(np.searchsorted(kept, x0))
+            kept = kept[max(p - window, 0):p + window]
+            order = np.argsort(np.abs(kept - x0), kind="stable")
+            kept = kept[order[:window]]
+        # nothing unmasked anywhere: fit from what exists
+        idx = kept if kept.size else idx
+    vals = y[idx]
+    dist = np.abs(idx - x0)
+    h = dist.max()
+    if h <= 0:
+        return float(vals[0])
+    u = dist / h
+    wts = np.clip(1.0 - u ** 3, 0.0, None) ** 3
+    sw = wts.sum()
+    if sw <= 0.0:
+        return float(vals.mean())
+    xb = float((wts * idx).sum() / sw)
+    yb = float((wts * vals).sum() / sw)
+    sxx = float((wts * (idx - xb) ** 2).sum())
+    if sxx <= 1e-12 * max(h * h, 1.0):
+        return yb
+    slope = float((wts * (idx - xb) * (vals - yb)).sum() / sxx)
+    return yb + slope * (x0 - xb)
+
+
 def scalar_loess(y, window, excluded=None):
-    """:func:`loess_smooth`'s contract, one :func:`_fit_point` call per position."""
+    """:func:`loess_smooth`'s contract, one :func:`fit_point` call per position."""
     w = decompose._odd_at_least(window)
-    return np.array([decompose._fit_point(y, float(i), w, excluded) for i in range(len(y))])
+    return np.array([fit_point(y, float(i), w, excluded) for i in range(len(y))])
 
 
 def scalar_subseries(u, s, window, excluded=None):
     """:func:`_subseries_smooth_extended`'s contract: each cycle-subseries fitted
-    by :func:`_fit_point` at -1..m, unmasked when every point of it is excluded."""
+    by :func:`fit_point` at -1..m, unmasked when every point of it is excluded."""
     w = decompose._odd_at_least(window)
     ext = np.empty(len(u) + 2 * s)
     for q in range(s):
         sub = u[q::s]
         mask = None if excluded is None or excluded[q::s].all() else excluded[q::s]
-        ext[q::s] = [decompose._fit_point(sub, float(x0), w, mask)
+        ext[q::s] = [fit_point(sub, float(x0), w, mask)
                      for x0 in range(-1, len(sub) + 1)]
     return ext
 
@@ -225,9 +269,9 @@ def fit_grid(Y, x0s, window, excluded=None):
 
 
 def scalar_fit_grid(Y, x0s, window, excluded=None):
-    """The batched kernel's contract, one :func:`_fit_point` call per fit."""
+    """The batched kernel's contract, one :func:`fit_point` call per fit."""
     return np.array([
-        [decompose._fit_point(row, float(x0), window,
+        [fit_point(row, float(x0), window,
                               None if excluded is None else excluded[r])
          for x0 in x0s]
         for r, row in enumerate(Y)
@@ -283,7 +327,7 @@ class TestFitGrid:
         yb = (wts * y[idx]).sum() / wts.sum()
         slope = (wts * (idx - xb) * (y[idx] - yb)).sum() / (wts * (idx - xb) ** 2).sum()
         want = yb + slope * (x0 - xb)
-        got = decompose._fit_point(y, x0, window, excluded)
+        got = fit_point(y, x0, window, excluded)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @given(st.integers(2, 30), st.integers(2, 30), st.integers(0, 29), st.integers(3, 25),
@@ -328,7 +372,7 @@ class TestFitGrid:
         monkeypatch.setattr(decompose, "_OUTER_ITERATIONS", 3)
         batched = mstl(ts)
         # every fit of loess_smooth and of the subseries smoother (convolution,
-        # moments, exact) goes through _fit_point
+        # moments, exact) goes through fit_point
         monkeypatch.setattr(decompose, "_subseries_smooth_extended", scalar_subseries)
         monkeypatch.setattr(decompose, "loess_smooth", scalar_loess)
         scalar = mstl(ts)

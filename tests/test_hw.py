@@ -820,6 +820,30 @@ def collapse_case(site):
     return ts, spec, params, seeds, [3, 12]
 
 
+def runs_case(mult_blocks, add_blocks, stops=None, trend=0.5, alpha=0.3):
+    """A 36-step pass over multiplicative cycles 3 and 6 and two 4-step
+    moving seasonalities, "m" multiplicative and "a" additive, with blocks
+    at the given starts. With ``alpha`` 0 the level moves by ``trend`` each
+    step whatever the readings; from 100 by -7.5 it fails at step 13."""
+    t = np.arange(36)
+    ts = hourly_series(100.0 * (1 + 0.2 * np.sin(2 * np.pi * t / 6)) + np.cos(t),
+                       seasons=[SeasonSpec("c3", 3), SeasonSpec("c6", 6)],
+                       dims=[DimsSpec("m", "multiplicative", 4, occurrences=mult_blocks),
+                             DimsSpec("a", "additive", 4, occurrences=add_blocks)])
+    spec = ModelSpec.for_series(ts)
+    wave = np.sin(np.arange(6) + 1.0)
+    seeds = bare_state(100.0, trend, residual=-1.5,
+                       seasonal={"c3": 1.0 + 0.1 * wave[:3], "c6": 1.0 + 0.1 * wave},
+                       dims={"m": 1.0 + 0.1 * wave[:4], "a": 10.0 * wave[:4]})
+    params = SmoothingParams(alpha=alpha, deltas=(0.2, 0.4), deltas_dims=(0.5, 0.3))
+    return ts, spec, params, seeds, stops
+
+
+# Blocks of "m" back to back at 5 and 9; blocks of "a" overlapping them at 7
+# and starting at 13, where the second block of "m" ends.
+OVERLAPS = ((5, 9), (7, 13))
+
+
 class TestGeneratedKernel:
     """The step loop generated per model structure against the reference."""
 
@@ -831,6 +855,11 @@ class TestGeneratedKernel:
     @example(structure_case(("additive", "additive"), "additive", damped=True))
     @example(structure_case(("additive", "multiplicative"), "multiplicative",
                             trend="multiplicative", ar=True))
+    @example(runs_case((0, 32), ()))  # a block at step 0, one ending at the last
+    @example(runs_case(*OVERLAPS))
+    @example(runs_case(*OVERLAPS, stops=[8, 8, 13, 36]))  # in a block, on a run edge
+    @example(runs_case((13,), (), trend=-7.5, alpha=0.0))  # fails at a block's first step
+    @example(runs_case((9,), (), trend=-7.5, alpha=0.0))  # and at the first step after one
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_reference(self, case):
         assert_matches_reference(*case)
@@ -843,6 +872,11 @@ class TestGeneratedKernel:
     def test_each_raise_site(self, site, message):
         exc = assert_matches_reference(*collapse_case(site))
         assert isinstance(exc, FitInfeasibleError) and str(exc) == message
+
+    @pytest.mark.parametrize("blocks", [(13,), (9,)])
+    def test_run_edge_raise_sites(self, blocks):
+        exc = assert_matches_reference(*runs_case(blocks, (), trend=-7.5, alpha=0.0))
+        assert isinstance(exc, FitInfeasibleError) and exc.step == 13
 
     def test_one_compilation_per_search(self):
         ts = hourly_series(100 + 10 * np.sin(np.arange(96) * 2 * np.pi / 24),
@@ -857,7 +891,8 @@ class TestGeneratedKernel:
 
 
 class TestStepLists:
-    """The observation and slot lists a series builds once for the step loop."""
+    """The observation and slot lists and the run table a series builds once
+    for the step loop."""
 
     def test_repeated_passes_equal_passes_on_fresh_series(self):
         # The passes share one set of lists; had the loop written into them,
@@ -885,6 +920,20 @@ class TestStepLists:
         assert_same_fit(smooth_pass(head, spec, params, seeds),
                         smooth_pass(fresh, spec, params, seeds))
         assert head.step_lists()[1][2] != ts.step_lists()[1][2][:20]
+
+    def test_run_table_once_per_series_and_own_for_prefix(self):
+        case = runs_case(*OVERLAPS)
+        ts = case[0]
+        table = ts.step_runs()
+        assert table == (((), (0,), (0, 1), (1,)),
+                         [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1), (13, 17, 3), (17, 36, 0)])
+        smooth_pass(*case)  # a pass reads the table, it does not rebuild it
+        assert ts.step_runs() is table
+        # the block of "a" at 13 straddles 15: the prefix drops it, so no run
+        # of its own table has it active
+        assert ts.prefix(15).step_runs() == (((), (0,), (0, 1)),
+                                             [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1),
+                                              (13, 15, 0)])
 
 
 @st.composite
