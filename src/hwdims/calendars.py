@@ -33,24 +33,23 @@ class CalendarEvent:
 def build_dims(
     ts: TimeSeries,
     events: list[CalendarEvent],
-    steps_per_day: int,
     mode: str | dict[str, str] = "multiplicative",
     init_method: str | dict[str, str] = "neutral",
 ) -> list[DimsSpec]:
     """Build one moving-seasonality spec per recurrence group.
 
-    Block length is ``span_days * steps_per_day``. Events wholly or partially
-    outside the series range are dropped with a warning, never truncated.
-    ``mode`` / ``init_method`` apply to every group, or per group when given
-    as a mapping.
+    Block length is ``span_days`` times the steps per day of ``ts.step``,
+    which must divide a day. Events that run past the last observation, or
+    start after it, are kept: the series' slot tables cut their blocks at its
+    end, and forecasts read them. Events that start before the series are
+    dropped with a warning. ``mode`` / ``init_method`` apply to every group,
+    or per group when given as a mapping.
     """
-    if steps_per_day < 1:
-        raise ValueError("steps_per_day must be >= 1")
-    if ts.step * steps_per_day != timedelta(days=1):
+    steps_per_day, rem = divmod(timedelta(days=1), ts.step)
+    if rem:
         raise ValueError(
-            f"steps_per_day={steps_per_day} inconsistent with series step {ts.step}"
+            f"series step {ts.step} does not divide a day into whole steps_per_day"
         )
-    n = len(ts)
     groups: dict[str, list[CalendarEvent]] = {}
     for ev in sorted(events, key=lambda e: (e.date_start, e.event_id)):
         groups.setdefault(ev.recurrence_group, []).append(ev)
@@ -74,9 +73,9 @@ def build_dims(
                 raise ValueError(
                     f"event {ev.event_id!r} at {ev.date_start}: start does not fall on a step"
                 )
-            if steps < 0 or steps + length > n:
+            if steps < 0:
                 log.warning(
-                    "event %r (%s, group %r) outside series range; dropped",
+                    "event %r (%s, group %r) starts before the series; dropped",
                     ev.event_id, ev.date_start, group,
                 )
                 continue

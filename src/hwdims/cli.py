@@ -310,11 +310,10 @@ def load_series(cfg: RunConfig) -> TimeSeries:
         if cfg.calendar is None:
             raise UsageError("dims declared but no calendar file configured")
         events = read_calendar_csv(cfg.calendar)
-        steps_per_day = int(timedelta(days=1) / ts.step)
         wanted = {d.group: d for d in cfg.dims}
         events = [ev for ev in events if ev.recurrence_group in wanted]
         specs = build_dims(
-            ts, events, steps_per_day,
+            ts, events,
             mode={g: d.mode for g, d in wanted.items()},
             init_method={g: d.init_method for g, d in wanted.items()},
         )

@@ -109,14 +109,14 @@ def mforecast(
     ``policy="fixed"`` keeps the given ``params`` and updates the state as
     each observation arrives: the model is seeded once from the first
     origin's window, and one :func:`~hwdims.hw.smooth_pass` up to the last
-    origin yields the state at every origin. The pass reads the full
-    occurrence calendar, so a moving-seasonality block that straddles an
-    origin has been updated up to that origin, as it would be in operation;
-    an infeasible step before the last origin raises, and the pass reads no
-    observation after it. ``policy="refit_per_origin"`` reruns the parameter
-    search per origin, warm-started from the previous origin's optimum, and
-    fits each origin's window on the blocks wholly inside it. Forecasts
-    always project moving seasonalities from the full occurrence calendar.
+    origin yields the state at every origin, the state a pass over that
+    origin's window ends in; an infeasible step before the last origin
+    raises, and the pass reads no observation after it.
+    ``policy="refit_per_origin"`` reruns the parameter search per origin,
+    warm-started from the previous origin's optimum. Both read one
+    occurrence calendar: a moving-seasonality block that straddles an origin
+    has been updated up to it, as it would be in operation, and the forecast
+    projects the rest of it.
     """
     n = len(ts)
     longest = max((s.cycle_length for s in ts.seasons), default=1)

@@ -499,7 +499,8 @@ def smooth_pass(
 
     fitted = np.frombuffer(fitted)
     errors = ts.values[:n] - fitted
-    objective = float(np.sqrt(np.mean(np.square(errors[warm:]))))
+    with np.errstate(over="ignore"):  # residuals past 1e154 score inf
+        objective = float(np.sqrt(np.mean(np.square(errors[warm:]))))
     return FitResult(
         final_state=states[-1],
         one_step_errors=errors,
@@ -522,8 +523,9 @@ def project_dims(
     ``origin`` is the number of observations consumed before forecasting;
     step k targets series position origin + k - 1. Entries are the block
     offsets, -1 where the step falls outside every occurrence block of that
-    seasonality. Over any window inside the series this equals the matching
-    slice of :func:`~hwdims.timeseries.compute_recurrence`.
+    seasonality. It reads the blocks past the series end as well; over any
+    window inside the series it equals the matching slice of
+    :func:`~hwdims.timeseries.compute_recurrence`.
     """
     specs = source.dims if isinstance(source, TimeSeries) else tuple(source)
     return {spec.id: _slot_table(spec, origin, origin + horizon) for spec in specs}

@@ -443,6 +443,6 @@ def find_params(
         raise FitInfeasibleError(
             "no feasible parameter point found within the evaluation budget"
         )
-    params = vector_to_params(np.clip(best["x"], lows, highs), ts, spec)
+    params = vector_to_params(best["x"], ts, spec)
     fit = best["fit"]
     return params, fit

@@ -69,8 +69,10 @@ class DimsSpec:
     """A moving seasonality: fixed-length blocks at irregular start positions.
 
     ``occurrences`` are 0-based start indices into the series; each block
-    spans ``[start, start + length)``. Blocks of one spec may not overlap,
-    but blocks of different specs may (a holiday inside a festival week).
+    spans ``[start, start + length)`` and may run past the series end or
+    start after it, so the spec also holds the calendar to forecast from.
+    Blocks of one spec may not overlap, but blocks of different specs may (a
+    holiday inside a festival week).
     """
 
     id: str
@@ -126,13 +128,9 @@ def slot_mean(values: np.ndarray, slots: np.ndarray, size: int,
 
 def compute_recurrence(spec: DimsSpec, n: int) -> np.ndarray:
     """Slot table of ``spec`` over a series of length ``n``: the block offset
-    of each step, -1 outside blocks. Every block must lie inside the series."""
-    for start in spec.occurrences:
-        if start + spec.length > n:
-            raise DataError(
-                f"dims {spec.id!r}: occurrence block [{start}, {start + spec.length}) "
-                f"exceeds series length {n}"
-            )
+    of each step, -1 outside blocks. A block that runs past the series end is
+    cut there, and one that starts after it leaves no entry; both stay in
+    ``spec`` for :func:`~hwdims.hw.project_dims` to read."""
     return _slot_table(spec, 0, n)
 
 
@@ -251,22 +249,13 @@ class TimeSeries:
         """Register a moving seasonality; its slot table is computed eagerly."""
         return replace(self, dims=self.dims + (spec,))
 
-    def remove_dims(self, dims_id: str) -> TimeSeries:
-        kept = tuple(d for d in self.dims if d.id != dims_id)
-        if len(kept) == len(self.dims):
-            raise KeyError(f"unknown dims id {dims_id!r}")
-        return replace(self, dims=kept)
-
     def prefix(self, n: int) -> TimeSeries:
-        """First ``n`` observations; moving-seasonality blocks that are not
-        wholly inside the window are dropped (never truncated)."""
+        """First ``n`` observations with every moving-seasonality block kept:
+        its slot tables are the first ``n`` entries of this series' own, so a
+        pass over the prefix is the full pass stopped at ``n``."""
         if not 0 < n <= len(self.values):
             raise ValueError(f"prefix length {n} outside 1..{len(self.values)}")
-        dims = tuple(
-            replace(d, occurrences=tuple(o for o in d.occurrences if o + d.length <= n))
-            for d in self.dims
-        )
-        return replace(self, values=self.values[:n], dims=dims)
+        return replace(self, values=self.values[:n])
 
 
 # ---------------------------------------------------------------------------

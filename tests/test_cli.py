@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hwdims import (
-    DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast,
+    DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast, mape,
     project_dims,
 )
 from hwdims import cli
@@ -512,6 +512,41 @@ class TestCommands:
         assert main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "b"), *model]) == 0
         assert (tmp_path / "b" / "forecast.csv").read_text() == \
             (tmp_path / "a" / "forecast.csv").read_text()
+
+    def test_forecast_applies_the_holiday_after_the_data(self, tmp_path):
+        # The data end at the midnight before a holiday that the calendar
+        # lists: the forecast of that day applies the holiday index seeded
+        # from the four before it, inline and from the saved model alike.
+        holidays = (2, 9, 16, 23, 28)
+        y, start = demand_fixture(tmp_path, weeks=5, dips=holidays)
+        cut = 28 * 24
+        write_hourly_csv(tmp_path / "demand.csv", y[:cut], start=start)
+        base = write_fit_config(tmp_path).read_text()
+
+        def run(name, days):
+            (tmp_path / f"{name}.csv").write_text("event_id,group,date_start,span_days\n" + "".join(
+                f"d{d},Holidays,{(start + timedelta(days=d)).date()},1\n" for d in days))
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(base + f"calendar = {name}.csv\ndims = Holidays multiplicative stl_based\n")
+            out = tmp_path / name
+            assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["forecast", "--config", str(cfg), "--out", str(out),
+                         "--model", str(out / "model.json")]) == 0
+            assert main(["forecast", "--config", str(cfg), "--out", str(out / "inline")]) == 0
+            saved = (out / "forecast.csv").read_text()
+            assert (out / "inline" / "forecast.csv").read_text() == saved
+            with open(out / "forecast.csv") as fh:
+                values = np.array([float(r["forecast"]) for r in csv.DictReader(fh)])
+            return json.loads((out / "model.json").read_text()), values
+
+        model, with_holiday = run("with", holidays)
+        model_without, without = run("without", holidays[:-1])
+        # the block after the data changes no fitted number, only the forecast
+        assert (model["params"], model["state"]) == (model_without["params"], model_without["state"])
+        assert model["dims"][0]["occurrences"][-1] == cut
+        assert not np.array_equal(with_holiday, without)
+        truth = y[cut:cut + 24]
+        assert mape(truth, with_holiday) < mape(truth, without)
 
     def test_forecast_csv_text(self, tmp_path):
         _, start = demand_fixture(tmp_path, weeks=2)

@@ -909,17 +909,22 @@ class TestStepLists:
         assert ts.step_lists() is lists
 
     def test_prefix_pass_equals_fresh_series(self):
-        # The prefix drops the block at 19, which straddles 20: it must not
-        # read the lists of the series it was cut from.
+        # The prefix keeps the block at 19, which straddles 20, and builds
+        # lists of its own that equal the first 20 entries of the series'.
         ts, spec, params, seeds, _stops = bench_case()
         smooth_pass(ts, spec, params, seeds)
         head = ts.prefix(20)
-        assert head.dims[0].occurrences == (7,)
-        fresh = hourly_series(ts.values[:20], ts.seasons,
-                              [DimsSpec("ev", "multiplicative", 2, occurrences=(7,))])
+        assert head.dims == ts.dims
+        values, slots = head.step_lists()
+        assert values == ts.step_lists()[0][:20]
+        assert list(slots) == [s[:20] for s in ts.step_lists()[1]]
+        assert slots[2] is not ts.step_lists()[1][2]
+        fresh = hourly_series(ts.values[:20], ts.seasons, ts.dims)
         assert_same_fit(smooth_pass(head, spec, params, seeds),
                         smooth_pass(fresh, spec, params, seeds))
-        assert head.step_lists()[1][2] != ts.step_lists()[1][2][:20]
+        # a pass over the prefix is the full pass stopped at 20
+        assert_same_fit(smooth_pass(head, spec, params, seeds),
+                        smooth_pass(ts, spec, params, seeds, stops=[20]))
 
     def test_run_table_once_per_series_and_own_for_prefix(self):
         case = runs_case(*OVERLAPS)
@@ -929,11 +934,12 @@ class TestStepLists:
                          [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1), (13, 17, 3), (17, 36, 0)])
         smooth_pass(*case)  # a pass reads the table, it does not rebuild it
         assert ts.step_runs() is table
-        # the block of "a" at 13 straddles 15: the prefix drops it, so no run
-        # of its own table has it active
-        assert ts.prefix(15).step_runs() == (((), (0,), (0, 1)),
-                                             [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1),
-                                              (13, 15, 0)])
+        # the block of "a" at 13 straddles 15: the prefix keeps it, so its
+        # own table is the series' cut at 15
+        head = ts.prefix(15).step_runs()
+        assert head is not table
+        assert head == (((), (0,), (0, 1), (1,)),
+                        [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1), (13, 15, 3)])
 
 
 @st.composite

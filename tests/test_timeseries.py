@@ -69,11 +69,21 @@ class TestDimsSpec:
         with pytest.raises(ValueError, match="strictly increasing"):
             DimsSpec("h", "multiplicative", 24, occurrences=(200, 100))
 
-    def test_out_of_bounds_occurrence_rejected(self):
-        with pytest.raises(DataError, match=r"\[590, 614\)"):
-            hourly_series(demand(600)).add_dims(
-                DimsSpec("h", "multiplicative", 24, occurrences=(590,))
-            )
+    def test_block_past_series_end_cut_in_slot_table(self):
+        spec = DimsSpec("h", "multiplicative", 24, occurrences=(590,))
+        ts = hourly_series(demand(600)).add_dims(spec)
+        assert ts.dims == (spec,)
+        assert ts.recurrence("h")[590:].tolist() == list(range(10))
+        assert (ts.recurrence("h")[:590] == -1).all()
+        # the rest of the block is the forecast's
+        assert project_dims(ts, 600, 16)["h"].tolist() == list(range(10, 24)) + [-1, -1]
+
+    def test_block_starting_at_series_end_accepted(self):
+        spec = DimsSpec("h", "multiplicative", 24, occurrences=(100, 600))
+        ts = hourly_series(demand(600)).add_dims(spec)
+        assert ts.dims[0].occurrences == (100, 600)
+        assert (ts.recurrence("h") >= 0).sum() == 24
+        assert project_dims(ts, 600, 24)["h"].tolist() == list(range(24))
 
     def test_duplicate_id_rejected(self):
         ts = hourly_series(demand()).add_dims(DimsSpec("h", "multiplicative", 24))
@@ -86,20 +96,6 @@ class TestDimsSpec:
         ts = ts.add_dims(DimsSpec("holiday", "multiplicative", 24, occurrences=(120,)))
         assert ts.recurrence("easter")[120] >= 0
         assert ts.recurrence("holiday")[120] >= 0
-
-
-class TestRegistryRoundTrip:
-    def test_remove_last_added_restores_registry(self):
-        base = hourly_series(demand()).add_dims(
-            DimsSpec("easter", "multiplicative", 24, occurrences=(48,))
-        )
-        grown = base.add_dims(DimsSpec("holiday", "additive", 24, occurrences=(240,)))
-        shrunk = grown.remove_dims("holiday")
-        assert shrunk.dims == base.dims
-
-    def test_remove_unknown_id(self):
-        with pytest.raises(KeyError):
-            hourly_series(demand()).remove_dims("nope")
 
 
 class TestTimeSeries:
@@ -115,13 +111,14 @@ class TestTimeSeries:
         with pytest.raises(DataError, match="non-finite value.*index 17"):
             hourly_series(y)
 
-    def test_prefix_drops_partial_blocks(self):
+    def test_prefix_keeps_every_block(self):
         ts = hourly_series(demand(600)).add_dims(
             DimsSpec("h", "multiplicative", 24, occurrences=(100, 460))
         )
         cut = ts.prefix(470)  # second block [460, 484) straddles the cut
-        assert cut.dims[0].occurrences == (100,)
+        assert cut.dims == ts.dims
         assert len(cut) == 470
+        assert (cut.recurrence("h") == ts.recurrence("h")[:470]).all()
 
     def test_timestamps_are_even(self):
         ts = hourly_series(demand(10))

@@ -16,6 +16,7 @@ from hwdims import (
     OptimConfig,
     SeasonSpec,
     SmoothingParams,
+    TimeSeries,
     aic,
     ape,
     build_dims,
@@ -171,19 +172,18 @@ class TestCalendarValidation:
             CalendarEvent("x", date(2023, 1, 1), 0, "G")
 
     def test_steps_per_day_positive(self):
-        ts = hourly_series(np.ones(48))
+        # a step longer than a day leaves no whole step in a day
+        ts = TimeSeries(values=np.ones(48), step=timedelta(days=3))
         with pytest.raises(ValueError, match="steps_per_day"):
-            build_dims(ts, [], steps_per_day=0)
+            build_dims(ts, [])
 
     def test_event_off_step_grid_rejected(self):
         # 2-hour steps anchored at 01:00: midnights fall between steps.
         from datetime import datetime
-        from hwdims import TimeSeries
         ts = TimeSeries(values=np.ones(48), step=timedelta(hours=2),
                         start=datetime(2023, 1, 2, 1))
         with pytest.raises(ValueError, match="step"):
-            build_dims(ts, [CalendarEvent("x", date(2023, 1, 3), 1, "G")],
-                       steps_per_day=12)
+            build_dims(ts, [CalendarEvent("x", date(2023, 1, 3), 1, "G")])
 
 
 class TestCliValidation:
