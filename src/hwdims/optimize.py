@@ -5,10 +5,11 @@ Seeds come from cycle means (level/trend) and from slot means over slot tables
 differences against a centered moving average over the slots ``t % s``, and a
 decomposition-based seed averages over ``t % s`` or over a moving seasonality's
 block offsets. Parameter search minimizes the post-warm-up one-step-ahead
-error with a derivative-free optimizer. Box constraints are handled purely by penalty: an out-of-bounds
-point costs 1e12 plus its squared distance to the feasible box, an in-bounds
-point whose fit blows up costs 1e10, so the search surface stays finite and
-the returned optimum is always a feasible, in-bounds point.
+error with a derivative-free optimizer over ``z`` in R^k, mapped into the box
+by ``x = lo + (hi - lo) * sigma(z)`` with the logistic ``sigma`` (as
+``fminsearchbnd`` bounds MATLAB's ``fminsearch``): every evaluation is one
+smoothing pass at an in-bounds point. A point whose fit blows up costs 1e10,
+so the search surface stays finite.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .timeseries import DataError, TimeSeries, mape, neutral_value, slot_mean
 ALGORITHMS = ("nelder_mead", "pattern_search", "random_restart_nelder_mead")
 OBJECTIVES = ("rmse", "mape")
 
-BOUNDS_PENALTY = 1e12
 INFEASIBLE_PENALTY = 1e10
 AR1_LIMIT = 0.999
+EDGE = 1e-6  # a start's place in its box is held this far inside (0, 1)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class OptimConfig:
     algorithm: str = "nelder_mead"
     objective: str = "rmse"
     max_evals: int = 2000
-    tolerance: float = 1e-8
+    tolerance: float = 3e-3
     bounds: tuple[tuple[float, float], ...] | None = None
     restarts: int = 3
     rng_seed: int = 0
@@ -186,70 +187,78 @@ def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
 # Derivative-free minimizers
 # ---------------------------------------------------------------------------
 
-def nelder_mead(f, x0, config: OptimConfig) -> MinimizeResult:
+def nelder_mead(f, x0, config: OptimConfig, step: float | None = None) -> MinimizeResult:
     """Simplex search: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
-    Stops once the simplex diameter and the objective spread are both below
-    the configured tolerance (a zero spread alone can occur with the simplex
-    still straddling a symmetric optimum), or when the evaluation budget
-    runs out.
+    The first simplex steps ``step`` along each axis (default: 5 % of each
+    start value, 0.00025 for a zero). Stops when the budget runs out, once
+    the diameter and the objective spread are both below ``tolerance``, or
+    once the spread is below ``tolerance * |f_best|`` and the centroid does
+    not beat ``f_best`` by more than that; a centroid that does (the simplex
+    straddles the optimum) replaces the worst vertex.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
-    sim = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += 0.05 * v[i] if v[i] != 0.0 else 0.00025
-        sim.append(v)
+    steps = np.full(n, step) if step is not None else np.where(x0 != 0.0, 0.05 * x0, 0.00025)
+    sim = [x0.copy(), *(x0 + np.diag(steps))]
     fs = [f(v) for v in sim]
     evals = n + 1
-    order = np.argsort(fs, kind="stable")
-    sim = [sim[i] for i in order]
-    fs = [fs[i] for i in order]
-    history = [fs[0]]
+    history = []
     iterations = 0
     converged = False
 
-    while evals < config.max_evals:
+    while True:
+        order = np.argsort(fs, kind="stable")
+        sim = [sim[i] for i in order]
+        fs = [fs[i] for i in order]
+        history.append(fs[0])
+        if evals >= config.max_evals:
+            break
         diameter = max(float(np.max(np.abs(v - sim[0]))) for v in sim[1:]) if n else 0.0
         spread = fs[-1] - fs[0]
         if diameter < config.tolerance and spread < config.tolerance:
             converged = True
             break
         iterations += 1
-        centroid = np.mean(sim[:-1], axis=0)
-        worst = sim[-1]
-        xr = centroid + (centroid - worst)
-        fr = f(xr)
-        evals += 1
-        if fr < fs[0]:
-            xe = centroid + 2.0 * (centroid - worst)
-            fe = f(xe)
+        relative = config.tolerance * abs(fs[0])
+        if spread < relative:
+            xm = np.mean(sim, axis=0)
+            fm = f(xm)
             evals += 1
-            if fe < fr:
-                sim[-1], fs[-1] = xe, fe
-            else:
-                sim[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            sim[-1], fs[-1] = xr, fr
+            if not fm < fs[0] - relative:
+                converged = True
+                break
+            sim[-1], fs[-1] = xm, fm
         else:
-            if fr < fs[-1]:
-                xc = centroid + 0.5 * (centroid - worst)
-            else:
-                xc = centroid - 0.5 * (centroid - worst)
-            fc = f(xc)
+            centroid = np.mean(sim[:-1], axis=0)
+            worst = sim[-1]
+            xr = centroid + (centroid - worst)
+            fr = f(xr)
             evals += 1
-            if fc < min(fr, fs[-1]):
-                sim[-1], fs[-1] = xc, fc
+            if fr < fs[0]:
+                xe = centroid + 2.0 * (centroid - worst)
+                fe = f(xe)
+                evals += 1
+                if fe < fr:
+                    sim[-1], fs[-1] = xe, fe
+                else:
+                    sim[-1], fs[-1] = xr, fr
+            elif fr < fs[-2]:
+                sim[-1], fs[-1] = xr, fr
             else:
-                for i in range(1, n + 1):
-                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fs[i] = f(sim[i])
-                evals += n
-        order = np.argsort(fs, kind="stable")
-        sim = [sim[i] for i in order]
-        fs = [fs[i] for i in order]
-        history.append(fs[0])
+                if fr < fs[-1]:
+                    xc = centroid + 0.5 * (centroid - worst)
+                else:
+                    xc = centroid - 0.5 * (centroid - worst)
+                fc = f(xc)
+                evals += 1
+                if fc < min(fr, fs[-1]):
+                    sim[-1], fs[-1] = xc, fc
+                else:
+                    for i in range(1, n + 1):
+                        sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
+                        fs[i] = f(sim[i])
+                    evals += n
 
     return MinimizeResult(
         x=sim[0].copy(), fun=fs[0], evals=evals, iterations=iterations,
@@ -257,23 +266,19 @@ def nelder_mead(f, x0, config: OptimConfig) -> MinimizeResult:
     )
 
 
-def pattern_search(f, x0, config: OptimConfig,
-                   bounds: tuple[tuple[float, float], ...] | None = None) -> MinimizeResult:
-    """Compass search: poll +/- one step along each axis, move to the best
-    improving point, otherwise halve the step."""
+def pattern_search(f, x0, config: OptimConfig, step: float = 0.25) -> MinimizeResult:
+    """Compass search: poll +/- ``step`` along each axis, move to the best
+    improving point, otherwise halve the step. Stops once the step is below
+    ``tolerance`` or the budget cannot pay for another poll."""
     x = np.asarray(x0, dtype=float)
     n = len(x)
-    if bounds is not None:
-        steps = np.array([0.25 * (hi - lo) for lo, hi in bounds])
-    else:
-        steps = np.full(n, 0.25)
     fx = f(x)
     evals = 1
     history = [fx]
     iterations = 0
     converged = False
     while evals + 2 * n <= config.max_evals:
-        if float(np.max(steps)) < config.tolerance:
+        if step < config.tolerance:
             converged = True
             break
         iterations += 1
@@ -281,13 +286,13 @@ def pattern_search(f, x0, config: OptimConfig,
         for i in range(n):
             for sign in (1.0, -1.0):
                 cand = x.copy()
-                cand[i] += sign * steps[i]
+                cand[i] += sign * step
                 fc = f(cand)
                 evals += 1
                 if fc < best_f:
                     best_x, best_f = cand, fc
         if best_x is None:
-            steps *= 0.5
+            step *= 0.5
         else:
             x, fx = best_x, best_f
         history.append(fx)
@@ -359,18 +364,17 @@ def params_to_vector(params: SmoothingParams, spec: ModelSpec) -> np.ndarray:
 
 
 def _resolve_bounds(ts, spec, config) -> tuple[tuple[float, float], ...]:
+    """The user's bounds intersected with the finite hard box; a pair left
+    empty or NaN is a ``ValueError`` naming its parameter."""
     hard = default_bounds(ts, spec)
-    if config.bounds is None:
-        return hard
-    if len(config.bounds) != len(hard):
-        raise ValueError(
-            f"expected {len(hard)} bound pairs for this configuration, "
-            f"got {len(config.bounds)}"
-        )
-    return tuple(
-        (max(lo, h_lo), min(hi, h_hi))
-        for (lo, hi), (h_lo, h_hi) in zip(config.bounds, hard)
-    )
+    user = hard if config.bounds is None else config.bounds
+    if len(user) != len(hard):
+        raise ValueError(f"expected {len(hard)} bound pairs for this model, got {len(user)}")
+    bounds = tuple((max(lo, h_lo), min(hi, h_hi)) for (lo, hi), (h_lo, h_hi) in zip(user, hard))
+    for name, (lo, hi) in zip(parameter_names(ts, spec), bounds):
+        if not lo <= hi:
+            raise ValueError(f"bounds of {name} resolve to [{lo}, {hi}]: empty or not finite")
+    return bounds
 
 
 def find_params(
@@ -382,67 +386,63 @@ def find_params(
 ) -> tuple[SmoothingParams, FitResult]:
     """Search the smoothing-parameter box for the best post-warm-up fit.
 
-    Deterministic for a given ``rng_seed``. Raises
-    :class:`~hwdims.hw.FitInfeasibleError` when the evaluation budget is
-    exhausted without a single feasible parameter point, and at the first
-    evaluation when the seeds themselves are infeasible (``step=-1``).
+    Runs over ``z`` with ``x = lo + (hi - lo) * sigma(z)``, in unit steps from
+    the logit of the start's place in the box. Deterministic for a given
+    ``rng_seed``. Raises :class:`~hwdims.hw.FitInfeasibleError` when the
+    evaluation budget is exhausted without a single feasible parameter point,
+    and at the first evaluation when the seeds themselves are infeasible
+    (``step=-1``).
     """
     config = config or OptimConfig()
+    lows, highs = np.array(_resolve_bounds(ts, spec, config)).T
     if seeds is None:
         seeds = init_values(ts, spec)
-    bounds = _resolve_bounds(ts, spec, config)
+    widths = highs - lows
     warm = warmup_length(ts)
-    y = ts.values
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
+
+    def to_x(z):
+        # tanh, unlike exp, cannot overflow for any z
+        return np.clip(lows + widths * (0.5 + 0.5 * np.tanh(0.5 * z)), lows, highs)
+
+    def to_z(x):
+        u = np.divide(x - lows, widths, out=np.full(len(x), 0.5), where=widths > 0)
+        u = np.clip(u, EDGE, 1.0 - EDGE)
+        return np.log(u / (1.0 - u))
 
     best: dict = {"x": None, "f": math.inf, "fit": None}
 
-    def objective(x):
-        x = np.asarray(x, dtype=float)
-        below = np.clip(lows - x, 0.0, None)
-        above = np.clip(x - highs, 0.0, None)
-        dist2 = float(np.sum(below ** 2 + above ** 2))
-        if dist2 > 0.0:
-            return BOUNDS_PENALTY + dist2
-        params = vector_to_params(x, ts, spec)
+    def objective(z):
+        x = to_x(z)
         try:
-            fit = smooth_pass(ts, spec, params, seeds)
+            fit = smooth_pass(ts, spec, vector_to_params(x, ts, spec), seeds)
         except FitInfeasibleError as exc:
             if exc.step == -1:  # the seeds are at fault; no parameter point can repair them
                 raise
             return INFEASIBLE_PENALTY
         except (ZeroDivisionError, OverflowError):
             return INFEASIBLE_PENALTY
-        if config.objective == "rmse":
-            value = fit.objective
-        else:
-            value = mape(y[warm:], fit.fitted[warm:])
+        value = fit.objective if config.objective == "rmse" \
+            else mape(ts.values[warm:], fit.fitted[warm:])
         if not math.isfinite(value):
             return INFEASIBLE_PENALTY
         if value < best["f"]:
-            best.update(x=x.copy(), f=value, fit=fit)
+            best.update(x=x, f=value, fit=fit)
         return value
 
-    x0 = np.asarray(start, dtype=float) if start is not None else default_start(ts, spec)
-    x0 = np.clip(x0, lows, highs)
+    z0 = to_z(default_start(ts, spec) if start is None else np.asarray(start, dtype=float))
 
     if config.algorithm == "nelder_mead":
-        nelder_mead(objective, x0, config)
+        nelder_mead(objective, z0, config, step=1.0)
     elif config.algorithm == "pattern_search":
-        pattern_search(objective, x0, config, bounds)
+        pattern_search(objective, z0, config, step=1.0)
     else:
         rng = np.random.default_rng(config.rng_seed)
         per_run = max(1, config.max_evals // config.restarts)
         run_config = replace(config, algorithm="nelder_mead", max_evals=per_run)
         for r in range(config.restarts):
-            xs = x0 if r == 0 else lows + rng.uniform(size=len(x0)) * (highs - lows)
-            nelder_mead(objective, xs, run_config)
+            zs = z0 if r == 0 else to_z(lows + rng.uniform(size=len(z0)) * widths)
+            nelder_mead(objective, zs, run_config, step=1.0)
 
     if best["x"] is None:
-        raise FitInfeasibleError(
-            "no feasible parameter point found within the evaluation budget"
-        )
-    params = vector_to_params(best["x"], ts, spec)
-    fit = best["fit"]
-    return params, fit
+        raise FitInfeasibleError("no feasible parameter point found within the evaluation budget")
+    return vector_to_params(best["x"], ts, spec), best["fit"]

@@ -169,7 +169,8 @@ def reference_pass(ts, spec, params, seeds, stops=None) -> FitResult:
         ))
 
     tail = errors[warm:]
-    objective = float(np.sqrt(np.mean(np.square(tail))))
+    with np.errstate(over="ignore"):  # residuals past 1e154 score inf
+        objective = float(np.sqrt(np.mean(np.square(tail))))
     return FitResult(
         final_state=states[-1],
         one_step_errors=np.array(errors),
@@ -820,6 +821,17 @@ def collapse_case(site):
     return ts, spec, params, seeds, [3, 12]
 
 
+def overflow_case():
+    """A multiplicative trend with gamma 1 is the ratio of successive levels:
+    with alpha 1 a reading of 1e-200 between readings of 100 makes it 1e202,
+    and the next residual, about -1e204, squares past the largest float."""
+    y = np.full(12, 100.0)
+    y[4] = 1e-200
+    ts = hourly_series(y)
+    spec = ModelSpec.for_series(ts, trend="multiplicative")
+    return ts, spec, SmoothingParams(alpha=1.0, gamma=1.0), bare_state(100.0, 1.0), None
+
+
 def runs_case(mult_blocks, add_blocks, stops=None, trend=0.5, alpha=0.3):
     """A 36-step pass over multiplicative cycles 3 and 6 and two 4-step
     moving seasonalities, "m" multiplicative and "a" additive, with blocks
@@ -860,6 +872,7 @@ class TestGeneratedKernel:
     @example(runs_case(*OVERLAPS, stops=[8, 8, 13, 36]))  # in a block, on a run edge
     @example(runs_case((13,), (), trend=-7.5, alpha=0.0))  # fails at a block's first step
     @example(runs_case((9,), (), trend=-7.5, alpha=0.0))  # and at the first step after one
+    @example(overflow_case())  # an objective of inf, not an overflow warning
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_reference(self, case):
         assert_matches_reference(*case)

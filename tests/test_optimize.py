@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import hwdims.optimize
 from hwdims import (
     DataError,
     DimsSpec,
+    FitInfeasibleError,
     ModelSpec,
     OptimConfig,
     SeasonSpec,
@@ -20,8 +22,10 @@ from hwdims import (
     mstl,
     nelder_mead,
     parameter_names,
+    params_to_vector,
     pattern_search,
 )
+from hwdims.optimize import ALGORITHMS
 
 from helpers import hourly_series, simulate_double_seasonal
 
@@ -161,6 +165,36 @@ class TestNelderMead:
         result = nelder_mead(f, [0.5], OptimConfig(tolerance=1e-10))
         assert result.x[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_straddled_quadratic_reaches_the_optimum(self):
+        # The simplex from 3.0 straddles 0 at about -0.3 and 0.3 with an
+        # objective spread of about 1e-15, far below tolerance * |f_best|;
+        # only the centroid probe carries it on to 0.
+        result = nelder_mead(lambda x: x[0] ** 2, [3.0], OptimConfig())
+        assert result.converged
+        assert abs(result.x[0]) < 1e-6
+
+    def test_relative_stop_is_scale_free(self):
+        def f(x):
+            return 1.0 + (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2 + 0.5 * x[0] * x[1]
+
+        results = [nelder_mead(lambda x, c=c: c * f(x), [3.0, 2.0], OptimConfig())
+                   for c in (1e-3, 1.0, 1e6)]
+        assert all(r.converged for r in results)
+        assert len({r.evals for r in results}) == 1
+        assert results[0].evals < OptimConfig().max_evals
+        for r in results[1:]:
+            np.testing.assert_array_equal(r.x, results[0].x)
+
+    def test_unit_step_simplex(self):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return float(x @ x)
+
+        nelder_mead(f, [0.5, -2.0], OptimConfig(max_evals=3), step=1.0)
+        np.testing.assert_array_equal(seen, [[0.5, -2.0], [1.5, -2.0], [0.5, -1.0]])
+
     def test_best_value_history_is_monotone(self):
         def rosen(x):
             return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
@@ -175,8 +209,7 @@ class TestPatternSearch:
         def f(x):
             return (x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2
 
-        result = pattern_search(f, [0.5, 0.5], OptimConfig(tolerance=1e-8),
-                                bounds=((0, 1), (0, 1)))
+        result = pattern_search(f, [0.5, 0.5], OptimConfig(tolerance=1e-8), step=0.25)
         np.testing.assert_allclose(result.x, [0.3, 0.7], atol=1e-6)
 
     def test_history_is_monotone(self):
@@ -258,10 +291,27 @@ class TestFindParams:
         y = np.resize([100.0, -100.0], 24)
         ts = hourly_series(y, seasons=[SeasonSpec("pair", 2)])
         spec = ModelSpec.for_series(ts)
-        from hwdims import FitInfeasibleError
         bounds = ((0.9, 1.0), (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(FitInfeasibleError):
             find_params(ts, spec, OptimConfig(max_evals=40, bounds=bounds))
+
+    # (1.5, 2.0) is [1.5, 1.0] after the intersection with the hard box
+    @pytest.mark.parametrize("bad", [(1.5, 2.0), (float("nan"), 0.5), (0.0, float("nan"))])
+    @pytest.mark.parametrize("position, name", [(0, "alpha"), (3, "delta_b")])
+    def test_empty_or_nonfinite_bounds_fail_before_any_work(self, monkeypatch, bad, position,
+                                                           name):
+        ts = self.make_series()
+        spec = ModelSpec.for_series(ts)
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work done before the bounds were checked")
+
+        monkeypatch.setattr(hwdims.optimize, "init_values", no_work)
+        monkeypatch.setattr(hwdims.optimize, "smooth_pass", no_work)
+        bounds = [(0.0, 1.0)] * 4
+        bounds[position] = bad
+        with pytest.raises(ValueError, match=f"bounds of {name} resolve to"):
+            find_params(ts, spec, OptimConfig(bounds=tuple(bounds)))
 
     def test_parameter_names_layout(self):
         ts = self.make_series().add_dims(DimsSpec("ev", "multiplicative", 4))
@@ -271,3 +321,43 @@ class TestFindParams:
                          "delta_dims_ev", "phi", "ar1"]
         assert len(default_bounds(ts, spec)) == len(names)
         assert default_bounds(ts, spec)[-1][0] == pytest.approx(-0.999)
+
+
+@st.composite
+def bounded_searches(draw):
+    """A short series, a model, user bounds inside the hard box (some of them
+    a single point), a finite start inside, on an edge of or outside those
+    bounds, and an algorithm."""
+    cycle = draw(st.sampled_from([4, 6]))
+    y = np.array(draw(st.lists(st.floats(50.0, 150.0), min_size=6 * cycle,
+                               max_size=6 * cycle)))
+    seasons = [SeasonSpec("c", cycle, mode=draw(st.sampled_from(["multiplicative",
+                                                                  "additive"])))]
+    ts = hourly_series(y, seasons=seasons)
+    spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(["additive", "none",
+                                                                "multiplicative"])),
+                                damping_enabled=draw(st.booleans()),
+                                ar_adjustment_enabled=draw(st.booleans()))
+    bounds, start = [], []
+    for lo, hi in default_bounds(ts, spec):
+        a = draw(st.floats(lo, hi))
+        b = draw(st.one_of(st.just(a), st.floats(a, hi)))
+        bounds.append((a, b))
+        start.append(draw(st.one_of(st.floats(a, b), st.sampled_from([a, b]),
+                                    st.floats(-10.0, 10.0))))
+    config = OptimConfig(algorithm=draw(st.sampled_from(ALGORITHMS)),
+                         max_evals=draw(st.integers(1, 40)), bounds=tuple(bounds),
+                         restarts=2, rng_seed=draw(st.integers(0, 2 ** 31)))
+    return ts, spec, config, np.array(start)
+
+
+@given(bounded_searches())
+@settings(max_examples=150, deadline=None)
+def test_find_params_stays_inside_the_bounds(case):
+    ts, spec, config, start = case
+    try:
+        params, _ = find_params(ts, spec, config, start=start)
+    except FitInfeasibleError:  # no point it tried fits, so none is returned
+        reject()
+    for value, (lo, hi) in zip(params_to_vector(params, spec), config.bounds, strict=True):
+        assert lo <= value <= hi
