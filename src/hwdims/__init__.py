@@ -38,7 +38,6 @@ from .optimize import (
     nelder_mead,
     parameter_names,
     params_to_vector,
-    pattern_search,
     vector_to_params,
 )
 from .timeseries import (
@@ -91,7 +90,6 @@ __all__ = [
     "neutral_value",
     "parameter_names",
     "params_to_vector",
-    "pattern_search",
     "project_dims",
     "reduce_check",
     "rmse",

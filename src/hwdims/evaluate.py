@@ -63,7 +63,8 @@ def accuracy(fit: FitResult) -> AccuracyReport:
     actual = fitted + errors
     sse = float(np.sum(errors ** 2))
     n = len(errors)
-    k = len(params_to_vector(fit.params, fit.spec))
+    # without a trend, gamma is searched but forced to zero: not a fitted parameter
+    k = len(params_to_vector(fit.params, fit.spec)) - (fit.spec.trend == "none")
     return AccuracyReport(
         rmse=rmse(actual, fitted),
         mape=mape(actual, fitted),

@@ -31,7 +31,7 @@ from .hw import (
 )
 from .timeseries import DataError, TimeSeries, mape, neutral_value, slot_mean
 
-ALGORITHMS = ("nelder_mead", "pattern_search", "random_restart_nelder_mead")
+ALGORITHMS = ("nelder_mead", "random_restart_nelder_mead")
 OBJECTIVES = ("rmse", "mape")
 
 INFEASIBLE_PENALTY = 1e10
@@ -184,7 +184,7 @@ def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free minimizers
+# Derivative-free minimizer
 # ---------------------------------------------------------------------------
 
 def nelder_mead(f, x0, config: OptimConfig, step: float | None = None) -> MinimizeResult:
@@ -262,42 +262,6 @@ def nelder_mead(f, x0, config: OptimConfig, step: float | None = None) -> Minimi
 
     return MinimizeResult(
         x=sim[0].copy(), fun=fs[0], evals=evals, iterations=iterations,
-        f_history=tuple(history), converged=converged,
-    )
-
-
-def pattern_search(f, x0, config: OptimConfig, step: float = 0.25) -> MinimizeResult:
-    """Compass search: poll +/- ``step`` along each axis, move to the best
-    improving point, otherwise halve the step. Stops once the step is below
-    ``tolerance`` or the budget cannot pay for another poll."""
-    x = np.asarray(x0, dtype=float)
-    n = len(x)
-    fx = f(x)
-    evals = 1
-    history = [fx]
-    iterations = 0
-    converged = False
-    while evals + 2 * n <= config.max_evals:
-        if step < config.tolerance:
-            converged = True
-            break
-        iterations += 1
-        best_x, best_f = None, fx
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                fc = f(cand)
-                evals += 1
-                if fc < best_f:
-                    best_x, best_f = cand, fc
-        if best_x is None:
-            step *= 0.5
-        else:
-            x, fx = best_x, best_f
-        history.append(fx)
-    return MinimizeResult(
-        x=x.copy(), fun=fx, evals=evals, iterations=iterations,
         f_history=tuple(history), converged=converged,
     )
 
@@ -431,17 +395,14 @@ def find_params(
 
     z0 = to_z(default_start(ts, spec) if start is None else np.asarray(start, dtype=float))
 
-    if config.algorithm == "nelder_mead":
-        nelder_mead(objective, z0, config, step=1.0)
-    elif config.algorithm == "pattern_search":
-        pattern_search(objective, z0, config, step=1.0)
-    else:
-        rng = np.random.default_rng(config.rng_seed)
-        per_run = max(1, config.max_evals // config.restarts)
-        run_config = replace(config, algorithm="nelder_mead", max_evals=per_run)
-        for r in range(config.restarts):
-            zs = z0 if r == 0 else to_z(lows + rng.uniform(size=len(z0)) * widths)
-            nelder_mead(objective, zs, run_config, step=1.0)
+    # nelder_mead is the one-start case: the whole budget, from the start
+    restarts = config.restarts if config.algorithm == "random_restart_nelder_mead" else 1
+    run_config = replace(config, max_evals=max(1, config.max_evals // restarts))
+    for r in range(restarts):
+        if r == 1:  # numpy.random loads lazily (~6 MB): a one-start search never imports it
+            rng = np.random.default_rng(config.rng_seed)
+        zs = z0 if r == 0 else to_z(lows + rng.uniform(size=len(z0)) * widths)
+        nelder_mead(objective, zs, run_config, step=1.0)
 
     if best["x"] is None:
         raise FitInfeasibleError("no feasible parameter point found within the evaluation budget")

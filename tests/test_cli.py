@@ -364,17 +364,21 @@ class TestConfig:
         with pytest.raises(UsageError, match="data"):
             parse_config(cfg_path)
 
-    @pytest.mark.parametrize("line, key", [
-        ("policy = bogus", "policy"),
-        ("trend = bogus", "trend"),
-        ("algorithm = bogus", "algorithm"),
-        ("objective = bogus", "objective"),
-        ("season = 168 bogus ratio_to_ma", "season"),
-        ("season = 168 multiplicative bogus", "season"),
-        ("dims = Holidays bogus neutral", "dims"),
-        ("dims = Holidays multiplicative bogus", "dims"),
-    ])
-    def test_bad_enumerated_value_is_a_config_error(self, tmp_path, capsys, line, key):
+    BAD_VALUES = [
+        ("policy = bogus", "policy", "bogus"),
+        ("trend = bogus", "trend", "bogus"),
+        ("algorithm = bogus", "algorithm", "bogus"),
+        ("algorithm = pattern_search", "algorithm", "pattern_search"),
+        ("objective = bogus", "objective", "bogus"),
+        ("season = 168 bogus ratio_to_ma", "season", "bogus"),
+        ("season = 168 multiplicative bogus", "season", "bogus"),
+        ("dims = Holidays bogus neutral", "dims", "bogus"),
+        ("dims = Holidays multiplicative bogus", "dims", "bogus"),
+    ]
+
+    @pytest.mark.parametrize("line, key, value", BAD_VALUES,
+                             ids=[f"{line}-{key}" for line, key, _ in BAD_VALUES])
+    def test_bad_enumerated_value_is_a_config_error(self, tmp_path, capsys, line, key, value):
         # The data file does not exist: exit 1 shows the value is checked
         # while the config is parsed, before any data is read (that is exit 2).
         cfg_path = tmp_path / "run.cfg"
@@ -384,7 +388,7 @@ class TestConfig:
         )
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and f"'{key}'" in err and "bogus" in err
+        assert "usage error" in err and f"'{key}'" in err and f"'{value}'" in err
 
     @pytest.mark.parametrize("command", ["fit", "forecast", "decompose", "evaluate"])
     @pytest.mark.parametrize("key", ["max_evals", "horizon", "first_origin", "origin_step",

@@ -324,6 +324,19 @@ class TestAccuracy:
         assert a_spiked.aic == pytest.approx(a_plain.aic + 2.0, abs=1e-9)
         assert a_spiked.k_params == a_plain.k_params + 1
 
+    def test_aic_does_not_count_gamma_without_a_trend(self):
+        rng = np.random.default_rng(0)
+        y = 100 + rng.normal(0, 1, 240) + 10 * np.sin(2 * np.pi * np.arange(240) / 24)
+        ts = hourly_series(y, seasons=[SeasonSpec("daily", 24)])
+        fits = {}
+        for trend in ("none", "additive"):
+            spec = ModelSpec.for_series(ts, trend=trend)
+            fits[trend] = smooth_pass(ts, spec, PARAMS, init_values(ts, spec))
+        report = accuracy(fits["none"])
+        assert report.k_params == accuracy(fits["additive"]).k_params - 1
+        sse = float(np.sum(fits["none"].one_step_errors[report.warmup:] ** 2))
+        assert report.aic == aic(sse, report.n_obs, report.k_params)
+
 
 class TestGridExport:
     def test_csv_schema_and_values(self, tmp_path):

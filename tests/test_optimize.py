@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -23,7 +28,6 @@ from hwdims import (
     nelder_mead,
     parameter_names,
     params_to_vector,
-    pattern_search,
 )
 from hwdims.optimize import ALGORITHMS
 
@@ -204,22 +208,6 @@ class TestNelderMead:
         assert (np.diff(history) <= 0).all()
 
 
-class TestPatternSearch:
-    def test_quadratic_bowl(self):
-        def f(x):
-            return (x[0] - 0.3) ** 2 + (x[1] - 0.7) ** 2
-
-        result = pattern_search(f, [0.5, 0.5], OptimConfig(tolerance=1e-8), step=0.25)
-        np.testing.assert_allclose(result.x, [0.3, 0.7], atol=1e-6)
-
-    def test_history_is_monotone(self):
-        def f(x):
-            return (x[0] - 0.3) ** 2
-
-        result = pattern_search(f, [0.9], OptimConfig())
-        assert (np.diff(np.array(result.f_history)) <= 0).all()
-
-
 class TestFindParams:
     def make_series(self, n=480, seed=5):
         rng = np.random.default_rng(seed)
@@ -262,6 +250,35 @@ class TestFindParams:
         p2, f2 = find_params(ts, spec, config)
         assert p1 == p2
         assert f1.objective == f2.objective
+
+    def test_one_restart_is_nelder_mead(self):
+        ts = self.make_series()
+        spec = ModelSpec.for_series(ts)
+        p1, f1 = find_params(ts, spec, OptimConfig(max_evals=150))
+        p2, f2 = find_params(ts, spec, OptimConfig(algorithm="random_restart_nelder_mead",
+                                                   max_evals=150, restarts=1))
+        assert p1 == p2
+        assert f1.objective == f2.objective
+
+    def test_one_start_search_does_not_load_numpy_random(self):
+        # numpy loads numpy.random on first use, at ~6 MB of resident memory;
+        # only a second start draws from it. A fresh interpreter, since the
+        # test runner has loaded it already.
+        script = (
+            "import sys\n"
+            "from datetime import datetime, timedelta\n"
+            "import numpy as np\n"
+            "from hwdims import ModelSpec, OptimConfig, SeasonSpec, TimeSeries, find_params\n"
+            "ts = TimeSeries(values=10.0 + np.sin(np.arange(96) * np.pi / 4),\n"
+            "                step=timedelta(hours=1), start=datetime(2020, 1, 1),\n"
+            "                seasons=(SeasonSpec('a', 8),))\n"
+            "find_params(ts, ModelSpec.for_series(ts), OptimConfig(max_evals=30))\n"
+            "sys.exit('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hwdims.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr or "numpy.random was loaded"
 
     def test_mape_objective_scale_free_selection(self):
         ts = self.make_series()
