@@ -304,8 +304,7 @@ def parse_config(path) -> RunConfig:
 def load_series(cfg: RunConfig) -> TimeSeries:
     """Ingest the data file and attach the declared seasonal structure."""
     ts = ingest(cfg.data)
-    for season in cfg.seasons:
-        ts = ts.add_season(season)
+    specs = []
     if cfg.dims:
         if cfg.calendar is None:
             raise UsageError("dims declared but no calendar file configured")
@@ -321,9 +320,7 @@ def load_series(cfg: RunConfig) -> TimeSeries:
         missing = set(wanted) - built
         if missing:
             raise DataError(f"calendar has no usable events for group(s): {sorted(missing)}")
-        for spec in specs:
-            ts = ts.add_dims(spec)
-    return ts
+    return replace(ts, seasons=tuple(cfg.seasons), dims=tuple(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +444,8 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     save_artifact(out / "model.json", ts, spec, params, fit.final_state, fit.objective)
     report = accuracy(fit)
     _write_json(out / "accuracy.json", {
-        "rmse": report.rmse,
-        "mape": report.mape,
+        **asdict(report),
         "aic": report.aic if report.aic != float("-inf") else None,
-        "n_obs": report.n_obs,
-        "k_params": report.k_params,
-        "warmup": report.warmup,
-        "params": asdict(params),
         "model": reduce_check(spec),
     })
     log.info("fit: objective %.6g, %s", fit.objective, reduce_check(spec))
@@ -498,6 +490,10 @@ def cmd_decompose(cfg: RunConfig, out: Path) -> int:
 def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
     if cfg.first_origin is None:
         raise UsageError("evaluate requires first_origin in the config")
+    longest = max((s.cycle_length for s in cfg.seasons), default=0)
+    if cfg.first_origin < 2 * longest:
+        raise UsageError(f"first_origin {cfg.first_origin} is below two cycles of the "
+                         f"longest season ({2 * longest})")
     ts = load_series(cfg)
     step = cfg.origin_step if cfg.origin_step is not None else cfg.horizon
     spec = cfg.model_spec(ts)

@@ -22,13 +22,13 @@ the model's structure: which components are regular or moving, additive or
 multiplicative, updated or frozen, the trend kind and whether the trend is
 damped. Each series is cut into runs, maximal stretches of steps over which
 the set of active moving seasonalities stays the same
-(:meth:`TimeSeries.step_runs`), and each kind of run gets its own loop,
+(:attr:`TimeSeries.step_runs`), and each kind of run gets its own loop,
 which reads the regular cycles and exactly the moving seasonalities active
 in it, so no step tests a slot. Each structure and set of run kinds is
 compiled once and cached; the generated source is built from those flags
 alone and embeds no user text. The loops zip the step index with the
 series' observation and slot lists, which each series builds once
-(:meth:`TimeSeries.step_lists`); the per-pass constants (``1 - alpha``,
+(:attr:`TimeSeries.step_lists`); the per-pass constants (``1 - alpha``,
 ``1 - gamma`` or, for an additive trend, ``(1 - gamma) * phi``, each
 ``1 - delta``) are computed before them, and ``yt - sum_add`` once per
 step. A neutral operation is dropped only where an exact IEEE identity
@@ -327,7 +327,7 @@ def _step_kernel(mult_trend: bool, has_mult: bool, damped: bool,
     ``comps`` holds ``(is_dims, is_mult, updated)`` per index component, in
     component order; ``damped`` says whether the damping factor may differ
     from 1; ``kinds`` holds the run kinds of the series
-    (:meth:`~hwdims.timeseries.TimeSeries.step_runs`), each the indices of
+    (:attr:`~hwdims.timeseries.TimeSeries.step_runs`), each the indices of
     the moving seasonalities active in a run. The kernel walks the runs it is
     given and sends each to the step loop of its kind. That loop unrolls the
     gather and the update of the regular cycles and of exactly that kind's
@@ -425,8 +425,8 @@ def smooth_pass(
     compiled once per structure and set of run kinds; see
     :func:`_step_kernel`. They read the observation and slot lists and the
     run table that ``ts`` builds once
-    (:meth:`~hwdims.timeseries.TimeSeries.step_lists`,
-    :meth:`~hwdims.timeseries.TimeSeries.step_runs`), so the passes of a
+    (:attr:`~hwdims.timeseries.TimeSeries.step_lists`,
+    :attr:`~hwdims.timeseries.TimeSeries.step_runs`), so the passes of a
     search over one series share them; each stop's stretch of steps is cut
     from the run table.
 
@@ -469,7 +469,7 @@ def smooth_pass(
             )
     check_observations(ts, spec, n)
     n_seasons = len(ts.seasons)
-    kinds, runs = ts.step_runs()
+    kinds, runs = ts.step_runs
     kernel = _step_kernel(mult_trend, has_mult, spec.damping_enabled, tuple(
         (i >= n_seasons, is_mult, delta != 0.0)
         for i, (is_mult, delta) in enumerate(zip(mults, deltas))
@@ -478,7 +478,7 @@ def smooth_pass(
     level = float(seeds.level)
     trend = 0.0 if spec.trend == "none" else float(seeds.trend)
     eps = float(seeds.last_residual)
-    y, slots = ts.step_lists()
+    y, slots = ts.step_lists
     fitted = array("d", bytes(8 * n))
     states = []
     start = 0

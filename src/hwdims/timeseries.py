@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -138,11 +139,12 @@ def compute_recurrence(spec: DimsSpec, n: int) -> np.ndarray:
 class TimeSeries:
     """Evenly spaced observations with seasonal structure attached.
 
-    The slot tables of the moving seasonalities are computed when the series
-    is built. The plain lists and the run table that the smoothing step loop
-    reads (see :meth:`step_lists` and :meth:`step_runs`) are built lazily, on
-    first use, once per series, so the passes of a search share them; a
-    derived series (``prefix``, ``add_dims`` and the like) builds its own.
+    The engine tables (the slot tables of the moving seasonalities behind
+    :meth:`recurrence`, and the plain lists and the run table that the
+    smoothing step loop reads, :attr:`step_lists` and :attr:`step_runs`) are
+    built on first use, once per series, so the passes of a search share
+    them; a derived series (``prefix``, ``add_dims`` and the like) builds its
+    own.
     """
 
     values: np.ndarray
@@ -150,15 +152,6 @@ class TimeSeries:
     start: datetime = datetime(2000, 1, 3)
     seasons: tuple[SeasonSpec, ...] = ()
     dims: tuple[DimsSpec, ...] = ()
-    _recurrences: dict[str, np.ndarray] = field(
-        init=False, repr=False, default_factory=dict
-    )
-    _step_lists: tuple[list[float], tuple[list[int], ...]] | None = field(
-        init=False, repr=False, default=None
-    )
-    _step_runs: tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int]]] | None = field(
-        init=False, repr=False, default=None
-    )
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(-1).copy()
@@ -184,14 +177,11 @@ class TimeSeries:
                 raise DataError(
                     f"season {spec.id!r}: cycle {spec.cycle_length} exceeds series length {n}"
                 )
-        recurrences = {}
         dims_ids = set()
         for spec in self.dims:
             if spec.id in dims_ids:
                 raise ValueError(f"duplicate dims id {spec.id!r}")
             dims_ids.add(spec.id)
-            recurrences[spec.id] = compute_recurrence(spec, n)
-        object.__setattr__(self, "_recurrences", recurrences)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -203,6 +193,10 @@ class TimeSeries:
     def timestamp_at(self, index: int) -> datetime:
         return self.start + index * self.step
 
+    @cached_property
+    def _recurrences(self) -> dict[str, np.ndarray]:
+        return {spec.id: compute_recurrence(spec, len(self.values)) for spec in self.dims}
+
     def recurrence(self, dims_id: str) -> np.ndarray:
         """Slot table of one moving seasonality (see :func:`compute_recurrence`)."""
         try:
@@ -210,18 +204,18 @@ class TimeSeries:
         except KeyError:
             raise KeyError(f"unknown dims id {dims_id!r}") from None
 
+    @cached_property
     def step_lists(self) -> tuple[list[float], tuple[list[int], ...]]:
         """The observations and the slot table of every index component
         (regular cycles, ``t % cycle_length``, then moving seasonalities) as
         plain lists over the whole series: the form the smoothing step loop
         reads. Built on first use and kept; callers must not modify them."""
-        if self._step_lists is None:
-            positions = np.arange(len(self.values))
-            slots = [(positions % s.cycle_length).tolist() for s in self.seasons] \
-                + [self._recurrences[d.id].tolist() for d in self.dims]
-            object.__setattr__(self, "_step_lists", (self.values.tolist(), tuple(slots)))
-        return self._step_lists
+        positions = np.arange(len(self.values))
+        slots = [(positions % s.cycle_length).tolist() for s in self.seasons] \
+            + [self._recurrences[d.id].tolist() for d in self.dims]
+        return self.values.tolist(), tuple(slots)
 
+    @cached_property
     def step_runs(self) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int]]]:
         """The series cut into runs for the smoothing step loop, as ``(kinds,
         runs)``. A run is a maximal stretch of steps over which the set of
@@ -230,23 +224,20 @@ class TimeSeries:
         each kind that occurs, sorted; ``runs`` holds one ``(start, stop,
         kind)`` per run in series order, ``kind`` an index into ``kinds``.
         Built on first use and kept; callers must not modify them."""
-        if self._step_runs is None:
-            n = len(self.values)
-            active = np.array([self._recurrences[d.id] >= 0 for d in self.dims],
-                              dtype=bool).reshape(len(self.dims), n)
-            edges = (np.flatnonzero((active[:, 1:] != active[:, :-1]).any(axis=0)) + 1).tolist()
-            starts = [0, *edges] if n else []
-            members = [tuple(np.flatnonzero(active[:, a]).tolist()) for a in starts]
-            kinds = tuple(sorted(set(members)))
-            runs = [(a, b, kinds.index(k)) for a, b, k in zip(starts, edges + [n], members)]
-            object.__setattr__(self, "_step_runs", (kinds, runs))
-        return self._step_runs
+        n = len(self.values)
+        active = np.array([self._recurrences[d.id] >= 0 for d in self.dims],
+                          dtype=bool).reshape(len(self.dims), n)
+        edges = (np.flatnonzero((active[:, 1:] != active[:, :-1]).any(axis=0)) + 1).tolist()
+        starts = [0, *edges] if n else []
+        members = [tuple(np.flatnonzero(active[:, a]).tolist()) for a in starts]
+        kinds = tuple(sorted(set(members)))
+        return kinds, [(a, b, kinds.index(k)) for a, b, k in zip(starts, edges + [n], members)]
 
     def add_season(self, spec: SeasonSpec) -> TimeSeries:
         return replace(self, seasons=self.seasons + (spec,))
 
     def add_dims(self, spec: DimsSpec) -> TimeSeries:
-        """Register a moving seasonality; its slot table is computed eagerly."""
+        """Register a moving seasonality."""
         return replace(self, dims=self.dims + (spec,))
 
     def prefix(self, n: int) -> TimeSeries:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hwdims.timeseries
 from hwdims import (
     DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast, mape,
     project_dims,
@@ -195,6 +196,12 @@ class TestIngest:
         with pytest.raises(DataError, match="need at least 2 distinct timestamps"):
             ingest(path)
 
+    def test_one_row_is_a_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,value\n2023-01-02T00:00:00,1\n")
+        with pytest.raises(DataError, match="need at least 2 data rows"):
+            ingest(path)
+
     def test_clean_series(self, tmp_path):
         path = tmp_path / "d.csv"
         write_hourly_csv(path, np.arange(48.0))
@@ -374,6 +381,8 @@ class TestConfig:
         ("season = 168 multiplicative bogus", "season", "bogus"),
         ("dims = Holidays bogus neutral", "dims", "bogus"),
         ("dims = Holidays multiplicative bogus", "dims", "bogus"),
+        ("max_evals = lots", "max_evals", "lots"),
+        ("damping = maybe", "damping", "maybe"),
     ]
 
     @pytest.mark.parametrize("line, key, value", BAD_VALUES,
@@ -439,6 +448,43 @@ class TestConfig:
         cfg_path.write_text("data = missing.csv\nseason = 24 multiplicative ratio_to_ma\n")
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "first_origin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first_origin", [200, 300, 335])
+    def test_first_origin_below_two_longest_cycles_is_a_config_error(
+            self, tmp_path, monkeypatch, capsys, first_origin):
+        # The seeds of the first origin's window need two cycles of the
+        # longest season; the config alone says whether it has them.
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        (tmp_path / "run.cfg").write_text(
+            "data = missing.csv\nseason = 24 multiplicative ratio_to_ma\n"
+            f"season = 168 multiplicative ratio_to_ma\nfirst_origin = {first_origin}\n")
+        argv = ["evaluate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"first_origin {first_origin} is below two cycles " \
+            "of the longest season (336)" in err
+
+    def test_first_origin_of_two_longest_cycles_reads_the_data(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(
+            "data = missing.csv\nseason = 168 multiplicative ratio_to_ma\nfirst_origin = 336\n")
+        argv = ["evaluate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("season 24 multiplicative ratio_to_ma", "expected 'key = value'"),
+        ("season = 24 multiplicative", "season needs 'cycle mode init_method [id]'"),
+        ("season = daily multiplicative ratio_to_ma", "bad cycle length 'daily'"),
+        ("dims = Holidays multiplicative", "dims needs 'group mode init_method'"),
+        ("horizon = 12", "duplicate key 'horizon'"),
+    ], ids=["no-equals", "season-fields", "season-cycle", "dims-fields", "duplicate-key"])
+    def test_syntax_error_names_its_line(self, tmp_path, monkeypatch, capsys, line, message):
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        (tmp_path / "run.cfg").write_text("data = demand.csv\nhorizon = 24\n" + line + "\n")
+        argv = ["fit", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"run.cfg:3: {message}" in err
 
 
 def demand_fixture(tmp_path, weeks=4, dips=()):
@@ -641,6 +687,31 @@ class TestCommands:
                                match=f"artifact state {key} {sid} must be a list of {size} numbers"):
                 load_artifact(path)
 
+    @pytest.mark.parametrize("path, value, match", [
+        ("spec.bogus", 1, "malformed artifact ModelSpec"),
+        ("params.alpha", "high", "malformed artifact SmoothingParams"),
+        ("params.deltas", 5, "malformed artifact SmoothingParams"),
+        ("state.seasonal.daily", ["x"] * 24, "malformed artifact state seasonal"),
+        ("state.dims.event", [[1.0], 2.0, 3.0, 4.0], "malformed artifact state dims"),
+    ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged"])
+    def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, path, value, match):
+        ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
+                           dims=[DimsSpec("event", "additive", 4, occurrences=(30,))])
+        state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)},
+                           dims={"event": np.zeros(4)})
+        params = SmoothingParams(alpha=0.5, deltas=(0.1,), deltas_dims=(0.1,))
+        model = tmp_path / "model.json"
+        save_artifact(model, ts, ModelSpec.for_series(ts), params, state, 1.0)
+        doc = json.loads(model.read_text())
+        *parents, leaf = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+        model.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            load_artifact(model)
+
     @pytest.mark.parametrize("key", ["season_modes", "dims_modes"])
     def test_artifact_spec_modes_must_match_its_components(self, tmp_path, key):
         # forecast reads the spec's modes; they must be the ones the state was fitted in
@@ -682,6 +753,34 @@ class TestCommands:
         assert list(state2.seasonal) == ["zz_daily", "aa_weekly"]
         got = forecast(state2, spec2, params2, 48)
         np.testing.assert_array_equal(got, expected)
+
+    def test_load_series_builds_the_series_once(self, tmp_path, monkeypatch):
+        # The ingested series, then one with every season and event group;
+        # no slot table is computed until the engine reads one.
+        _, start = demand_fixture(tmp_path, weeks=2)
+        (tmp_path / "events.csv").write_text(
+            "event_id,group,date_start,span_days\n"
+            f"a,Holidays,{(start + timedelta(days=3)).date()},1\n"
+            f"b,Easter,{(start + timedelta(days=8)).date()},2\n")
+        cfg = write_fit_config(tmp_path, "calendar = events.csv\n"
+                               "season = 168 multiplicative ratio_to_ma weekly\n"
+                               "dims = Holidays multiplicative neutral\n"
+                               "dims = Easter additive neutral\n")
+        built, tables = [], []
+        post_init = TimeSeries.__post_init__
+
+        def counted(ts):
+            built.append((len(ts.seasons), len(ts.dims)))
+            post_init(ts)
+
+        monkeypatch.setattr(TimeSeries, "__post_init__", counted)
+        monkeypatch.setattr(hwdims.timeseries, "compute_recurrence",
+                            lambda spec, n: tables.append(spec.id))
+        ts = cli.load_series(parse_config(cfg))
+        assert built == [(0, 0), (2, 2)] and tables == []
+        assert [s.id for s in ts.seasons] == ["daily", "weekly"]
+        assert [(d.id, d.mode, d.length) for d in ts.dims] == [
+            ("Easter", "additive", 48), ("Holidays", "multiplicative", 24)]
 
     def test_decompose_writes_panels(self, tmp_path):
         demand_fixture(tmp_path, weeks=4, dips=(8, 15))

@@ -142,6 +142,18 @@ class TestMforecast:
         assert grid.origins == (192, 240)
         assert grid.grand_mape < 1.0  # deterministic pattern is easy
 
+    @pytest.mark.parametrize("change, message", [
+        ({"step": 0}, "step must be >= 1"),
+        ({"horizon": 0}, "horizon must be >= 1"),
+        ({"policy": "weekly"}, "unknown params policy 'weekly'"),
+    ], ids=["step", "horizon", "policy"])
+    def test_bad_arguments_rejected(self, change, message):
+        ts = fixture_series(240)
+        spec = ModelSpec.for_series(ts)
+        kwargs = {"first_origin": 120, "step": 24, "horizon": 24, "params": PARAMS, **change}
+        with pytest.raises(ValueError, match=message):
+            mforecast(ts, spec, **kwargs)
+
     def test_fixed_policy_requires_params(self):
         ts = fixture_series(240)
         spec = ModelSpec.for_series(ts)

@@ -460,6 +460,16 @@ class TestForecastEquation:
             forecast(state, spec, SmoothingParams(alpha=0.1), 2,
                      {"ghost": np.array([0, 1])})
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(trend="additive", season_modes=("multiplicative",)),
+        ModelSpec(trend="additive", dims_modes=("additive",)),
+    ], ids=["season", "dims"])
+    def test_mode_count_must_match_the_state(self, spec):
+        params = SmoothingParams(alpha=0.1, deltas=(0.1,) * len(spec.season_modes),
+                                 deltas_dims=(0.1,) * len(spec.dims_modes))
+        with pytest.raises(ValueError, match="spec modes do not match the state's index"):
+            forecast(bare_state(1.0), spec, params, 2)
+
 
 class TestProjection:
     def test_projected_slots(self):
@@ -661,6 +671,20 @@ class TestReduceCheck:
 
     def test_no_seasonality(self):
         assert "no seasonality" in reduce_check(ModelSpec(trend="additive"))
+
+    @pytest.mark.parametrize("spec, name", [
+        (ModelSpec(trend="additive", damping_enabled=True),
+         "Holt damped-trend exponential smoothing (no seasonality)"),
+        (ModelSpec(trend="additive", season_modes=("multiplicative",) * 4),
+         "multiple seasonal Holt-Winters (n=4)"),
+        (ModelSpec(trend="additive", damping_enabled=True, season_modes=("additive",) * 5),
+         "multiple seasonal Holt-Winters (n=5) with damped trend"),
+        (ModelSpec(trend="none", ar_adjustment_enabled=True, damping_enabled=True,
+                   season_modes=("additive",)),
+         "multiple seasonal Holt-Winters (n=1) with damped trend and AR(1) adjustment"),
+    ], ids=["damped-holt", "n4", "n5-damped", "n1-damped-ar"])
+    def test_names(self, spec, name):
+        assert reduce_check(spec) == name
 
 
 # Component ids that would break generated source if they were pasted into it.
@@ -911,7 +935,7 @@ class TestStepLists:
         # The passes share one set of lists; had the loop written into them,
         # a later pass would differ from one on a newly built copy.
         ts, spec, _params, seeds, stops = bench_case()
-        lists = ts.step_lists()
+        lists = ts.step_lists
         for alpha, deltas, deltas_dims in [(0.3, (0.2, 0.4), (0.5,)), (1.0, (1.0, 0.0), (1.0,)),
                                            (0.05, (0.7, 0.9), (0.0,)), (0.3, (0.2, 0.4), (0.5,))]:
             varied = SmoothingParams(alpha=alpha, gamma=0.2, deltas=deltas,
@@ -919,7 +943,7 @@ class TestStepLists:
             fresh = hourly_series(ts.values, ts.seasons, ts.dims)
             assert_same_fit(smooth_pass(ts, spec, varied, seeds, stops),
                             smooth_pass(fresh, spec, varied, seeds, stops))
-        assert ts.step_lists() is lists
+        assert ts.step_lists is lists
 
     def test_prefix_pass_equals_fresh_series(self):
         # The prefix keeps the block at 19, which straddles 20, and builds
@@ -928,10 +952,10 @@ class TestStepLists:
         smooth_pass(ts, spec, params, seeds)
         head = ts.prefix(20)
         assert head.dims == ts.dims
-        values, slots = head.step_lists()
-        assert values == ts.step_lists()[0][:20]
-        assert list(slots) == [s[:20] for s in ts.step_lists()[1]]
-        assert slots[2] is not ts.step_lists()[1][2]
+        values, slots = head.step_lists
+        assert values == ts.step_lists[0][:20]
+        assert list(slots) == [s[:20] for s in ts.step_lists[1]]
+        assert slots[2] is not ts.step_lists[1][2]
         fresh = hourly_series(ts.values[:20], ts.seasons, ts.dims)
         assert_same_fit(smooth_pass(head, spec, params, seeds),
                         smooth_pass(fresh, spec, params, seeds))
@@ -942,14 +966,14 @@ class TestStepLists:
     def test_run_table_once_per_series_and_own_for_prefix(self):
         case = runs_case(*OVERLAPS)
         ts = case[0]
-        table = ts.step_runs()
+        table = ts.step_runs
         assert table == (((), (0,), (0, 1), (1,)),
                          [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1), (13, 17, 3), (17, 36, 0)])
         smooth_pass(*case)  # a pass reads the table, it does not rebuild it
-        assert ts.step_runs() is table
+        assert ts.step_runs is table
         # the block of "a" at 13 straddles 15: the prefix keeps it, so its
         # own table is the series' cut at 15
-        head = ts.prefix(15).step_runs()
+        head = ts.prefix(15).step_runs
         assert head is not table
         assert head == (((), (0,), (0, 1), (1,)),
                         [(0, 5, 0), (5, 7, 1), (7, 11, 2), (11, 13, 1), (13, 15, 3)])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from hwdims import (
     parameter_names,
     params_to_vector,
 )
-from hwdims.optimize import ALGORITHMS
+from hwdims.optimize import ALGORITHMS, INFEASIBLE_PENALTY
 
 from helpers import hourly_series, simulate_double_seasonal
 
@@ -311,6 +313,38 @@ class TestFindParams:
         bounds = ((0.9, 1.0), (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(FitInfeasibleError):
             find_params(ts, spec, OptimConfig(max_evals=40, bounds=bounds))
+
+    @pytest.mark.parametrize("failure", [ZeroDivisionError, OverflowError, "nan", "inf"])
+    def test_failed_or_nonfinite_evaluations_are_penalized(self, monkeypatch, failure):
+        # Passes at alpha above 0.3 raise, or score a non-finite objective:
+        # the search sees the penalty for them and returns the best of the
+        # others. Each evaluation is one pass, so the two records pair up.
+        ts = self.make_series()
+        spec = ModelSpec.for_series(ts)
+        real_pass, real_search = hwdims.optimize.smooth_pass, hwdims.optimize.nelder_mead
+        failed, seen = [], []
+
+        def flaky(ts, spec, params, seeds):
+            fit = real_pass(ts, spec, params, seeds)
+            failed.append(params.alpha > 0.3)
+            if not failed[-1]:
+                return fit
+            if isinstance(failure, str):
+                return replace(fit, objective=float(failure))
+            raise failure
+
+        def watched(f, x0, config, step=None):
+            def recorded(z):
+                seen.append(f(z))
+                return seen[-1]
+            return real_search(recorded, x0, config, step)
+
+        monkeypatch.setattr(hwdims.optimize, "smooth_pass", flaky)
+        monkeypatch.setattr(hwdims.optimize, "nelder_mead", watched)
+        params, fit = find_params(ts, spec, OptimConfig(max_evals=80))
+        assert any(failed) and len(seen) == len(failed)
+        assert all((value == INFEASIBLE_PENALTY) == bad for value, bad in zip(seen, failed))
+        assert params.alpha <= 0.3 and math.isfinite(fit.objective)
 
     # (1.5, 2.0) is [1.5, 1.0] after the intersection with the hard box
     @pytest.mark.parametrize("bad", [(1.5, 2.0), (float("nan"), 0.5), (0.0, float("nan"))])

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwdims import DataError, DimsSpec, SeasonSpec, compute_recurrence, project_dims
+import hwdims.timeseries
+from hwdims import (
+    DataError, DimsSpec, SeasonSpec, TimeSeries, compute_recurrence, project_dims,
+)
 from hwdims.timeseries import iso_stamps, slot_mean, write_csv
 
 from helpers import hourly_series
@@ -29,6 +32,10 @@ class TestSeasonSpec:
     def test_mode_init_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ratio_to_ma"):
             SeasonSpec("d", 24, mode="additive", init_method="ratio_to_ma")
+
+    def test_multiplicative_difference_init_rejected(self):
+        with pytest.raises(ValueError, match="difference_to_ma"):
+            SeasonSpec("d", 24, mode="multiplicative", init_method="difference_to_ma")
 
     def test_auto_init_follows_mode(self):
         assert SeasonSpec("d", 24, mode="multiplicative").init_method == "ratio_to_ma"
@@ -68,6 +75,17 @@ class TestDimsSpec:
     def test_occurrences_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             DimsSpec("h", "multiplicative", 24, occurrences=(200, 100))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"length": 0}, "length must be >= 1"),
+        ({"mode": "cubic"}, "unknown mode 'cubic'"),
+        ({"init_method": "ratio_to_ma"}, "unknown init_method 'ratio_to_ma'"),
+        ({"occurrences": (-5, 100)}, "negative occurrence start -5"),
+    ], ids=["length", "mode", "init_method", "negative-start"])
+    def test_invalid_spec_rejected(self, change, message):
+        kwargs = {"id": "h", "mode": "multiplicative", "length": 24, **change}
+        with pytest.raises(ValueError, match=f"dims 'h': {message}"):
+            DimsSpec(**kwargs)
 
     def test_block_past_series_end_cut_in_slot_table(self):
         spec = DimsSpec("h", "multiplicative", 24, occurrences=(590,))
@@ -119,6 +137,45 @@ class TestTimeSeries:
         assert cut.dims == ts.dims
         assert len(cut) == 470
         assert (cut.recurrence("h") == ts.recurrence("h")[:470]).all()
+
+    @pytest.mark.parametrize("step", [timedelta(0), timedelta(hours=-1)])
+    def test_nonpositive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be a positive duration"):
+            TimeSeries(values=demand(48), step=step)
+
+    def test_unknown_dims_id_rejected(self):
+        with pytest.raises(KeyError, match="unknown dims id 'ghost'"):
+            hourly_series(demand()).recurrence("ghost")
+
+    @pytest.mark.parametrize("n", [0, 601])
+    def test_prefix_outside_the_series_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"prefix length {n} outside 1\.\.600"):
+            hourly_series(demand(600)).prefix(n)
+
+    def test_slot_tables_built_once_on_first_read(self, monkeypatch):
+        # Building or cutting a series computes no slot table; the first read
+        # of any engine table computes one per moving seasonality, and every
+        # later read, of any table, reuses them.
+        calls = []
+
+        def counted(spec, n):
+            calls.append((spec.id, n))
+            return compute_recurrence(spec, n)
+
+        monkeypatch.setattr(hwdims.timeseries, "compute_recurrence", counted)
+        ts = hourly_series(demand(600), seasons=[SeasonSpec("d", 24)], dims=[
+            DimsSpec("a", "multiplicative", 24, occurrences=(100, 460)),
+            DimsSpec("b", "additive", 12, occurrences=(300,)),
+        ])
+        head = ts.prefix(470)
+        assert calls == []
+        assert ts.step_runs[1][0] == (0, 100, 0)
+        assert sorted(calls) == [("a", 600), ("b", 600)]
+        lists = ts.step_lists
+        assert lists[1][1] == ts.recurrence("a").tolist()
+        assert ts.step_lists is lists and len(calls) == 2
+        assert (head.recurrence("b") == ts.recurrence("b")[:470]).all()
+        assert sorted(calls[2:]) == [("a", 470), ("b", 470)]
 
     def test_timestamps_are_even(self):
         ts = hourly_series(demand(10))

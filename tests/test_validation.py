@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,6 +13,7 @@ from hwdims import (
     CalendarEvent,
     DataError,
     DimsSpec,
+    FitInfeasibleError,
     ModelSpec,
     ModelState,
     OptimConfig,
@@ -93,6 +96,26 @@ class TestEngineConsistencyChecks:
                                              "!= series mode 'multiplicative'"):
             smooth_pass(ts, wrong, params, seeds)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"spec": ModelSpec(trend="additive", dims_modes=("multiplicative",))},
+         "spec season_modes do not match series seasons"),
+        ({"spec": ModelSpec(trend="additive", season_modes=("multiplicative",))},
+         "spec dims_modes do not match series dims"),
+        ({"params": SmoothingParams(alpha=0.1, deltas=(0.1,))}, "expected 1 dims deltas, got 0"),
+        ({"dims": {}}, "seed slots for dims 'event' missing or wrong length"),
+        ({"dims": {"event": np.ones(3)}}, "seed slots for dims 'event' missing or wrong length"),
+    ], ids=["season-count", "dims-count", "dims-deltas", "dims-seeds", "dims-seed-length"])
+    def test_component_count_mismatch(self, change, message):
+        ts = self.series().add_dims(DimsSpec("event", "multiplicative", 4, occurrences=(30,)))
+        spec = ModelSpec.for_series(ts)
+        seeds = init_values(ts, spec)
+        if "dims" in change:
+            seeds = replace(seeds, dims=change["dims"])
+        params = change.get("params", SmoothingParams(alpha=0.1, deltas=(0.1,),
+                                                      deltas_dims=(0.1,)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            smooth_pass(ts, change.get("spec", spec), params, seeds)
+
     def test_missing_seed_ring(self):
         ts = self.series()
         spec = ModelSpec.for_series(ts)
@@ -107,6 +130,15 @@ class TestEngineConsistencyChecks:
         seeds = ModelState(level=-5.0, trend=0.0, seasonal={"daily": np.ones(24)})
         with pytest.raises(FitInfeasibleError):
             smooth_pass(ts, spec, SmoothingParams(alpha=0.1, deltas=(0.1,)), seeds)
+
+    @pytest.mark.parametrize("trend", [0.0, -1.02])
+    def test_nonpositive_multiplicative_trend_seed_infeasible(self, trend):
+        ts = self.series()
+        spec = ModelSpec.for_series(ts, trend="multiplicative")
+        seeds = ModelState(level=100.0, trend=trend, seasonal={"daily": np.ones(24)})
+        with pytest.raises(FitInfeasibleError, match="multiplicative trend seed") as err:
+            smooth_pass(ts, spec, SmoothingParams(alpha=0.1, deltas=(0.1,)), seeds)
+        assert err.value.step == -1
 
     def test_multiplicative_trend_requires_positive_means(self):
         ts = hourly_series(np.full(16, -3.0),
