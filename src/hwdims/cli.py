@@ -267,6 +267,8 @@ def parse_config(path) -> RunConfig:
     settings = {"data": (base / values.pop("data")).resolve()}
     if "calendar" in values:
         settings["calendar"] = (base / values.pop("calendar")).resolve()
+    elif dims:
+        raise UsageError(f"{path}: dims declared but no calendar file configured")
 
     def take(key, conv, allowed=None):
         if key in values:
@@ -306,8 +308,6 @@ def load_series(cfg: RunConfig) -> TimeSeries:
     ts = ingest(cfg.data)
     specs = []
     if cfg.dims:
-        if cfg.calendar is None:
-            raise UsageError("dims declared but no calendar file configured")
         events = read_calendar_csv(cfg.calendar)
         wanted = {d.group: d for d in cfg.dims}
         events = [ev for ev in events if ev.recurrence_group in wanted]
@@ -361,14 +361,14 @@ def save_artifact(path, ts: TimeSeries, spec: ModelSpec, params: SmoothingParams
 
 def _from_json(cls, doc):
     """Rebuild a dataclass written with ``asdict``. A missing or unknown
-    field, or a value of the wrong type, makes the artifact malformed."""
+    field, or a value the dataclass rejects, makes the artifact malformed."""
     try:
         missing = {f.name for f in fields(cls)} - set(doc)
-        if missing:
-            raise DataError(f"artifact {cls.__name__} lacks field(s) {sorted(missing)}")
-        return cls(**doc)
-    except TypeError as exc:
+        if not missing:
+            return cls(**doc)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"malformed artifact {cls.__name__}: {exc}") from exc
+    raise DataError(f"artifact {cls.__name__} lacks field(s) {sorted(missing)}")
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a JSON string",
@@ -403,7 +403,10 @@ def _rings(state: dict, key: str, lengths: dict[str, int]) -> dict[str, np.ndarr
 
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"malformed artifact {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"artifact must be a JSON object, not {type(doc).__name__}")
     version = doc.get("schema_version")

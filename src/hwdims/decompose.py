@@ -5,8 +5,8 @@ seasonality + one component per moving seasonality + remainder reconstructs
 the input exactly (the remainder closes the identity by construction).
 Regular components follow MSTL (Bandara, Hyndman & Bergmeir 2021): a fixed
 number of outer passes (two, one for a single cycle) re-extracts each
-seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, by the
-STL inner loop (Cleveland et al. 1990). The decomposition is event-blind:
+seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, in two
+STL passes (Cleveland et al. 1990). The decomposition is event-blind:
 every smoother of the regular components skips the moving-seasonality
 occurrence blocks, so trend and seasonals do not depend on the values inside
 them (unless some cycle slot lies inside a block in every cycle, where that
@@ -416,18 +416,17 @@ def _trend_window(cycle: int, seasonal_window: int) -> int:
 def _extract_seasonal(u: np.ndarray, s: int, window: int,
                       excluded: np.ndarray | None = None) -> np.ndarray:
     """One STL-style seasonal extraction for cycle length ``s``; the cycle is
-    also the low-pass window."""
-    n = len(u)
+    also the low-pass window. Each later pass reads ``u`` less the trend of
+    ``u`` less the last seasonal; the last pass smooths no trend (MSTL keeps none)."""
     lowpass_w = _odd_at_least(s)
-    trend = np.zeros(n)
-    seasonal = np.zeros(n)
-    for _ in range(_INNER_ITERATIONS):
-        detrended = u - trend
+    detrended = u
+    for i in range(_INNER_ITERATIONS):
+        if i:
+            detrended = u - loess_smooth(u - seasonal, _trend_window(s, window), excluded=excluded)
         ext = _subseries_smooth_extended(detrended, s, window, excluded)
         lowpass = _moving_average(_moving_average(_moving_average(ext, s), s), 3)
         lowpass = loess_smooth(lowpass, lowpass_w)
-        seasonal = _recenter_cycles(ext[s:s + n] - lowpass, s)
-        trend = loess_smooth(u - seasonal, _trend_window(s, window), excluded=excluded)
+        seasonal = _recenter_cycles(ext[s:-s] - lowpass, s)
     return seasonal
 
 

@@ -417,7 +417,9 @@ def smooth_pass(
     ``states``; observations after the last stop are never read. Moving
     seasonalities read the series' own slot tables, so a block that
     straddles a stop is updated up to it. By default the pass consumes the
-    whole series and ``states`` holds the final state alone.
+    whole series and ``states`` holds the final state alone. Step t reads
+    regular slot ``(seeds.position + t) % s``, so a pass seeded from the
+    state another pass stopped at continues it over the observations after.
 
     The steps run in straight-line loops generated for the model's
     structure (trend kind, damping, each component's kind and mode, which
@@ -455,6 +457,8 @@ def smooth_pass(
     mults = [c.mode == "multiplicative" for c in specs]
     values = [np.asarray(ring, dtype=float).tolist() for ring in
               [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims]]
+    turns = [seeds.position % s.cycle_length for s in ts.seasons]
+    values[:len(turns)] = [v[r:] + v[:r] for v, r in zip(values, turns)]
     deltas = eff.deltas + eff.deltas_dims
 
     has_mult = _is_multiplicative(ts, spec)
@@ -491,7 +495,7 @@ def smooth_pass(
         states.append(ModelState(
             level=level,
             trend=trend,
-            seasonal={cid: np.array(v) for cid, v in zip(ids[:n_seasons], values)},
+            seasonal={cid: np.array(v[-r:] + v[:-r]) for cid, v, r in zip(ids, values, turns)},
             dims={cid: np.array(v) for cid, v in zip(ids[n_seasons:], values[n_seasons:])},
             last_residual=eps,
             position=seeds.position + stop,

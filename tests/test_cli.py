@@ -443,6 +443,19 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "usage error" in err and f"run.cfg:6: {message}" in err
 
+    @pytest.mark.parametrize("command", ["fit", "forecast", "decompose", "evaluate"])
+    def test_dims_without_calendar_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        monkeypatch.setattr(cli, "ingest", lambda path: pytest.fail("data was read"))
+        (tmp_path / "run.cfg").write_text(
+            "data = nothere.csv\nfirst_origin = 48\n"
+            "season = 24 multiplicative ratio_to_ma\n"
+            "dims = Holidays multiplicative neutral\n")
+        argv = [command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "dims declared but no calendar" in err
+
     def test_evaluate_checks_first_origin_before_reading_data(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("data = missing.csv\nseason = 24 multiplicative ratio_to_ma\n")
@@ -693,7 +706,10 @@ class TestCommands:
         ("params.deltas", 5, "malformed artifact SmoothingParams"),
         ("state.seasonal.daily", ["x"] * 24, "malformed artifact state seasonal"),
         ("state.dims.event", [[1.0], 2.0, 3.0, 4.0], "malformed artifact state dims"),
-    ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged"])
+        ("spec.trend", "bogus", "malformed artifact ModelSpec: unknown trend kind 'bogus'"),
+        ("params.alpha", 2.0, r"malformed artifact SmoothingParams: alpha=2.0 outside \[0, 1\]"),
+    ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged",
+            "spec-trend", "params-range"])
     def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, path, value, match):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
                            dims=[DimsSpec("event", "additive", 4, occurrences=(30,))])
@@ -711,6 +727,22 @@ class TestCommands:
         model.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_artifact(model)
+
+    def test_truncated_artifact_is_a_data_error(self, tmp_path, capsys):
+        ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)])
+        state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)})
+        model = tmp_path / "model.json"
+        save_artifact(model, ts, ModelSpec.for_series(ts),
+                      SmoothingParams(alpha=0.5, deltas=(0.1,)), state, 1.0)
+        model.write_text(model.read_text()[:100])
+        with pytest.raises(DataError,
+                           match=f"malformed artifact {re.escape(str(model))}: Expecting"):
+            load_artifact(model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = missing.csv\nseason = 24 multiplicative ratio_to_ma daily\n")
+        assert main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--model", str(model)]) == 2
+        assert "malformed artifact" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["season_modes", "dims_modes"])
     def test_artifact_spec_modes_must_match_its_components(self, tmp_path, key):

@@ -539,7 +539,8 @@ class TestTwoSeasonalities:
     def test_seasonal_windows_follow_cycle_rank(self, monkeypatch):
         # MSTL: the i-th shortest cycle is smoothed with window 7 + 4 i, and
         # its trend window follows from it; the final trend takes the
-        # weekly one (281). Low-pass windows are the cycles (25, 169).
+        # weekly one (281). Low-pass windows are the cycles (25, 169). Each
+        # extraction smooths a trend only between its two passes.
         subseries, smooths = [], []
         real_subseries, real_loess = decompose._subseries_smooth_extended, decompose.loess_smooth
 
@@ -558,6 +559,7 @@ class TestTwoSeasonalities:
         assert subseries == ([(24, 11)] * inner + [(168, 15)] * inner) * 2
         assert sorted(set(smooths)) == [25, 43, 169, 281]
         assert smooths[-1] == 281
+        assert smooths == [25, 43, 25, 169, 281, 169] * 2 + [281]
 
     def test_single_seasonality_stl_equals_mstl(self):
         t = np.arange(24 * 8)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hwdims import (
@@ -91,7 +93,7 @@ def reference_pass(ts, spec, params, seeds, stops=None) -> FitResult:
         [c.id for c in specs],
         [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims],
         [c.mode for c in specs],
-        [(np.arange(n) % s.cycle_length).tolist() for s in ts.seasons]
+        [((seeds.position + np.arange(n)) % s.cycle_length).tolist() for s in ts.seasons]
         + [ts.recurrence(d.id)[:n].tolist() for d in ts.dims],
         eff.deltas + eff.deltas_dims,
     )
@@ -1042,3 +1044,86 @@ class TestArrayForecast:
             assert type(got.value) is type(exc)
             return
         assert bits(forecast(*case)) == bits(want)
+
+
+@st.composite
+def split_cases(draw):
+    """A pass over 1-3 regular cycles and up to one moving seasonality, each
+    in either mode, seeded at any position, and a step at which to split it
+    that no block straddles and that leaves the tail longer than the
+    warm-up."""
+    cycles = draw(st.lists(st.integers(2, 12), unique=True, min_size=1, max_size=3))
+    longest = max(cycles)
+    n = draw(st.integers(2 * longest + 2, 96))
+    split = draw(st.integers(1, n - longest - 1))
+    modes = st.sampled_from(MODES)
+    seasons = [SeasonSpec(f"c{s}", s, mode=draw(modes)) for s in cycles]
+    dims = []
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 6))
+        occurrences = []
+        for start in sorted(draw(st.sets(st.integers(0, n - length), max_size=4))):
+            if (not occurrences or start >= occurrences[-1] + length) \
+                    and not start < split < start + length:
+                occurrences.append(start)
+        dims.append(DimsSpec("ev", draw(modes), length, occurrences=tuple(occurrences)))
+    t = np.arange(n)
+    y = 100.0 * (1 + 0.2 * np.sin(2 * np.pi * t / 6)) \
+        + np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    ts = hourly_series(y, seasons=seasons, dims=dims)
+    spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(TREND_KINDS)),
+                                damping_enabled=draw(st.booleans()),
+                                ar_adjustment_enabled=draw(st.booleans()))
+
+    def index(mode, size):
+        values = st.floats(0.8, 1.2) if mode == "multiplicative" else st.floats(-15.0, 15.0)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    seeds = ModelState(
+        level=draw(st.floats(50.0, 150.0)),
+        trend=draw(st.floats(0.99, 1.01) if spec.trend == "multiplicative"
+                   else st.floats(-2.0, 2.0)),
+        seasonal={s.id: index(s.mode, s.cycle_length) for s in seasons},
+        dims={d.id: index(d.mode, d.length) for d in dims},
+        last_residual=draw(st.floats(-5.0, 5.0)),
+        position=draw(st.integers(0, 100)),
+    )
+    params = SmoothingParams(
+        alpha=draw(WEIGHT), gamma=draw(WEIGHT), phi=draw(WEIGHT),
+        deltas=tuple(draw(WEIGHT) for _ in seasons),
+        deltas_dims=tuple(draw(WEIGHT) for _ in dims),
+        ar1=draw(st.floats(-0.95, 0.95)),
+    )
+    return ts, spec, params, seeds, split
+
+
+class TestContinuedPass:
+    """A pass continued from a state it stopped at, over the rest of the
+    series, against the whole pass."""
+
+    @given(split_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_split_pass_equals_one_pass(self, case):
+        # The tail starts at the split, with the blocks after it shifted back
+        # by it; its regular rings must read the slots of the series
+        # positions the state has reached, so the states, fits and forecasts
+        # are those of the whole pass, bit for bit.
+        ts, spec, params, seeds, split = case
+        n = len(ts)
+        try:
+            whole = smooth_pass(ts, spec, params, seeds, stops=[split, n])
+        except FitInfeasibleError:
+            assume(False)
+        tail_dims = [replace(d, occurrences=tuple(o - split for o in d.occurrences if o >= split))
+                     for d in ts.dims]
+        tail = hourly_series(ts.values[split:], ts.seasons, tail_dims)
+        continued = smooth_pass(tail, spec, params, whole.states[0])
+        # the tail scores its own warm-up, so only its objective differs
+        assert_same_fit(continued, replace(
+            whole, states=whole.states[1:], fitted=whole.fitted[split:],
+            one_step_errors=whole.one_step_errors[split:],
+            objective=continued.objective, warmup=continued.warmup))
+        horizon = 2 * max(s.cycle_length for s in ts.seasons)
+        future = project_dims(ts, n, horizon)
+        assert bits(forecast(continued.final_state, spec, params, horizon, future)) \
+            == bits(forecast(whole.final_state, spec, params, horizon, future))
