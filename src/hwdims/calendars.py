@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
-from .timeseries import DimsSpec, TimeSeries
+from .timeseries import DataError, DimsSpec, TimeSeries
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +27,7 @@ class CalendarEvent:
 
     def __post_init__(self):
         if self.span_days < 1:
-            raise ValueError(f"event {self.event_id!r}: span_days must be >= 1")
+            raise DataError(f"event {self.event_id!r}: span_days must be >= 1")
 
 
 def build_dims(
@@ -43,11 +43,12 @@ def build_dims(
     start after it, are kept: the series' slot tables cut their blocks at its
     end, and forecasts read them. Events that start before the series are
     dropped with a warning. ``mode`` / ``init_method`` apply to every group,
-    or per group when given as a mapping.
+    or per group when given as a mapping. A calendar the series cannot carry
+    raises :class:`DataError`.
     """
     steps_per_day, rem = divmod(timedelta(days=1), ts.step)
     if rem:
-        raise ValueError(
+        raise DataError(
             f"series step {ts.step} does not divide a day into whole steps_per_day"
         )
     groups: dict[str, list[CalendarEvent]] = {}
@@ -59,7 +60,7 @@ def build_dims(
         members = groups[group]
         spans = {ev.span_days for ev in members}
         if len(spans) > 1:
-            raise ValueError(
+            raise DataError(
                 f"group {group!r}: events must share one span_days, got {sorted(spans)}"
             )
         span = spans.pop()
@@ -70,7 +71,7 @@ def build_dims(
             offset = start_dt - ts.start
             steps, rem = divmod(offset, ts.step)
             if rem:
-                raise ValueError(
+                raise DataError(
                     f"event {ev.event_id!r} at {ev.date_start}: start does not fall on a step"
                 )
             if steps < 0:
@@ -89,6 +90,6 @@ def build_dims(
                 init_method=init_method[group] if isinstance(init_method, dict) else init_method,
             )
         except ValueError as exc:
-            raise ValueError(f"group {group!r}: overlapping events ({exc})") from exc
+            raise DataError(f"group {group!r}: overlapping events ({exc})") from exc
         specs.append(spec)
     return specs

@@ -328,8 +328,9 @@ def load_series(cfg: RunConfig) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 def _write_json(path, doc) -> None:
+    """Write ``doc`` as sorted, indented JSON; arrays are written as lists."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -341,14 +342,7 @@ def save_artifact(path, ts: TimeSeries, spec: ModelSpec, params: SmoothingParams
         "seasons": [asdict(s) for s in ts.seasons],
         "dims": [asdict(d) for d in ts.dims],
         "params": asdict(params),
-        "state": {
-            "level": state.level,
-            "trend": state.trend,
-            "seasonal": {k: v.tolist() for k, v in state.seasonal.items()},
-            "dims": {k: v.tolist() for k, v in state.dims.items()},
-            "last_residual": state.last_residual,
-            "position": state.position,
-        },
+        "state": asdict(state),
         "objective": objective,
         "series": {
             "start": ts.start.isoformat(),
@@ -435,15 +429,10 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
 # Commands
 # ---------------------------------------------------------------------------
 
-def _fit(ts: TimeSeries, cfg: RunConfig):
-    spec = cfg.model_spec(ts)
-    params, fit = find_params(ts, spec, cfg.optim)
-    return spec, params, fit
-
-
 def cmd_fit(cfg: RunConfig, out: Path) -> int:
     ts = load_series(cfg)
-    spec, params, fit = _fit(ts, cfg)
+    spec = cfg.model_spec(ts)
+    params, fit = find_params(ts, spec, cfg.optim)
     save_artifact(out / "model.json", ts, spec, params, fit.final_state, fit.objective)
     report = accuracy(fit)
     _write_json(out / "accuracy.json", {
@@ -457,21 +446,17 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 
 def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
     if model_path is not None:
-        spec, params, state, dims_specs, _doc = load_artifact(model_path)
-        projection_source = tuple(dims_specs)
-        origin = state.position
-        series = _json_field(_doc, "series", dict)
+        spec, params, state, dims, doc = load_artifact(model_path)
+        series = _json_field(doc, "series", dict)
         start = datetime.fromisoformat(_json_field(series, "start", str, "artifact series"))
         step = timedelta(seconds=_json_field(series, "step_seconds", float, "artifact series"))
     else:
         ts = load_series(cfg)
-        spec, params, fit = _fit(ts, cfg)
-        state = fit.final_state
-        projection_source = ts.dims
-        origin = state.position
-        start, step = ts.start, ts.step
-    projection = project_dims(projection_source, origin, cfg.horizon)
-    values = forecast(state, spec, params, cfg.horizon, projection)
+        spec = cfg.model_spec(ts)
+        params, fit = find_params(ts, spec, cfg.optim)
+        state, dims, start, step = fit.final_state, ts.dims, ts.start, ts.step
+    origin = state.position
+    values = forecast(state, spec, params, cfg.horizon, project_dims(dims, origin, cfg.horizon))
     stamps = ((start + (origin + k) * step).isoformat() for k in range(cfg.horizon))
     write_csv(out / "forecast.csv", "timestamp,forecast", stamps, map(repr, values.tolist()))
     return 0

@@ -12,7 +12,8 @@ occurrence blocks, so trend and seasonals do not depend on the values inside
 them (unless some cycle slot lies inside a block in every cycle, where that
 slot's subseries is smoothed unmasked). Each moving-seasonality component is
 then the residual those components leave, averaged per within-block offset;
-without registered moving seasonalities nothing is masked.
+without registered moving seasonalities nothing is masked. A mask is always
+a bool array: "no mask" is one that keeps every point.
 
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
@@ -102,18 +103,18 @@ _GATHER_BLOCK = 1 << 13
 _PLANS = 16
 
 
-def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+def _tricube_weights(d: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Weights of the exact fit at offset 0 from points at the signed
-    offsets ``d`` (b, w), of which ``kept`` marks those that count (every one
-    when ``None``; each row keeps at least one): the fit is the dot product of
-    a row of weights with the values at those points.
+    offsets ``d`` (b, w), of which ``kept`` marks those that count (each row
+    keeps at least one): the fit is the dot product of a row of weights with
+    the values at those points.
 
     The bandwidth is the largest kept distance. A single kept point at
     offset 0 gives its value, zero total weight the mean of the kept values,
     and a flat design the weighted mean.
     """
     dist = np.abs(d)
-    h = (dist if kept is None else np.where(kept, dist, 0.0)).max(axis=1)
+    h = np.where(kept, dist, 0.0).max(axis=1)
     # tricube weights (1 - u^3)^3, zero beyond the bandwidth and off the mask
     u = dist / np.where(h > 0.0, h, 1.0)[:, None]
     wts = u * u
@@ -122,12 +123,11 @@ def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     np.maximum(wts, 0.0, out=wts)
     np.multiply(wts, wts, out=u)
     wts *= u
-    if kept is not None:
-        wts *= kept
+    wts *= kept
     sw = wts.sum(axis=1)
     unweighted = sw <= 0.0
     if unweighted.any():
-        wts[unweighted] = 1.0 if kept is None else kept[unweighted]
+        wts[unweighted] = kept[unweighted]
         sw = wts.sum(axis=1)
     # fit = yb - db * sxy / sxx, with yb and sxy linear in the values
     db = np.einsum("bw,bw->b", wts, d) / sw
@@ -141,15 +141,13 @@ def _tricube_weights(d: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     return wts
 
 
-def _kept_mask(excluded: np.ndarray | None) -> np.ndarray | None:
-    """The kept points of a (k, L) ``excluded`` mask, ``None`` when every point
-    is kept. A row with every point excluded keeps them all: it is fitted
+def _kept_mask(excluded: np.ndarray) -> np.ndarray:
+    """The kept points of a (k, L) ``excluded`` mask; an all-False mask keeps
+    every point. A row with every point excluded keeps them all: it is fitted
     unmasked."""
-    if excluded is None:
-        return None
     kept = ~excluded
     kept[~kept.any(axis=1)] = True
-    return None if kept.all() else kept
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +166,7 @@ class _ExactFits:
     x0: np.ndarray
     start: np.ndarray
     width: int
-    kept: np.ndarray | None
+    kept: np.ndarray
     near: np.ndarray
     far: np.ndarray
     far_idx: np.ndarray
@@ -183,8 +181,7 @@ class _ExactFits:
         for a in range(0, len(self.near), step):
             at = self.near[a:a + step]
             idx = self.start[at, None] + span
-            kept = None if self.kept is None else self.kept[idx]
-            wts = _tricube_weights(idx - self.x0[at, None], kept)
+            wts = _tricube_weights(idx - self.x0[at, None], self.kept[idx])
             out[at] = np.einsum("bw,bw->b", wts, values[idx])
         if len(self.far):
             wts = _tricube_weights(self.far_idx - self.x0[self.far, None], self.far_kept)
@@ -192,22 +189,17 @@ class _ExactFits:
         return out
 
 
-def _exact_fits(kept: np.ndarray | None, rows, x0s, window: int, length: int) -> _ExactFits:
+def _exact_fits(kept: np.ndarray, rows, x0s, window: int, length: int) -> _ExactFits:
     """Plan the exact fits of window ``window`` at the coordinates ``x0s`` of
     the ``rows`` of a matrix with rows of ``length`` points and the kept mask
     ``kept`` (see :func:`_kept_mask`)."""
     rows = np.asarray(rows, dtype=np.int64)
     x0s = np.asarray(x0s, dtype=float)
-    if window >= length:
-        width, lo = length, np.zeros(len(x0s), dtype=np.int64)
-    else:
-        width = window
-        lo = np.clip(np.floor(x0s).astype(np.int64) - (window - 1) // 2, 0, length - window)
-    far = np.zeros(0, dtype=np.int64)
-    if kept is not None:
-        counts = np.zeros((len(kept), length + 1), dtype=np.int64)
-        np.cumsum(kept, axis=1, out=counts[:, 1:])
-        far = np.flatnonzero(counts[rows, lo + width] == counts[rows, lo])
+    width = min(window, length)
+    lo = np.clip(np.floor(x0s).astype(np.int64) - (window - 1) // 2, 0, length - width)
+    counts = np.zeros((len(kept), length + 1), dtype=np.int64)
+    np.cumsum(kept, axis=1, out=counts[:, 1:])
+    far = np.flatnonzero(counts[rows, lo + width] == counts[rows, lo])
     far_idx = np.zeros((len(far), window), dtype=np.int64)
     far_kept = np.zeros((len(far), window), dtype=bool)
     kept_idx = {}  # row -> its kept indices
@@ -225,8 +217,8 @@ def _exact_fits(kept: np.ndarray | None, rows, x0s, window: int, length: int) ->
     near = np.ones(len(x0s), dtype=bool)
     near[far] = False
     base = rows * length
-    return _ExactFits(base + x0s, base + lo, width, None if kept is None else kept.reshape(-1),
-                      np.flatnonzero(near), far, far_idx, far_kept)
+    return _ExactFits(base + x0s, base + lo, width, kept.reshape(-1), np.flatnonzero(near), far,
+                      far_idx, far_kept)
 
 
 # A masked window's moment fit is kept only when the centred second moment
@@ -267,7 +259,7 @@ class _Plan:
     ext: int
     half: int
     kernels: np.ndarray | None
-    kept: np.ndarray | None
+    kept: np.ndarray
     moment_at: np.ndarray
     moment_coef: np.ndarray
     exact_at: np.ndarray
@@ -278,7 +270,7 @@ class _Plan:
         k, n = Y.shape
         out = np.empty((k, n + 2 * self.ext))
         if self.kernels is not None:
-            t = _correlate(Y if self.kept is None else np.where(self.kept, Y, 0.0), self.kernels)
+            t = _correlate(np.where(self.kept, Y, 0.0), self.kernels)
             if len(self.moment_at):
                 at = self.moment_at
                 a, b = self.moment_coef
@@ -290,10 +282,12 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes | None) -> _Plan:
+def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes) -> _Plan:
     """The plan of the smoother of odd ``window`` over a ``shape`` (k, L)
     matrix, fitted at -ext..L-1+ext, with the points of ``mask`` (the bytes of
-    a (k, L) bool array, or ``None``) excluded.
+    a (k, L) bool array; all False keeps every point) excluded. A mask that
+    keeps every point gets the one-kernel correlation of the unmasked
+    smoother.
 
     Each fit takes one of three routes. An interior window that keeps every
     point is a convolution. An interior window that excludes a point but keeps
@@ -309,7 +303,7 @@ def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes | None) -> 
     """
     k, n = shape
     half = window // 2
-    kept = None if mask is None else _kept_mask(np.frombuffer(mask, bool).reshape(shape))
+    kept = _kept_mask(np.frombuffer(mask, bool).reshape(shape))
     exact = np.ones((k, n + 2 * ext), dtype=bool)
     kernels = None
     moment_at = np.zeros(0, dtype=np.int64)
@@ -322,7 +316,7 @@ def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes | None) -> 
         kernels = kernel[:, None]
         interior = exact[:, ext + half:ext + n - half]
         interior[:] = False
-        if kept is not None:
+        if not kept.all():
             kernels = np.stack([kernel, kernel * d], axis=1)
             counts = np.zeros((k, n + 1), dtype=np.int64)
             np.cumsum(~kept, axis=1, out=counts[:, 1:])
@@ -349,7 +343,8 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
     """Loess-smoothed values at every position of an evenly spaced series.
 
     ``excluded`` marks positions whose values must not influence the fit
-    (they still receive a fitted value, interpolated from their neighbours).
+    (they still receive a fitted value, interpolated from their neighbours);
+    ``None`` excludes none.
     The fits follow the routes of :func:`_plan`, whose plan is built once per
     length, window and mask and reused by later calls.
     """
@@ -357,13 +352,10 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
     n = len(y)
     if n == 0:
         raise ValueError("empty input")
-    mask = None
-    if excluded is not None:
-        excluded = np.asarray(excluded, dtype=bool)
-        if excluded.all():
-            raise ValueError("all positions excluded")
-        mask = excluded.tobytes() if excluded.any() else None
-    return _plan((1, n), _odd_at_least(window), 0, mask).fit(y[None, :])[0]
+    excluded = np.zeros(n, bool) if excluded is None else np.asarray(excluded, dtype=bool)
+    if excluded.all():
+        raise ValueError("all positions excluded")
+    return _plan((1, n), _odd_at_least(window), 0, excluded.tobytes()).fit(y[None, :])[0]
 
 
 def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
@@ -371,7 +363,7 @@ def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def _subseries_smooth_extended(u: np.ndarray, s: int, window: int,
-                               excluded: np.ndarray | None = None) -> np.ndarray:
+                               excluded: np.ndarray) -> np.ndarray:
     """Smooth each cycle-subseries and extend it one cycle at both ends.
 
     Subseries of equal length are stacked into one matrix (``len(u) % s``
@@ -388,8 +380,8 @@ def _subseries_smooth_extended(u: np.ndarray, s: int, window: int,
             continue
         rows = np.arange(q0, q1)[:, None]
         pos = rows + s * np.arange(m)
-        mask = None if excluded is None else excluded[pos].tobytes()
-        ext[rows + s * np.arange(m + 2)] = _plan(pos.shape, w, 1, mask).fit(u[pos])
+        plan = _plan(pos.shape, w, 1, excluded[pos].tobytes())
+        ext[rows + s * np.arange(m + 2)] = plan.fit(u[pos])
     return ext
 
 
@@ -413,8 +405,7 @@ def _trend_window(cycle: int, seasonal_window: int) -> int:
     return _odd_at_least(1.5 * cycle / (1.0 - 1.5 / seasonal_window))
 
 
-def _extract_seasonal(u: np.ndarray, s: int, window: int,
-                      excluded: np.ndarray | None = None) -> np.ndarray:
+def _extract_seasonal(u: np.ndarray, s: int, window: int, excluded: np.ndarray) -> np.ndarray:
     """One STL-style seasonal extraction for cycle length ``s``; the cycle is
     also the low-pass window. Each later pass reads ``u`` less the trend of
     ``u`` less the last seasonal; the last pass smooths no trend (MSTL keeps none)."""
@@ -430,12 +421,8 @@ def _extract_seasonal(u: np.ndarray, s: int, window: int,
     return seasonal
 
 
-def _extract_all_seasonals(
-    y: np.ndarray,
-    order,
-    iterations: int,
-    excluded: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
+def _extract_all_seasonals(y: np.ndarray, order, iterations: int,
+                           excluded: np.ndarray) -> dict[str, np.ndarray]:
     """Re-extract each seasonality of ``order`` (shortest cycle first) against
     the series minus the others, ``iterations`` times."""
     seasonals = {spec.id: np.zeros(len(y)) for spec in order}
@@ -479,8 +466,6 @@ def mstl(ts: TimeSeries) -> DecompositionResult:
     block_mask = np.zeros(n, dtype=bool)
     for dspec in ts.dims:
         block_mask |= ts.recurrence(dspec.id) >= 0
-    if not block_mask.any():
-        block_mask = None
 
     order = sorted(ts.seasons, key=lambda s: s.cycle_length)
     iterations = _OUTER_ITERATIONS if len(order) > 1 else len(order)

@@ -18,7 +18,7 @@ from .hw import (
     warmup_length,
 )
 from .optimize import OptimConfig, find_params, init_values, params_to_vector
-from .timeseries import TimeSeries, aic, ape, mape, rmse, write_csv
+from .timeseries import DataError, TimeSeries, aic, ape, mape, rmse, write_csv
 
 POLICIES = ("fixed", "refit_per_origin")
 
@@ -78,11 +78,11 @@ def accuracy(fit: FitResult) -> AccuracyReport:
 
 def rolling_origins(n: int, first_origin: int, step: int, horizon: int) -> list[int]:
     """Origins ``first_origin``, ``first_origin + step``, ... whose horizon
-    window ends inside a series of ``n`` observations; ``ValueError`` if
-    there is none."""
+    window ends inside a series of ``n`` observations; :class:`DataError`
+    if there is none."""
     origins = list(range(first_origin, n - horizon + 1, step))
     if not origins:
-        raise ValueError(
+        raise DataError(
             f"no valid origin: first_origin {first_origin} + horizon {horizon} "
             f"exceeds series length {n}"
         )

@@ -28,16 +28,10 @@ in it, so no step tests a slot. Each structure and set of run kinds is
 compiled once and cached; the generated source is built from those flags
 alone and embeds no user text. The loops zip the step index with the
 series' observation and slot lists, which each series builds once
-(:attr:`TimeSeries.step_lists`); the per-pass constants (``1 - alpha``,
-``1 - gamma`` or, for an additive trend, ``(1 - gamma) * phi``, each
-``1 - delta``) are computed before them, and ``yt - sum_add`` once per
-step. A neutral operation is dropped only where an exact IEEE identity
-allows it (``1.0 * x`` and ``x - 0.0`` are ``x``, and so is ``x + 0.0``
-unless ``x`` is -0.0, which the forecast base of a multiplicative model
-never is); ``base + 0.0`` in a model with no multiplicative part and the
-``ar1 * eps`` term are kept, because adding 0.0 turns -0.0 into 0.0 and
-``0.0 * eps`` is not 0.0 for a negative or non-finite ``eps``. So every
-structure gives the bits of the generic recursion.
+(:attr:`TimeSeries.step_lists`); the per-pass constants are computed before
+them, and ``yt - sum_add`` once per step. Every structure gives the bits of
+the generic recursion: :func:`_step_kernel` lists the neutral operations it
+drops and the exact IEEE identity behind each.
 
 :func:`forecast` computes the whole horizon at once with array reads of
 the same components through their future slot tables:
@@ -425,7 +419,8 @@ def smooth_pass(
     structure (trend kind, damping, each component's kind and mode, which
     components are updated), one per kind of run of the series, and
     compiled once per structure and set of run kinds; see
-    :func:`_step_kernel`. They read the observation and slot lists and the
+    :func:`_step_kernel`, which also says why they keep the bits of the
+    generic recursion. They read the observation and slot lists and the
     run table that ``ts`` builds once
     (:attr:`~hwdims.timeseries.TimeSeries.step_lists`,
     :attr:`~hwdims.timeseries.TimeSeries.step_runs`), so the passes of a

@@ -395,8 +395,10 @@ def find_params(
 
     z0 = to_z(default_start(ts, spec) if start is None else np.asarray(start, dtype=float))
 
-    # nelder_mead is the one-start case: the whole budget, from the start
+    # nelder_mead is the one-start case: the whole budget, from the start. A
+    # start's first simplex costs k + 1 evaluations, so the budget caps the starts.
     restarts = config.restarts if config.algorithm == "random_restart_nelder_mead" else 1
+    restarts = min(restarts, max(1, config.max_evals // (len(z0) + 1)))
     run_config = replace(config, max_evals=max(1, config.max_evals // restarts))
     for r in range(restarts):
         if r == 1:  # numpy.random loads lazily (~6 MB): a one-start search never imports it

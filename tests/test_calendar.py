@@ -8,7 +8,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from hwdims import CalendarEvent, TimeSeries, build_dims
+from hwdims import CalendarEvent, DataError, TimeSeries, build_dims
 
 from helpers import START, hourly_series
 
@@ -141,3 +141,25 @@ def test_per_group_modes():
     assert {s.id: s.mode for s in specs} == {
         "Easter": "additive", "Holidays": "multiplicative",
     }
+
+
+EASTERS = [CalendarEvent("a", date(2023, 4, 6), 4, "Easter")]
+
+
+@pytest.mark.parametrize("step, start, events, message", [
+    (timedelta(minutes=7), START, [], "does not divide a day"),
+    (timedelta(hours=1), START,
+     EASTERS + [CalendarEvent("b", date(2024, 3, 28), 3, "Easter")], "span_days"),
+    (timedelta(hours=1), START + timedelta(minutes=30), EASTERS, "does not fall on a step"),
+    (timedelta(hours=1), START,
+     EASTERS + [CalendarEvent("b", date(2023, 4, 8), 4, "Easter")], "overlapping"),
+])
+def test_calendar_faults_are_data_errors(step, start, events, message):
+    ts = TimeSeries(values=np.ones(365 * 24), step=step, start=start)
+    with pytest.raises(DataError, match=message):
+        build_dims(ts, events)
+
+
+def test_event_span_below_one_day_is_a_data_error():
+    with pytest.raises(DataError, match="span_days must be >= 1"):
+        CalendarEvent("a", date(2023, 4, 6), 0, "G")

@@ -263,8 +263,9 @@ class TestLoess:
 def fit_grid(Y, x0s, window, excluded=None):
     """The batched exact fits of every row of ``Y`` at every coordinate of ``x0s``."""
     k, n = Y.shape
-    fits = decompose._exact_fits(decompose._kept_mask(excluded), np.repeat(np.arange(k), len(x0s)),
-                                 np.tile(x0s, k), window, n)
+    kept = decompose._kept_mask(np.zeros((k, n), bool) if excluded is None else excluded)
+    fits = decompose._exact_fits(kept, np.repeat(np.arange(k), len(x0s)), np.tile(x0s, k),
+                                 window, n)
     return fits.fit(Y).reshape(k, len(x0s))
 
 
@@ -346,9 +347,10 @@ class TestFitGrid:
             excluded[start:start + length] = True
         if excluded.all():
             excluded[data.draw(st.integers(0, n - 1))] = False
-        other = other_mask(excluded, data.draw(st.integers(1, n))) if excluded.any() else None
+        none = np.zeros(n, bool)
+        other = other_mask(excluded, data.draw(st.integers(1, n))) if excluded.any() else none
         decompose._plan.cache_clear()
-        for vals, mask in ((u, excluded), (u[::-1] - 50.0, excluded), (u, other), (u, None)):
+        for vals, mask in ((u, excluded), (u[::-1] - 50.0, excluded), (u, other), (u, none)):
             np.testing.assert_allclose(
                 decompose._subseries_smooth_extended(vals, s, window, mask),
                 scalar_subseries(vals, s, window, mask), rtol=0, atol=1e-10 * 200.0)
@@ -685,7 +687,7 @@ class TestDimsExtraction:
         seasons = [SeasonSpec("weekly", 168, mode="additive"),
                    SeasonSpec("daily", 24, mode="additive")]
         result = mstl(hourly_series(y, seasons=seasons, dims=dims))
-        plain = decompose._extract_all_seasonals(y, seasons[::-1], 2)
+        plain = decompose._extract_all_seasonals(y, seasons[::-1], 2, np.zeros(len(y), bool))
         seasonal_sum = plain["daily"] + plain["weekly"]
         trend = decompose.loess_smooth(y - seasonal_sum, 281)
         np.testing.assert_array_equal(result.trend, trend)

@@ -28,6 +28,7 @@ from hwdims import (
     rmse,
     smooth_pass,
 )
+from hwdims.evaluate import rolling_origins
 from hwdims.hw import TREND_KINDS
 from hwdims.timeseries import MODES
 
@@ -66,6 +67,10 @@ class TestMforecast:
         with pytest.raises(ValueError, match="no valid origin"):
             mforecast(ts, spec, first_origin=230, step=24, horizon=24,
                       params=PARAMS)
+
+    def test_no_valid_origin_is_a_data_error(self):
+        with pytest.raises(DataError, match="no valid origin"):
+            rolling_origins(240, 230, 24, 24)
 
     def test_first_origin_before_warmup_rejected(self):
         ts = fixture_series(240)

@@ -124,6 +124,25 @@ class TestInitValues:
                 for q in range(24)]
         np.testing.assert_allclose(seeds.dims["hol"], want, rtol=1e-12)
 
+    def test_additive_stl_based_seeds(self):
+        # Noiseless: a daily sine and three whole days lowered by 20. The
+        # additive seeds are the decomposition's slot means and block profile.
+        t = np.arange(24 * 7 * 6)
+        y = 100.0 + 10.0 * np.sin(2 * np.pi * t / 24)
+        occurrences = (24 * 9, 24 * 20, 24 * 31)
+        for occ in occurrences:
+            y[occ:occ + 24] -= 20.0
+        ts = hourly_series(y, seasons=[
+            SeasonSpec("d", 24, mode="additive", init_method="stl_based"),
+        ]).add_dims(DimsSpec("hol", "additive", 24, occurrences=occurrences,
+                             init_method="stl_based"))
+        seeds = init_values(ts, ModelSpec.for_series(ts, trend="none"))
+        np.testing.assert_allclose(seeds.dims["hol"], -20.0, rtol=0, atol=1e-12)
+        ring = seeds.seasonal["d"]
+        np.testing.assert_allclose(ring, 10.0 * np.sin(2 * np.pi * np.arange(24) / 24),
+                                   rtol=0, atol=1e-13)
+        assert abs(ring.sum()) < 1e-12
+
     def test_stl_based_season_seeds(self):
         t = np.arange(24 * 10)
         y = 50.0 + 5 * np.sin(2 * np.pi * t / 24)
@@ -281,6 +300,26 @@ class TestFindParams:
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr or "numpy.random was loaded"
+
+    @pytest.mark.parametrize("max_evals", [10, 40])
+    def test_restarts_stay_within_the_budget(self, monkeypatch, max_evals):
+        # Each start's first simplex costs k + 1 = 4 passes whatever its share
+        # of the budget, so 20 starts alone would make 80.
+        t = np.arange(24 * 7 * 4)
+        ts = hourly_series(100.0 + 10.0 * np.sin(2 * np.pi * t / 24),
+                           seasons=[SeasonSpec("d", 24, mode="additive")])
+        spec = ModelSpec.for_series(ts, trend="additive")
+        assert len(parameter_names(ts, spec)) == 3
+        real_pass, passes = hwdims.optimize.smooth_pass, []
+
+        def counted(*args):
+            passes.append(1)
+            return real_pass(*args)
+
+        monkeypatch.setattr(hwdims.optimize, "smooth_pass", counted)
+        find_params(ts, spec, OptimConfig(algorithm="random_restart_nelder_mead",
+                                          max_evals=max_evals, restarts=20))
+        assert len(passes) <= 2 * max_evals
 
     def test_mape_objective_scale_free_selection(self):
         ts = self.make_series()
