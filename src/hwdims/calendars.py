@@ -43,8 +43,10 @@ def build_dims(
     start after it, are kept: the series' slot tables cut their blocks at its
     end, and forecasts read them. Events that start before the series are
     dropped with a warning. ``mode`` / ``init_method`` apply to every group,
-    or per group when given as a mapping. A calendar the series cannot carry
-    raises :class:`DataError`.
+    or per group when given as a mapping. A calendar the series cannot carry,
+    overlapping events of one group among its faults, raises
+    :class:`DataError`; an unknown mode or ``init_method`` is a ``ValueError``
+    of :class:`DimsSpec`.
     """
     steps_per_day, rem = divmod(timedelta(days=1), ts.step)
     if rem:
@@ -81,15 +83,11 @@ def build_dims(
                 )
                 continue
             occurrences.append(int(steps))
-        try:
-            spec = DimsSpec(
-                id=group,
-                mode=mode[group] if isinstance(mode, dict) else mode,
-                length=length,
-                occurrences=tuple(occurrences),
-                init_method=init_method[group] if isinstance(init_method, dict) else init_method,
-            )
-        except ValueError as exc:
-            raise DataError(f"group {group!r}: overlapping events ({exc})") from exc
-        specs.append(spec)
+        specs.append(DimsSpec(
+            id=group,
+            mode=mode[group] if isinstance(mode, dict) else mode,
+            length=length,
+            occurrences=tuple(occurrences),
+            init_method=init_method[group] if isinstance(init_method, dict) else init_method,
+        ))
     return specs

@@ -31,6 +31,7 @@ from .hw import (
     ModelSpec,
     ModelState,
     SmoothingParams,
+    _check_consistency,
     check_observations,
     forecast,
     project_dims,
@@ -378,24 +379,11 @@ def _json_field(doc: dict, key: str, kind: type, where: str = "artifact"):
     return value
 
 
-def _rings(state: dict, key: str, lengths: dict[str, int]) -> dict[str, np.ndarray]:
-    """The state's ``key`` map of index rings in declaration order: the engine
-    pairs rings with spec modes positionally, and the JSON has sorted keys.
-    ``lengths`` maps each declared id to the number of values its ring holds."""
-    table = _json_field(state, key, dict, "artifact state")
-    rings = {sid: _json_field(table, sid, list, f"artifact state {key}") for sid in lengths}
-    try:
-        arrays = {sid: np.array(values, dtype=float) for sid, values in rings.items()}
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed artifact state {key}: {exc}") from exc
-    for sid, size in lengths.items():
-        if arrays[sid].shape != (size,):
-            raise DataError(f"artifact state {key} {sid} must be a list of {size} numbers, "
-                            f"not of shape {arrays[sid].shape}")
-    return arrays
-
-
 def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
+    """Read a ``model.json``; a file the model cannot be rebuilt from is a
+    :class:`DataError`. The state's rings are put in declaration order (the
+    engine pairs them with the spec's modes by position, and the JSON has
+    sorted keys), then the engine's own model check runs on the whole."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -410,18 +398,18 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     params = _from_json(SmoothingParams, _json_field(doc, "params", dict))
     seasons = [_from_json(SeasonSpec, s) for s in _json_field(doc, "seasons", list)]
     dims = [_from_json(DimsSpec, d) for d in _json_field(doc, "dims", list)]
-    if spec.season_modes != tuple(s.mode for s in seasons) \
-            or spec.dims_modes != tuple(d.mode for d in dims):
-        raise DataError("artifact spec modes do not match its seasons and dims")
     raw = _json_field(doc, "state", dict)
-    state = ModelState(
-        level=_json_field(raw, "level", float, "artifact state"),
-        trend=_json_field(raw, "trend", float, "artifact state"),
-        seasonal=_rings(raw, "seasonal", {s.id: s.cycle_length for s in seasons}),
-        dims=_rings(raw, "dims", {d.id: d.length for d in dims}),
-        last_residual=_json_field(raw, "last_residual", float, "artifact state"),
-        position=_json_field(raw, "position", int, "artifact state"),
-    )
+    kinds = {"level": float, "trend": float, "seasonal": dict, "dims": dict,
+             "last_residual": float, "position": int}
+    values = {key: _json_field(raw, key, kind, "artifact state") for key, kind in kinds.items()}
+    try:
+        for key, components in (("seasonal", seasons), ("dims", dims)):
+            values[key] = {c.id: np.array(values[key][c.id], dtype=float)
+                           for c in components if c.id in values[key]}
+        state = ModelState(**values)
+        _check_consistency(seasons, dims, spec, params, state)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed artifact: {exc}") from exc
     return spec, params, state, dims, doc
 
 

@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .timeseries import DataError, DimsSpec, TimeSeries, _slot_table
+from .timeseries import DataError, DimsSpec, SeasonSpec, TimeSeries, _slot_table
 
 TREND_KINDS = ("none", "additive", "multiplicative")
 
@@ -203,29 +203,29 @@ def warmup_length(ts: TimeSeries) -> int:
     return max((s.cycle_length for s in ts.seasons), default=0)
 
 
-def _check_consistency(ts: TimeSeries, spec: ModelSpec, params: SmoothingParams,
-                       seeds: ModelState) -> None:
-    if len(spec.season_modes) != len(ts.seasons):
+def _check_consistency(seasons: Sequence[SeasonSpec], dims: Sequence[DimsSpec],
+                       spec: ModelSpec, params: SmoothingParams, state: ModelState) -> None:
+    """Raise ``ValueError`` unless ``spec``, ``params`` and ``state`` fit the
+    index components ``seasons`` and ``dims``: per component, in order, one
+    mode, one smoothing weight and one ring of shape ``(size,)``. The one
+    model check of :func:`smooth_pass` and of a loaded ``model.json``."""
+    if len(spec.season_modes) != len(seasons):
         raise ValueError("spec season_modes do not match series seasons")
-    if len(spec.dims_modes) != len(ts.dims):
+    if len(spec.dims_modes) != len(dims):
         raise ValueError("spec dims_modes do not match series dims")
-    for kind, components, modes in (("season", ts.seasons, spec.season_modes),
-                                    ("dims", ts.dims, spec.dims_modes)):
+    if len(params.deltas) != len(seasons):
+        raise ValueError(f"expected {len(seasons)} seasonal deltas, got {len(params.deltas)}")
+    if len(params.deltas_dims) != len(dims):
+        raise ValueError(f"expected {len(dims)} dims deltas, got {len(params.deltas_dims)}")
+    for kind, components, modes, rings in (("season", seasons, spec.season_modes, state.seasonal),
+                                          ("dims", dims, spec.dims_modes, state.dims)):
         for c, mode in zip(components, modes):
             if c.mode != mode:
                 raise ValueError(f"{kind} {c.id!r}: spec mode {mode!r} != series mode {c.mode!r}")
-    if len(params.deltas) != len(ts.seasons):
-        raise ValueError(f"expected {len(ts.seasons)} seasonal deltas, got {len(params.deltas)}")
-    if len(params.deltas_dims) != len(ts.dims):
-        raise ValueError(f"expected {len(ts.dims)} dims deltas, got {len(params.deltas_dims)}")
-    for s in ts.seasons:
-        ring = seeds.seasonal.get(s.id)
-        if ring is None or len(ring) != s.cycle_length:
-            raise ValueError(f"seed ring for season {s.id!r} missing or wrong length")
-    for d in ts.dims:
-        arr = seeds.dims.get(d.id)
-        if arr is None or len(arr) != d.length:
-            raise ValueError(f"seed slots for dims {d.id!r} missing or wrong length")
+            size = c.cycle_length if kind == "season" else c.length
+            if c.id not in rings or np.shape(rings[c.id]) != (size,):
+                raise ValueError(f"state ring for {kind} {c.id!r} missing or "
+                                 f"not of shape ({size},)")
 
 
 def _is_multiplicative(ts: TimeSeries, spec: ModelSpec) -> bool:
@@ -434,7 +434,7 @@ def smooth_pass(
     nonpositive observation in a multiplicative configuration is a
     :class:`DataError` before the first step.
     """
-    _check_consistency(ts, spec, params, seeds)
+    _check_consistency(ts.seasons, ts.dims, spec, params, seeds)
     eff = params.effective(spec)
     mult_trend = spec.trend == "multiplicative"
 

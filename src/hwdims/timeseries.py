@@ -40,6 +40,18 @@ def neutral_value(mode: str) -> float:
     return 1.0 if mode == "multiplicative" else 0.0
 
 
+def _check_id_and_size(spec, kind: str, size: str) -> None:
+    """Raise :class:`TypeError` unless ``spec.id`` is a string and its
+    ``size`` field an integer (a numpy integer too, stored as ``int``)."""
+    if not isinstance(spec.id, str):
+        raise TypeError(f"{kind} id must be a string, not {type(spec.id).__name__}")
+    value = getattr(spec, size)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{kind} {spec.id!r}: {size} must be an integer, "
+                        f"not {type(value).__name__}")
+    object.__setattr__(spec, size, int(value))
+
+
 @dataclass(frozen=True)
 class SeasonSpec:
     """One regular seasonal cycle (e.g. 24 for an hourly daily pattern)."""
@@ -50,6 +62,7 @@ class SeasonSpec:
     init_method: str = "auto"
 
     def __post_init__(self):
+        _check_id_and_size(self, "season", "cycle_length")
         if self.cycle_length < 2:
             raise ValueError(f"season {self.id!r}: cycle_length must be >= 2")
         if self.mode not in MODES:
@@ -73,7 +86,9 @@ class DimsSpec:
     spans ``[start, start + length)`` and may run past the series end or
     start after it, so the spec also holds the calendar to forecast from.
     Blocks of one spec may not overlap, but blocks of different specs may (a
-    holiday inside a festival week).
+    holiday inside a festival week). Starts that are negative, out of order
+    or overlapping are a :class:`DataError`; a length below 1, an unknown
+    mode or ``init_method`` a plain ``ValueError``.
     """
 
     id: str
@@ -83,6 +98,7 @@ class DimsSpec:
     init_method: str = "neutral"
 
     def __post_init__(self):
+        _check_id_and_size(self, "dims", "length")
         object.__setattr__(self, "occurrences", tuple(int(o) for o in self.occurrences))
         if self.length < 1:
             raise ValueError(f"dims {self.id!r}: length must be >= 1")
@@ -92,17 +108,17 @@ class DimsSpec:
             raise ValueError(f"dims {self.id!r}: unknown init_method {self.init_method!r}")
         for prev, cur in zip(self.occurrences, self.occurrences[1:]):
             if cur <= prev:
-                raise ValueError(
+                raise DataError(
                     f"dims {self.id!r}: occurrence starts must be strictly increasing "
                     f"({prev} then {cur})"
                 )
             if cur < prev + self.length:
-                raise ValueError(
+                raise DataError(
                     f"dims {self.id!r}: occurrence block at {cur} overlaps block at {prev} "
                     f"(length {self.length})"
                 )
         if self.occurrences and self.occurrences[0] < 0:
-            raise ValueError(f"dims {self.id!r}: negative occurrence start {self.occurrences[0]}")
+            raise DataError(f"dims {self.id!r}: negative occurrence start {self.occurrences[0]}")
 
 
 def _slot_table(spec: DimsSpec, start: int, stop: int) -> np.ndarray:
@@ -185,10 +201,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def timestamps(self) -> list[datetime]:
-        return [self.start + i * self.step for i in range(len(self.values))]
 
     def timestamp_at(self, index: int) -> datetime:
         return self.start + index * self.step

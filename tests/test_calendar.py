@@ -152,7 +152,10 @@ EASTERS = [CalendarEvent("a", date(2023, 4, 6), 4, "Easter")]
      EASTERS + [CalendarEvent("b", date(2024, 3, 28), 3, "Easter")], "span_days"),
     (timedelta(hours=1), START + timedelta(minutes=30), EASTERS, "does not fall on a step"),
     (timedelta(hours=1), START,
-     EASTERS + [CalendarEvent("b", date(2023, 4, 8), 4, "Easter")], "overlapping"),
+     EASTERS + [CalendarEvent("b", date(2023, 4, 8), 4, "Easter")], "overlaps"),
+    (timedelta(hours=1), START,
+     EASTERS + [CalendarEvent("b", date(2023, 4, 6), 4, "Easter")],
+     "dims 'Easter': occurrence starts must be strictly increasing"),
 ])
 def test_calendar_faults_are_data_errors(step, start, events, message):
     ts = TimeSeries(values=np.ones(365 * 24), step=step, start=start)
@@ -163,3 +166,11 @@ def test_calendar_faults_are_data_errors(step, start, events, message):
 def test_event_span_below_one_day_is_a_data_error():
     with pytest.raises(DataError, match="span_days must be >= 1"):
         CalendarEvent("a", date(2023, 4, 6), 0, "G")
+
+
+def test_unknown_mode_is_not_a_data_error():
+    # a bad argument of the caller, not a fault of the calendar
+    events = [CalendarEvent("a", date(2023, 4, 6), 1, "G")]
+    with pytest.raises(ValueError, match="dims 'G': unknown mode 'bogus'") as err:
+        build_dims(two_year_series(), events, mode="bogus")
+    assert not isinstance(err.value, DataError)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import functools
 import json
 import logging
 import re
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,6 +532,59 @@ def write_fit_config(tmp_path, extra=""):
     return cfg
 
 
+@functools.cache
+def property_model_doc() -> dict:
+    """The ``model.json`` of the artifact property: a damped model with AR(1)
+    term, a daily season and a moving seasonality whose block at 100 falls
+    inside the 48 steps after position 96."""
+    ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
+                       dims=[DimsSpec("event", "multiplicative", 4, occurrences=(30, 100))])
+    state = ModelState(level=100.0, trend=0.5, seasonal={"daily": np.linspace(0.8, 1.2, 24)},
+                       dims={"event": np.full(4, 0.9)}, last_residual=1.5, position=96)
+    params = SmoothingParams(alpha=0.5, gamma=0.1, deltas=(0.1,), deltas_dims=(0.2,),
+                             phi=0.9, ar1=0.3)
+    spec = ModelSpec.for_series(ts, damping_enabled=True, ar_adjustment_enabled=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_artifact(path, ts, spec, params, state, 1.0)
+        return json.loads(path.read_text())
+
+
+def json_fields(node, prefix=()):
+    """The path of every field of a JSON document, at any depth."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_fields(child, prefix + (key,))
+
+
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_SCALAR = st.none() | st.booleans() | st.text(max_size=8) | _NUMBER
+_JSON_KINDS = {
+    type(None): st.none(), bool: st.booleans(), str: st.text(max_size=8),
+    float: _NUMBER, list: st.lists(_SCALAR, max_size=30),
+    dict: st.dictionaries(st.text(max_size=8), _SCALAR, max_size=4),
+}
+
+
+@st.composite
+def field_edits(draw):
+    """A field of :func:`property_model_doc` and a JSON value of another kind
+    for it: where an integer is stored, a number written with a fraction
+    (``4.0`` for ``4``) counts as one."""
+    doc = property_model_doc()
+    path = draw(st.sampled_from(list(json_fields(doc))))
+    old = doc
+    for key in path:
+        old = old[key]
+    kind = float if type(old) is int else type(old)
+    others = [strategy for k, strategy in _JSON_KINDS.items() if k is not kind]
+    if type(old) is int:
+        others.append(st.floats(allow_nan=False, allow_infinity=False)
+                      | st.integers(-100, 100).map(float))
+    return path, draw(st.one_of(others))
+
+
 class TestCommands:
     def test_fit_writes_artifact_and_accuracy(self, tmp_path):
         demand_fixture(tmp_path, weeks=2)
@@ -693,24 +750,33 @@ class TestCommands:
         path = tmp_path / "model.json"
         save_artifact(path, ts, ModelSpec.for_series(ts), params, state, 1.0)
         doc = json.loads(path.read_text())
+        kind = "season" if key == "seasonal" else "dims"
         for ring in ([1.0] * (size - 1), [1.0] * (size + 1), [[1.0] * size]):
             doc["state"][key][sid] = ring
             path.write_text(json.dumps(doc))
-            with pytest.raises(DataError,
-                               match=f"artifact state {key} {sid} must be a list of {size} numbers"):
+            with pytest.raises(DataError, match=f"malformed artifact: state ring for {kind} "
+                                                f"'{sid}' missing or not of shape \\({size},\\)"):
                 load_artifact(path)
 
     @pytest.mark.parametrize("path, value, match", [
         ("spec.bogus", 1, "malformed artifact ModelSpec"),
         ("params.alpha", "high", "malformed artifact SmoothingParams"),
         ("params.deltas", 5, "malformed artifact SmoothingParams"),
-        ("state.seasonal.daily", ["x"] * 24, "malformed artifact state seasonal"),
-        ("state.dims.event", [[1.0], 2.0, 3.0, 4.0], "malformed artifact state dims"),
+        ("state.seasonal.daily", ["x"] * 24,
+         "malformed artifact: could not convert string to float: 'x'"),
+        ("state.dims.event", [[1.0], 2.0, 3.0, 4.0],
+         "malformed artifact: setting an array element with a sequence"),
         ("spec.trend", "bogus", "malformed artifact ModelSpec: unknown trend kind 'bogus'"),
         ("params.alpha", 2.0, r"malformed artifact SmoothingParams: alpha=2.0 outside \[0, 1\]"),
+        ("seasons.0.id", ["daily"], "malformed artifact SeasonSpec: season id must be a string, "
+                                    "not list"),
+        ("dims.0.length", 4.0, "malformed artifact DimsSpec: dims 'event': length must be an "
+                               "integer, not float"),
+        ("params.deltas", [0.1, 0.1], "malformed artifact: expected 1 seasonal deltas, got 2"),
     ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged",
-            "spec-trend", "params-range"])
-    def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, path, value, match):
+            "spec-trend", "params-range", "season-id", "dims-length", "delta-count"])
+    def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, capsys, path, value,
+                                                          match):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
                            dims=[DimsSpec("event", "additive", 4, occurrences=(30,))])
         state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)},
@@ -719,7 +785,7 @@ class TestCommands:
         model = tmp_path / "model.json"
         save_artifact(model, ts, ModelSpec.for_series(ts), params, state, 1.0)
         doc = json.loads(model.read_text())
-        *parents, leaf = path.split(".")
+        *parents, leaf = [int(name) if name.isdigit() else name for name in path.split(".")]
         node = doc
         for name in parents:
             node = node[name]
@@ -727,6 +793,33 @@ class TestCommands:
         model.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_artifact(model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = missing.csv\n")
+        assert main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--model", str(model)]) == 2
+        assert "data error: malformed artifact" in capsys.readouterr().err
+
+    @given(field_edits())
+    @example((("seasons", 0, "id"), ["daily"]))
+    @example((("dims", 0, "length"), 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_artifact_with_any_field_of_another_kind_loads_or_is_a_data_error(
+            self, tmp_path_factory, edit):
+        # The loader rejects the edited model as a data error, or the model
+        # it loads forecasts; no other exception escapes.
+        (*parents, leaf), value = edit
+        doc = copy.deepcopy(property_model_doc())
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        model = tmp_path_factory.mktemp("artifact") / "model.json"
+        model.write_text(json.dumps(doc))
+        try:
+            spec, params, state, dims, _doc = load_artifact(model)
+        except DataError:
+            return
+        forecast(state, spec, params, 48, project_dims(dims, state.position, 48))
 
     def test_truncated_artifact_is_a_data_error(self, tmp_path, capsys):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)])
@@ -744,8 +837,11 @@ class TestCommands:
                      "--model", str(model)]) == 2
         assert "malformed artifact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["season_modes", "dims_modes"])
-    def test_artifact_spec_modes_must_match_its_components(self, tmp_path, key):
+    @pytest.mark.parametrize("key, component, plural", [
+        ("season_modes", "season 'daily'", "seasons"), ("dims_modes", "dims 'event'", "dims"),
+    ], ids=["season_modes", "dims_modes"])
+    def test_artifact_spec_modes_must_match_its_components(self, tmp_path, key, component,
+                                                           plural):
         # forecast reads the spec's modes; they must be the ones the state was fitted in
         ts = hourly_series(np.full(96, 100.0),
                            seasons=[SeasonSpec("daily", 24, mode="multiplicative")],
@@ -756,10 +852,14 @@ class TestCommands:
         path = tmp_path / "model.json"
         save_artifact(path, ts, ModelSpec.for_series(ts), params, state, 1.0)
         doc = json.loads(path.read_text())
-        for modes in (["additive"], ["multiplicative"] * 2, []):
+        for modes, message in (
+                (["additive"], f"{component}: spec mode 'additive' != series mode "
+                               "'multiplicative'"),
+                (["multiplicative"] * 2, f"spec {key} do not match series {plural}"),
+                ([], f"spec {key} do not match series {plural}")):
             doc["spec"][key] = modes
             path.write_text(json.dumps(doc))
-            with pytest.raises(DataError, match="artifact spec modes do not match"):
+            with pytest.raises(DataError, match=f"malformed artifact: {message}"):
                 load_artifact(path)
 
     def test_artifact_preserves_mixed_mode_season_order(self, tmp_path):
@@ -1035,7 +1135,6 @@ class TestCommands:
             match = key
         elif key == "state.seasonal.daily":
             del doc["state"]["seasonal"]["daily"]
-            match = "state seasonal daily must be a JSON list, not NoneType"
         elif "=" in key:
             path, value = key.split("=")
             *parents, leaf = path.split(".")
@@ -1047,6 +1146,8 @@ class TestCommands:
         else:
             doc = json.loads(key)
             match = "artifact must be a JSON object"
+        if key.startswith("state.seasonal.daily"):  # a ring the model check rejects
+            match = r"state ring for season 'daily' missing or not of shape \(24,\)"
         model.write_text(json.dumps(doc))
         if key.startswith("series"):  # read by the forecast command
             with pytest.raises(DataError, match=match):

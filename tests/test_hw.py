@@ -73,7 +73,7 @@ def reference_pass(ts, spec, params, seeds, stops=None) -> FitResult:
     """The generic per-step recursion, one loop for every model structure:
     the reference that the step loops ``smooth_pass`` generates per
     structure must match bit for bit."""
-    _check_consistency(ts, spec, params, seeds)
+    _check_consistency(ts.seasons, ts.dims, spec, params, seeds)
     eff = params.effective(spec)
     alpha, gamma, phi, ar1 = eff.alpha, eff.gamma, eff.phi, eff.ar1
     mult_trend = spec.trend == "multiplicative"

@@ -177,11 +177,6 @@ class TestTimeSeries:
         assert (head.recurrence("b") == ts.recurrence("b")[:470]).all()
         assert sorted(calls[2:]) == [("a", 470), ("b", 470)]
 
-    def test_timestamps_are_even(self):
-        ts = hourly_series(demand(10))
-        stamps = ts.timestamps
-        assert all((b - a) == ts.step for a, b in zip(stamps, stamps[1:]))
-
     @pytest.mark.parametrize("start, step", [
         (datetime(2018, 3, 25), timedelta(minutes=90)),
         (datetime(2020, 2, 28, 23, 59), timedelta(seconds=30)),

@@ -102,15 +102,18 @@ class TestEngineConsistencyChecks:
         ({"spec": ModelSpec(trend="additive", season_modes=("multiplicative",))},
          "spec dims_modes do not match series dims"),
         ({"params": SmoothingParams(alpha=0.1, deltas=(0.1,))}, "expected 1 dims deltas, got 0"),
-        ({"dims": {}}, "seed slots for dims 'event' missing or wrong length"),
-        ({"dims": {"event": np.ones(3)}}, "seed slots for dims 'event' missing or wrong length"),
-    ], ids=["season-count", "dims-count", "dims-deltas", "dims-seeds", "dims-seed-length"])
+        ({"dims": {}}, "state ring for dims 'event' missing or not of shape (4,)"),
+        ({"dims": {"event": np.ones(3)}},
+         "state ring for dims 'event' missing or not of shape (4,)"),
+        ({"seasonal": {"daily": np.ones((24, 1))}},
+         "state ring for season 'daily' missing or not of shape (24,)"),
+    ], ids=["season-count", "dims-count", "dims-deltas", "dims-seeds", "dims-seed-length",
+            "season-seed-shape"])
     def test_component_count_mismatch(self, change, message):
         ts = self.series().add_dims(DimsSpec("event", "multiplicative", 4, occurrences=(30,)))
         spec = ModelSpec.for_series(ts)
-        seeds = init_values(ts, spec)
-        if "dims" in change:
-            seeds = replace(seeds, dims=change["dims"])
+        seeds = replace(init_values(ts, spec),
+                        **{key: change[key] for key in ("seasonal", "dims") if key in change})
         params = change.get("params", SmoothingParams(alpha=0.1, deltas=(0.1,),
                                                       deltas_dims=(0.1,)))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -120,7 +123,7 @@ class TestEngineConsistencyChecks:
         ts = self.series()
         spec = ModelSpec.for_series(ts)
         seeds = ModelState(level=100.0, trend=0.0)
-        with pytest.raises(ValueError, match="seed ring"):
+        with pytest.raises(ValueError, match="state ring for season 'daily' missing"):
             smooth_pass(ts, spec, SmoothingParams(alpha=0.1, deltas=(0.1,)), seeds)
 
     def test_nonpositive_seed_level_infeasible(self):
