@@ -45,8 +45,8 @@ def build_dims(
     dropped with a warning. ``mode`` / ``init_method`` apply to every group,
     or per group when given as a mapping. A calendar the series cannot carry,
     overlapping events of one group among its faults, raises
-    :class:`DataError`; an unknown mode or ``init_method`` is a ``ValueError``
-    of :class:`DimsSpec`.
+    :class:`DataError`; an unknown mode, or an ``init_method`` that does not
+    seed it, is a ``ValueError`` of :class:`DimsSpec`.
     """
     steps_per_day, rem = divmod(timedelta(days=1), ts.step)
     if rem:

@@ -38,8 +38,8 @@ from .hw import (
     reduce_check,
 )
 from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
-from .timeseries import DIMS_INIT_METHODS, MODES, DataError, DimsSpec, SeasonSpec, TimeSeries
-from .timeseries import read_csv, write_csv
+from .timeseries import DIMS_INIT_METHODS, DataError, DimsSpec, SeasonSpec, TimeSeries
+from .timeseries import check_init_method, read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -250,10 +250,10 @@ def parse_config(path) -> RunConfig:
             parts = value.split()
             if len(parts) != 3:
                 raise UsageError(f"{path}:{lineno}: dims needs 'group mode init_method'")
-            for given, allowed in zip(parts[1:], (MODES, DIMS_INIT_METHODS)):
-                if given not in allowed:
-                    raise UsageError(f"{path}:{lineno}: bad value {given!r} for 'dims', "
-                                     f"expected one of {', '.join(allowed)}")
+            try:
+                check_init_method("dims", *parts, DIMS_INIT_METHODS)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: bad value for 'dims': {exc}") from None
             if any(parts[0] == d.group for d in dims):
                 raise UsageError(f"{path}:{lineno}: duplicate dims group {parts[0]!r}")
             dims.append(DimsDecl(*parts))

@@ -93,6 +93,9 @@ class ModelSpec:
         object.__setattr__(self, "dims_modes", tuple(self.dims_modes))
         if self.trend not in TREND_KINDS:
             raise ValueError(f"unknown trend kind {self.trend!r}")
+        for name in ("damping_enabled", "ar_adjustment_enabled"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
 
     @classmethod
     def for_series(

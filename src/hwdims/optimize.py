@@ -1,15 +1,15 @@
 """Seed initialization and smoothing-parameter search.
 
-Seeds come from cycle means (level/trend) and from slot means over slot tables
-(:func:`~hwdims.timeseries.slot_mean`): a seasonal ring averages ratios or
-differences against a centered moving average over the slots ``t % s``, and a
-decomposition-based seed averages over ``t % s`` or over a moving seasonality's
-block offsets. Parameter search minimizes the post-warm-up one-step-ahead
-error with a derivative-free optimizer over ``z`` in R^k, mapped into the box
-by ``x = lo + (hi - lo) * sigma(z)`` with the logistic ``sigma`` (as
-``fminsearchbnd`` bounds MATLAB's ``fminsearch``): every evaluation is one
-smoothing pass at an in-bounds point. A point whose fit blows up costs 1e10,
-so the search surface stays finite.
+Seeds come from cycle means (level/trend) and from slot means
+(:func:`~hwdims.timeseries.slot_mean`) of ratios to (or differences from) a
+centered moving average: over the slots ``t % s`` for a seasonal ring, and over
+a moving seasonality's block offsets, against an average of the steps outside
+every block, for its seed. Parameter search minimizes the post-warm-up
+one-step-ahead error with a derivative-free optimizer over ``z`` in R^k, mapped
+into the box by ``x = lo + (hi - lo) * sigma(z)`` with the logistic ``sigma``
+(as ``fminsearchbnd`` bounds MATLAB's ``fminsearch``): every evaluation is one
+smoothing pass at an in-bounds point. A point whose fit blows up costs 1e10, so
+the search surface stays finite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import mstl
 from .hw import (
     FitInfeasibleError,
     FitResult,
@@ -81,23 +80,23 @@ class MinimizeResult:
 def _centered_ma(y: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     """Centered moving average of window ``s`` (2xMA for even windows).
 
-    Returns the averaged values and the offset of the first covered position.
+    Returns the averaged values and the offset of the first covered position;
+    a series shorter than the kernel covers none.
     """
-    if s % 2 == 1:
-        kernel = np.full(s, 1.0 / s)
-        offset = s // 2
-    else:
-        kernel = np.full(s + 1, 1.0 / s)
+    kernel = np.full(s + 1 - s % 2, 1.0 / s)
+    if s % 2 == 0:
         kernel[0] = kernel[-1] = 0.5 / s
-        offset = s // 2
-    return np.convolve(y, kernel, mode="valid"), offset
+    if len(kernel) > len(y):
+        return np.empty(0), s // 2
+    return np.convolve(y, kernel, mode="valid"), s // 2
 
 
 def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
     """Derive seed state for a fit: level and trend from the first two cycles
-    of the longest seasonality, seasonal index rings per each season's
-    configured method, moving-seasonality slots neutral or taken from the
-    decomposition.
+    of the longest seasonality, seasonal index rings from ratios to (or
+    differences from) a centered moving average, moving-seasonality slots
+    neutral or from ratios to (differences from) a moving average that skips
+    every block.
 
     Seasonalities are processed shortest cycle first and removed from a
     working copy of the series before the next ring is estimated, so nested
@@ -121,36 +120,17 @@ def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
     else:
         trend = 0.0
 
-    decomposition = None
-    needs_stl = any(s.init_method == "stl_based" for s in ts.seasons) or any(
-        d.init_method == "stl_based" for d in ts.dims
-    )
-    if needs_stl:
-        decomposition = mstl(ts)
-
     seasonal: dict[str, np.ndarray] = {}
     work = y.astype(float)
     for sspec in sorted(ts.seasons, key=lambda s: s.cycle_length):
         s = sspec.cycle_length
-        multiplicative = sspec.mode == "multiplicative"
-        if sspec.init_method == "stl_based":
-            means = slot_mean(decomposition.seasonals[sspec.id], np.arange(n) % s, s, 0.0)
-            if multiplicative:
-                base = float(np.mean(decomposition.trend))
-                ring = 1.0 + means / base if base > 0 else np.ones(s)
-            else:
-                ring = means
-        else:
-            ma, offset = _centered_ma(work, s)
-            positions = np.arange(offset, offset + len(ma))
-            if multiplicative:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(ma != 0, work[positions] / ma, np.nan)
-                slots = np.where(np.isnan(ratios), -1, positions % s)
-                ring = slot_mean(ratios, slots, s, 1.0)
-            else:
-                ring = slot_mean(work[positions] - ma, positions % s, s, 0.0)
-        if multiplicative:
+        ma, offset = _centered_ma(work, s)
+        positions = np.arange(offset, offset + len(ma))
+        if sspec.mode == "multiplicative":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(ma != 0, work[positions] / ma, np.nan)
+            slots = np.where(np.isnan(ratios), -1, positions % s)
+            ring = slot_mean(ratios, slots, s, 1.0)
             mean = float(np.mean(ring))
             if mean > 0:
                 ring = ring / mean
@@ -158,27 +138,32 @@ def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
             with np.errstate(divide="ignore", invalid="ignore"):
                 work = np.where(tiled != 0, work / tiled, work)
         else:
+            ring = slot_mean(work[positions] - ma, positions % s, s, 0.0)
             ring = ring - float(np.mean(ring))
             work = work - np.resize(ring, n)
-        seasonal[sspec.id] = np.asarray(ring, dtype=float)
+        seasonal[sspec.id] = ring
     seasonal = {s.id: seasonal[s.id] for s in ts.seasons}
 
-    dims: dict[str, np.ndarray] = {}
-    for dspec in ts.dims:
-        neutral = neutral_value(dspec.mode)
-        if dspec.init_method == "neutral":
-            dims[dspec.id] = np.full(dspec.length, neutral)
-            continue
-        profile = decomposition.dims_profiles[dspec.id]
-        if dspec.mode == "additive":
-            dims[dspec.id] = profile.copy()
-        else:
-            base = decomposition.trend.copy()
-            for comp in decomposition.seasonals.values():
-                base = base + comp
-            slots = np.where(base > 0, ts.recurrence(dspec.id), -1)
-            ratios = np.divide(base + profile[slots], base, out=np.zeros(n), where=slots >= 0)
-            dims[dspec.id] = slot_mean(ratios, slots, dspec.length, neutral)
+    dims = {d.id: np.full(d.length, neutral_value(d.mode)) for d in ts.dims}
+    informed = [d for d in ts.dims if d.init_method != "neutral"]
+    if informed:
+        # A block's baseline: the moving average of the steps outside every
+        # block, over a window reaching a cycle past the longest block each side.
+        kept = np.all([ts.recurrence(d.id) < 0 for d in ts.dims], axis=0).astype(float)
+        window = (1 + 2 * math.ceil(max(d.length for d in ts.dims) / longest)) * longest
+        total, offset = _centered_ma(work * kept, window)
+        weight, _ = _centered_ma(kept, window)
+        positions = np.arange(offset, offset + len(total))
+        covered = weight >= 0.5
+        ma = np.divide(total, weight, out=np.ones(len(total)), where=covered)
+        for dspec in informed:
+            if dspec.mode == "multiplicative":
+                use = covered & (ma > 0)
+                values = np.divide(work[positions], ma, out=np.zeros(len(ma)), where=use)
+            else:
+                use, values = covered, work[positions] - ma
+            slots = np.where(use, ts.recurrence(dspec.id)[positions], -1)
+            dims[dspec.id] = slot_mean(values, slots, dspec.length, neutral_value(dspec.mode))
     return ModelState(level=level, trend=trend, seasonal=seasonal, dims=dims,
                       last_residual=0.0, position=0)
 

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 MODES = ("additive", "multiplicative")
-SEASON_INIT_METHODS = ("ratio_to_ma", "difference_to_ma", "stl_based")
-DIMS_INIT_METHODS = ("stl_based", "neutral")
+SEASON_INIT_METHODS = ("ratio_to_ma", "difference_to_ma")
+DIMS_INIT_METHODS = ("ratio_to_ma", "difference_to_ma", "neutral")
 
 
 class DataError(ValueError):
@@ -40,16 +40,35 @@ def neutral_value(mode: str) -> float:
     return 1.0 if mode == "multiplicative" else 0.0
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer (a numpy integer too, a
+    bool not), else a :class:`TypeError` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
 def _check_id_and_size(spec, kind: str, size: str) -> None:
     """Raise :class:`TypeError` unless ``spec.id`` is a string and its
-    ``size`` field an integer (a numpy integer too, stored as ``int``)."""
+    ``size`` field an integer (stored as ``int``)."""
     if not isinstance(spec.id, str):
         raise TypeError(f"{kind} id must be a string, not {type(spec.id).__name__}")
-    value = getattr(spec, size)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{kind} {spec.id!r}: {size} must be an integer, "
-                        f"not {type(value).__name__}")
-    object.__setattr__(spec, size, int(value))
+    object.__setattr__(spec, size, _as_int(getattr(spec, size), f"{kind} {spec.id!r}: {size}"))
+
+
+def check_init_method(kind: str, spec_id: str, mode: str, method: str,
+                      methods: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``mode`` is known and ``method`` is one of
+    ``methods`` that seeds it: ``ratio_to_ma`` a multiplicative index,
+    ``difference_to_ma`` an additive one."""
+    if mode not in MODES:
+        raise ValueError(f"{kind} {spec_id!r}: unknown mode {mode!r}")
+    if method not in methods:
+        raise ValueError(f"{kind} {spec_id!r}: unknown init_method {method!r}")
+    seeded = {"ratio_to_ma": "multiplicative", "difference_to_ma": "additive"}.get(method, mode)
+    if seeded != mode:
+        raise ValueError(f"{kind} {spec_id!r}: init_method {method!r} seeds {seeded} "
+                         f"indices, not {mode}")
 
 
 @dataclass(frozen=True)
@@ -65,17 +84,10 @@ class SeasonSpec:
         _check_id_and_size(self, "season", "cycle_length")
         if self.cycle_length < 2:
             raise ValueError(f"season {self.id!r}: cycle_length must be >= 2")
-        if self.mode not in MODES:
-            raise ValueError(f"season {self.id!r}: unknown mode {self.mode!r}")
         if self.init_method == "auto":
             method = "ratio_to_ma" if self.mode == "multiplicative" else "difference_to_ma"
             object.__setattr__(self, "init_method", method)
-        if self.init_method not in SEASON_INIT_METHODS:
-            raise ValueError(f"season {self.id!r}: unknown init_method {self.init_method!r}")
-        if self.mode == "additive" and self.init_method == "ratio_to_ma":
-            raise ValueError(f"season {self.id!r}: ratio_to_ma seeds a multiplicative index")
-        if self.mode == "multiplicative" and self.init_method == "difference_to_ma":
-            raise ValueError(f"season {self.id!r}: difference_to_ma seeds an additive index")
+        check_init_method("season", self.id, self.mode, self.init_method, SEASON_INIT_METHODS)
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,9 @@ class DimsSpec:
     start after it, so the spec also holds the calendar to forecast from.
     Blocks of one spec may not overlap, but blocks of different specs may (a
     holiday inside a festival week). Starts that are negative, out of order
-    or overlapping are a :class:`DataError`; a length below 1, an unknown
-    mode or ``init_method`` a plain ``ValueError``.
+    or overlapping are a :class:`DataError`; a start or a length that is no
+    integer a ``TypeError``; a length below 1, an unknown mode or an
+    ``init_method`` that does not seed it a plain ``ValueError``.
     """
 
     id: str
@@ -99,13 +112,11 @@ class DimsSpec:
 
     def __post_init__(self):
         _check_id_and_size(self, "dims", "length")
-        object.__setattr__(self, "occurrences", tuple(int(o) for o in self.occurrences))
+        object.__setattr__(self, "occurrences", tuple(
+            _as_int(o, f"dims {self.id!r}: occurrence start") for o in self.occurrences))
         if self.length < 1:
             raise ValueError(f"dims {self.id!r}: length must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"dims {self.id!r}: unknown mode {self.mode!r}")
-        if self.init_method not in DIMS_INIT_METHODS:
-            raise ValueError(f"dims {self.id!r}: unknown init_method {self.init_method!r}")
+        check_init_method("dims", self.id, self.mode, self.init_method, DIMS_INIT_METHODS)
         for prev, cur in zip(self.occurrences, self.occurrences[1:]):
             if cur <= prev:
                 raise DataError(

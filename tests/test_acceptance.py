@@ -167,7 +167,7 @@ def test_criterion_4_dims_efficacy():
     seasons = [SeasonSpec("daily", 24), SeasonSpec("weekly", 168)]
     with_dims = hourly_series(y, seasons=seasons).add_dims(
         DimsSpec("holidays", "multiplicative", 24,
-                 occurrences=tuple(occurrences), init_method="stl_based")
+                 occurrences=tuple(occurrences), init_method="ratio_to_ma")
     )
     without = hourly_series(y, seasons=seasons)
     spec_dims = ModelSpec.for_series(with_dims)

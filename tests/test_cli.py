@@ -385,6 +385,9 @@ class TestConfig:
         ("season = 168 multiplicative bogus", "season", "bogus"),
         ("dims = Holidays bogus neutral", "dims", "bogus"),
         ("dims = Holidays multiplicative bogus", "dims", "bogus"),
+        ("season = 168 multiplicative stl_based", "season", "stl_based"),
+        ("dims = Holidays multiplicative stl_based", "dims", "stl_based"),
+        ("dims = Holidays additive ratio_to_ma", "dims", "ratio_to_ma"),
         ("max_evals = lots", "max_evals", "lots"),
         ("damping = maybe", "damping", "maybe"),
     ]
@@ -647,7 +650,7 @@ class TestCommands:
             (tmp_path / f"{name}.csv").write_text("event_id,group,date_start,span_days\n" + "".join(
                 f"d{d},Holidays,{(start + timedelta(days=d)).date()},1\n" for d in days))
             cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(base + f"calendar = {name}.csv\ndims = Holidays multiplicative stl_based\n")
+            cfg.write_text(base + f"calendar = {name}.csv\ndims = Holidays multiplicative ratio_to_ma\n")
             out = tmp_path / name
             assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
             assert main(["forecast", "--config", str(cfg), "--out", str(out),
@@ -773,8 +776,21 @@ class TestCommands:
         ("dims.0.length", 4.0, "malformed artifact DimsSpec: dims 'event': length must be an "
                                "integer, not float"),
         ("params.deltas", [0.1, 0.1], "malformed artifact: expected 1 seasonal deltas, got 2"),
+        ("dims.0.occurrences", [30.7], "malformed artifact DimsSpec: dims 'event': occurrence "
+                                       "start must be an integer, not float"),
+        ("dims.0.occurrences", ["30"], "occurrence start must be an integer, not str"),
+        ("dims.0.occurrences", [True], "occurrence start must be an integer, not bool"),
+        ("spec.damping_enabled", [], "malformed artifact ModelSpec: damping_enabled must be a "
+                                     "bool, not list"),
+        ("spec.ar_adjustment_enabled", 1, "ar_adjustment_enabled must be a bool, not int"),
+        ("seasons.0.init_method", "stl_based",
+         "malformed artifact SeasonSpec: season 'daily': unknown init_method 'stl_based'"),
+        ("dims.0.init_method", "stl_based",
+         "malformed artifact DimsSpec: dims 'event': unknown init_method 'stl_based'"),
     ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged",
-            "spec-trend", "params-range", "season-id", "dims-length", "delta-count"])
+            "spec-trend", "params-range", "season-id", "dims-length", "delta-count",
+            "dims-start-float", "dims-start-text", "dims-start-bool", "spec-damping",
+            "spec-ar", "season-stl-based", "dims-stl-based"])
     def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, capsys, path, value,
                                                           match):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],

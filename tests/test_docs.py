@@ -14,6 +14,7 @@ from hwdims.cli import parse_config
 from hwdims.evaluate import POLICIES
 from hwdims.hw import TREND_KINDS
 from hwdims.optimize import ALGORITHMS, OBJECTIVES
+from hwdims.timeseries import DIMS_INIT_METHODS, SEASON_INIT_METHODS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -34,6 +35,24 @@ def test_numpy_and_stdlib_only():
             bad += [f"{path}:{node.lineno}: {name}" for name in names
                     if name.split(".")[0] not in allowed]
     assert not bad, "imports outside numpy + stdlib:\n" + "\n".join(bad)
+
+
+def test_fit_and_evaluate_cannot_decompose():
+    # Seeds come from moving averages: the search and the rolling evaluation
+    # import nothing from the decomposition, so only `decompose` runs mstl.
+    bad = []
+    for name in ("optimize.py", "evaluate.py"):
+        path = ROOT / "src" / "hwdims" / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            bad += [f"{path}:{node.lineno}: {module}" for module in modules
+                    if "decompose" in module.split(".")]
+    assert not bad, "imports of the decomposition:\n" + "\n".join(bad)
 
 
 def test_readme_quickstart():
@@ -68,13 +87,24 @@ def test_readme_config():
         parse_config(config)
     accepted = {"trend": TREND_KINDS, "algorithm": ALGORITHMS,
                 "objective": OBJECTIVES, "policy": POLICIES}
+    # season and dims lines may repeat: their init methods, on all the lines
+    # together with their comments, must be the ones each accepts
+    methods = {"season": SEASON_INIT_METHODS, "dims": DIMS_INIT_METHODS}
+    seen = {key: set() for key in methods}
     for line in block.splitlines():
         key, _, rest = line.partition("=")
+        value, _, comment = rest.partition("#")
+        commented = {name.strip() for name in comment.split("|")} - {""}
+        if key.strip() in methods:
+            seen[key.strip()] |= {value.split()[2]} | commented
         allowed = accepted.pop(key.strip(), None)
         if allowed is not None:
-            value, _, comment = rest.partition("#")
-            documented = ({value.strip()} | {name.strip() for name in comment.split("|")}) - {""}
+            documented = {value.strip()} | commented
             assert documented == set(allowed), (
                 f"README {key.strip()}: documents {sorted(documented)}, "
                 f"the parser accepts {sorted(allowed)}")
     assert not accepted, f"README run.cfg: no line for {sorted(accepted)}"
+    for key, allowed in methods.items():
+        assert seen[key] == set(allowed), (
+            f"README {key} init methods: documents {sorted(seen[key])}, "
+            f"the parser accepts {sorted(allowed)}")

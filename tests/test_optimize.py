@@ -26,7 +26,6 @@ from hwdims import (
     find_params,
     init_values,
     mape,
-    mstl,
     nelder_mead,
     parameter_names,
     params_to_vector,
@@ -100,57 +99,83 @@ class TestInitValues:
             y[occ:occ + 24] *= 0.8
         ts = hourly_series(y, seasons=[SeasonSpec("d", 24)]).add_dims(
             DimsSpec("hol", "multiplicative", 24, occurrences=occurrences,
-                     init_method="stl_based")
+                     init_method="ratio_to_ma")
         )
         seeds = init_values(ts, ModelSpec.for_series(ts))
         assert seeds.dims["hol"].mean() == pytest.approx(0.8, abs=0.04)
 
-    def test_stl_based_dims_seeds_are_occurrence_means(self):
+    def test_ratio_to_ma_dims_seeds_follow_the_masked_average(self):
+        # Noisy daily series, blocks lowered by 20 %: one at the start and
+        # one running past the end, which no whole window reaches, and two on
+        # consecutive days, whose windows keep under half their weight in
+        # places. The seeds are the per-offset means of the work series (the
+        # daily ring divided out) over a 2x72-step average of the steps
+        # outside every block, computed here one position at a time.
         t = np.arange(24 * 20)
         rng = np.random.default_rng(4)
         y = 100.0 + 10 * np.sin(2 * np.pi * t / 24) + rng.normal(0.0, 1.0, len(t))
-        occurrences = (24 * 3, 24 * 7, 24 * 12, 24 * 16)
+        occurrences = (0, 24 * 3 + 5, 24 * 7, 24 * 8, 24 * 12, 24 * 16 + 5, 24 * 20 - 10)
         for occ in occurrences:
             y[occ:occ + 24] *= 0.8
         ts = hourly_series(y, seasons=[SeasonSpec("d", 24)]).add_dims(
             DimsSpec("hol", "multiplicative", 24, occurrences=occurrences,
-                     init_method="stl_based")
+                     init_method="ratio_to_ma")
         )
         seeds = init_values(ts, ModelSpec.for_series(ts))
-        result = mstl(ts)
-        base = result.trend + result.seasonals["d"]
-        profile = result.dims_profiles["hol"]
-        want = [np.mean([(base[o + q] + profile[q]) / base[o + q] for o in occurrences])
-                for q in range(24)]
+        work = y / np.resize(seeds.seasonal["d"], len(y))
+        slots = ts.recurrence("hol")
+        kept = slots < 0
+        kernel = np.full(73, 1.0 / 72)
+        kernel[0] = kernel[-1] = 0.5 / 72
+        ratios, skipped = [[] for _ in range(24)], 0
+        for pos in range(36, len(y) - 36):
+            if slots[pos] < 0:
+                continue
+            window = slice(pos - 36, pos + 37)
+            weight = np.sum(kernel * kept[window])
+            if weight >= 0.5:
+                average = np.sum(kernel * kept[window] * work[window]) / weight
+                ratios[slots[pos]].append(work[pos] / average)
+            else:
+                skipped += 1
+        assert skipped > 0 and min(map(len, ratios)) >= 2
+        want = [np.mean(r) for r in ratios]
         np.testing.assert_allclose(seeds.dims["hol"], want, rtol=1e-12)
+        np.testing.assert_allclose(seeds.dims["hol"], 0.8, atol=0.03)
 
-    def test_additive_stl_based_seeds(self):
-        # Noiseless: a daily sine and three whole days lowered by 20. The
-        # additive seeds are the decomposition's slot means and block profile.
-        t = np.arange(24 * 7 * 6)
+    def test_difference_to_ma_dims_seeds_recover_a_noiseless_dip(self):
+        # A daily sine and 24 six-step dips of one profile, one starting at
+        # each hour of the day: every hour slot holds the whole profile once,
+        # so the additive daily ring is the sine, and the dims seeds are the
+        # dip, offset by offset.
+        t = np.arange(24 * 52)
         y = 100.0 + 10.0 * np.sin(2 * np.pi * t / 24)
-        occurrences = (24 * 9, 24 * 20, 24 * 31)
+        dip = np.array([-5.0, -20.0, -12.5, 3.0, -8.0, -1.0])
+        occurrences = tuple(30 + 49 * k for k in range(24))
         for occ in occurrences:
-            y[occ:occ + 24] -= 20.0
-        ts = hourly_series(y, seasons=[
-            SeasonSpec("d", 24, mode="additive", init_method="stl_based"),
-        ]).add_dims(DimsSpec("hol", "additive", 24, occurrences=occurrences,
-                             init_method="stl_based"))
+            y[occ:occ + 6] += dip
+        ts = hourly_series(y, seasons=[SeasonSpec("d", 24, mode="additive")]).add_dims(
+            DimsSpec("hol", "additive", 6, occurrences=occurrences,
+                     init_method="difference_to_ma"))
         seeds = init_values(ts, ModelSpec.for_series(ts, trend="none"))
-        np.testing.assert_allclose(seeds.dims["hol"], -20.0, rtol=0, atol=1e-12)
-        ring = seeds.seasonal["d"]
-        np.testing.assert_allclose(ring, 10.0 * np.sin(2 * np.pi * np.arange(24) / 24),
-                                   rtol=0, atol=1e-13)
-        assert abs(ring.sum()) < 1e-12
+        np.testing.assert_allclose(seeds.seasonal["d"],
+                                   10.0 * np.sin(2 * np.pi * np.arange(24) / 24),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seeds.dims["hol"], dip, rtol=0, atol=1e-12)
 
-    def test_stl_based_season_seeds(self):
-        t = np.arange(24 * 10)
-        y = 50.0 + 5 * np.sin(2 * np.pi * t / 24)
-        ts = hourly_series(y, seasons=[SeasonSpec("d", 24, init_method="stl_based")])
+    @pytest.mark.parametrize("level, seasons", [(100.0, [SeasonSpec("w", 168)]), (-100.0, [])],
+                             ids=["window-past-the-series", "average-not-positive"])
+    def test_multiplicative_dims_seeds_stay_neutral_without_a_baseline(self, level, seasons):
+        # Two weekly cycles are too short for the three-week window that a
+        # one-day block under a weekly cycle needs, and a ratio to an average
+        # that is not positive is no index: either way the seeds stay neutral.
+        y = level + np.arange(336) % 7
+        y[100:124] *= 0.8
+        ts = hourly_series(y, seasons=seasons).add_dims(
+            DimsSpec("hol", "multiplicative", 24, occurrences=(100,),
+                     init_method="ratio_to_ma"))
         seeds = init_values(ts, ModelSpec.for_series(ts))
-        ring = seeds.seasonal["d"]
-        assert ring.mean() == pytest.approx(1.0, abs=1e-9)
-        assert np.corrcoef(ring, 1 + 0.1 * np.sin(2 * np.pi * np.arange(24) / 24))[0, 1] > 0.99
+        np.testing.assert_array_equal(seeds.dims["hol"], np.ones(24))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([3, 4, 6, 8]))

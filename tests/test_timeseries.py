@@ -79,9 +79,14 @@ class TestDimsSpec:
     @pytest.mark.parametrize("change, message", [
         ({"length": 0}, "length must be >= 1"),
         ({"mode": "cubic"}, "unknown mode 'cubic'"),
-        ({"init_method": "ratio_to_ma"}, "unknown init_method 'ratio_to_ma'"),
+        ({"init_method": "stl_based"}, "unknown init_method 'stl_based'"),
         ({"occurrences": (-5, 100)}, "negative occurrence start -5"),
-    ], ids=["length", "mode", "init_method", "negative-start"])
+        ({"init_method": "difference_to_ma"},
+         "init_method 'difference_to_ma' seeds additive indices, not multiplicative"),
+        ({"mode": "additive", "init_method": "ratio_to_ma"},
+         "init_method 'ratio_to_ma' seeds multiplicative indices, not additive"),
+    ], ids=["length", "mode", "init_method", "negative-start", "additive-method",
+            "multiplicative-method"])
     def test_invalid_spec_rejected(self, change, message):
         kwargs = {"id": "h", "mode": "multiplicative", "length": 24, **change}
         with pytest.raises(ValueError, match=f"dims 'h': {message}"):
