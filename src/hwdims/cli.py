@@ -24,7 +24,7 @@ import numpy as np
 
 from .calendars import CalendarEvent, build_dims
 from .decompose import mstl, panel_names, stlplot_export
-from .evaluate import POLICIES, accuracy, grid_to_csv, mforecast, rolling_origins
+from .evaluate import POLICIES, accuracy, check_scored, grid_to_csv, mforecast, rolling_origins
 from .hw import (
     TREND_KINDS,
     FitInfeasibleError,
@@ -32,14 +32,13 @@ from .hw import (
     ModelState,
     SmoothingParams,
     _check_consistency,
-    check_observations,
     forecast,
     project_dims,
     reduce_check,
 )
 from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
 from .timeseries import DIMS_INIT_METHODS, DataError, DimsSpec, SeasonSpec, TimeSeries
-from .timeseries import check_init_method, read_csv, write_csv
+from .timeseries import check_clock, check_init_method, iso_stamps, read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -379,11 +378,13 @@ def _json_field(doc: dict, key: str, kind: type, where: str = "artifact"):
     return value
 
 
-def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec], dict]:
-    """Read a ``model.json``; a file the model cannot be rebuilt from is a
-    :class:`DataError`. The state's rings are put in declaration order (the
-    engine pairs them with the spec's modes by position, and the JSON has
-    sorted keys), then the engine's own model check runs on the whole."""
+def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[DimsSpec],
+                                 tuple[datetime, timedelta]]:
+    """Read a ``model.json`` into its model and its series' clock ``(start,
+    step)``; a file the model cannot be rebuilt from is a :class:`DataError`.
+    The state's rings are put in declaration order (the engine pairs them
+    with the spec's modes by position, and the JSON has sorted keys), then
+    the engine's own model check and the series' clock rule run."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -402,15 +403,21 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     kinds = {"level": float, "trend": float, "seasonal": dict, "dims": dict,
              "last_residual": float, "position": int}
     values = {key: _json_field(raw, key, kind, "artifact state") for key, kind in kinds.items()}
+    series = _json_field(doc, "series", dict)
+    start = _json_field(series, "start", str, "artifact series")
+    seconds = _json_field(series, "step_seconds", float, "artifact series")
     try:
         for key, components in (("seasonal", seasons), ("dims", dims)):
             values[key] = {c.id: np.array(values[key][c.id], dtype=float)
                            for c in components if c.id in values[key]}
         state = ModelState(**values)
         _check_consistency(seasons, dims, spec, params, state)
-    except (TypeError, ValueError) as exc:
+        start, step = datetime.fromisoformat(start), timedelta(seconds=seconds)
+        check_clock(start, step)
+        start + state.position * step  # the first forecast stamp, OverflowError past 9999
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed artifact: {exc}") from exc
-    return spec, params, state, dims, doc
+    return spec, params, state, dims, (start, step)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +441,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 
 def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
     if model_path is not None:
-        spec, params, state, dims, doc = load_artifact(model_path)
-        series = _json_field(doc, "series", dict)
-        start = datetime.fromisoformat(_json_field(series, "start", str, "artifact series"))
-        step = timedelta(seconds=_json_field(series, "step_seconds", float, "artifact series"))
+        spec, params, state, dims, (start, step) = load_artifact(model_path)
     else:
         ts = load_series(cfg)
         spec = cfg.model_spec(ts)
@@ -445,7 +449,7 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
         state, dims, start, step = fit.final_state, ts.dims, ts.start, ts.step
     origin = state.position
     values = forecast(state, spec, params, cfg.horizon, project_dims(dims, origin, cfg.horizon))
-    stamps = ((start + (origin + k) * step).isoformat() for k in range(cfg.horizon))
+    stamps = iso_stamps(start + origin * step, step, cfg.horizon)
     write_csv(out / "forecast.csv", "timestamp,forecast", stamps, map(repr, values.tolist()))
     return 0
 
@@ -473,12 +477,11 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
     ts = load_series(cfg)
     step = cfg.origin_step if cfg.origin_step is not None else cfg.horizon
     spec = cfg.model_spec(ts)
+    # a reading that cannot be scored must not wait for the fixed policy's search
+    check_scored(ts, spec, rolling_origins(len(ts), cfg.first_origin, step, cfg.horizon),
+                 cfg.horizon)
     params = None
     if cfg.policy == "fixed":
-        # The search reads the first origin's window alone; a bad reading
-        # between it and the last origin must not wait for the whole search.
-        last_origin = rolling_origins(len(ts), cfg.first_origin, step, cfg.horizon)[-1]
-        check_observations(ts, spec, last_origin)
         params, _fit_res = find_params(ts.prefix(cfg.first_origin), spec, cfg.optim)
     grid = mforecast(
         ts, spec, first_origin=cfg.first_origin, step=step, horizon=cfg.horizon,

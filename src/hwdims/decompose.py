@@ -9,11 +9,12 @@ seasonality, the i-th shortest cycle with seasonal window 7 + 4·i, in two
 STL passes (Cleveland et al. 1990). The decomposition is event-blind:
 every smoother of the regular components skips the moving-seasonality
 occurrence blocks, so trend and seasonals do not depend on the values inside
-them (unless some cycle slot lies inside a block in every cycle, where that
-slot's subseries is smoothed unmasked). Each moving-seasonality component is
-then the residual those components leave, averaged per within-block offset;
-without registered moving seasonalities nothing is masked. A mask is always
-a bool array: "no mask" is one that keeps every point.
+them, unless a smoother row has every point inside a block: such a row (a
+cycle slot's subseries, or the whole series) is smoothed unmasked. Each
+moving-seasonality component is then the residual those components leave,
+averaged per within-block offset; without registered moving seasonalities
+nothing is masked. A mask is always a bool array: "no mask" is one that
+keeps every point.
 
 Each regular component is recentered over every complete cycle, so a full
 cycle of a component sums to (numerically) zero. Callers wanting a
@@ -22,21 +23,23 @@ multiplicative decomposition should log-transform first.
 Every smoother is a degree-1 Loess fit with tricube weights. What a
 smoother needs that depends only on its shape, window and mask (the route
 of each fit, the mask's kernel moments, the nearest kept points of windows
-that keep none) is its plan, built once by :func:`_plan` and kept in a
-small memo, so the passes of one decomposition, which repeat each smoother
-with one mask, reuse it. The trend and low-pass smoothers are plans over
-one row; the cycle-subseries smoother is one plan over the stacked
-subseries, fitted one point past both ends. Interior windows that touch no
-excluded point are a single convolution. Interior windows that touch an
-excluded block but keep one of their end points keep the full bandwidth,
-so they are fitted from the correlations of the kept values with the
-kernel and its first moment, and two coefficients per window from the kept
-mask's moments, behind a conditioning guard. All other fits (the row ends,
-windows whose end points are both excluded, windows the guard turns away)
-are exact weighted fits, with the nearest kept points standing in for a
-window that keeps none. Every route computes the same weighted fit over
-the nearest ``window`` grid points; the test suite keeps it as a scalar
-reference, one call per point, and checks every route against it.
+that keep none) is its one plan, built by :func:`_plan` from one running
+count of the kept points and kept in a small memo, so the passes of one
+decomposition, which repeat each smoother with one mask, reuse it; the plan
+runs every fit of the smoother, the exact ones included. The trend and
+low-pass smoothers are plans over one row; the cycle-subseries smoother is
+one plan over the stacked subseries, fitted one point past both ends.
+Interior windows that touch no excluded point are a single convolution.
+Interior windows that touch an excluded block but keep one of their end
+points keep the full bandwidth, so they are fitted from the correlations of
+the kept values with the kernel and its first moment, and two coefficients
+per window from the kept mask's moments, behind a conditioning guard. All
+other fits (the row ends, windows whose end points are both excluded,
+windows the guard turns away) are exact weighted fits, with the nearest
+kept points standing in for a window that keeps none. Every route computes
+the same weighted fit over the nearest ``window`` grid points; the test
+suite keeps it as a scalar reference, one call per point, and checks every
+route against it.
 """
 
 from __future__ import annotations
@@ -141,86 +144,6 @@ def _tricube_weights(d: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return wts
 
 
-def _kept_mask(excluded: np.ndarray) -> np.ndarray:
-    """The kept points of a (k, L) ``excluded`` mask; an all-False mask keeps
-    every point. A row with every point excluded keeps them all: it is fitted
-    unmasked."""
-    kept = ~excluded
-    kept[~kept.any(axis=1)] = True
-    return kept
-
-
-@dataclass(frozen=True, eq=False)
-class _ExactFits:
-    """Exact weighted fits (see the module docstring) in a (k, L) matrix, with what
-    depends only on the kept mask worked out once. Positions are flat: row
-    times L plus the position in the row.
-
-    Fit ``i`` is at the coordinate ``x0[i]``. A ``near`` fit reads the
-    ``width`` points from ``start[i]``, its window, of which ``kept`` marks
-    those that count. A ``far`` fit, whose window keeps no point, reads the
-    nearest kept points of its row instead: ``far_idx``, padded to the
-    window, with ``far_kept`` marking the real entries.
-    """
-
-    x0: np.ndarray
-    start: np.ndarray
-    width: int
-    kept: np.ndarray
-    near: np.ndarray
-    far: np.ndarray
-    far_idx: np.ndarray
-    far_kept: np.ndarray
-
-    def fit(self, Y: np.ndarray) -> np.ndarray:
-        """The fits of the rows of ``Y``, in the order they were planned."""
-        values = Y.reshape(-1)
-        out = np.empty(len(self.x0))
-        span = np.arange(self.width)
-        step = max(1, _GATHER_BLOCK // self.width)
-        for a in range(0, len(self.near), step):
-            at = self.near[a:a + step]
-            idx = self.start[at, None] + span
-            wts = _tricube_weights(idx - self.x0[at, None], self.kept[idx])
-            out[at] = np.einsum("bw,bw->b", wts, values[idx])
-        if len(self.far):
-            wts = _tricube_weights(self.far_idx - self.x0[self.far, None], self.far_kept)
-            out[self.far] = np.einsum("bw,bw->b", wts, values[self.far_idx])
-        return out
-
-
-def _exact_fits(kept: np.ndarray, rows, x0s, window: int, length: int) -> _ExactFits:
-    """Plan the exact fits of window ``window`` at the coordinates ``x0s`` of
-    the ``rows`` of a matrix with rows of ``length`` points and the kept mask
-    ``kept`` (see :func:`_kept_mask`)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    x0s = np.asarray(x0s, dtype=float)
-    width = min(window, length)
-    lo = np.clip(np.floor(x0s).astype(np.int64) - (window - 1) // 2, 0, length - width)
-    counts = np.zeros((len(kept), length + 1), dtype=np.int64)
-    np.cumsum(kept, axis=1, out=counts[:, 1:])
-    far = np.flatnonzero(counts[rows, lo + width] == counts[rows, lo])
-    far_idx = np.zeros((len(far), window), dtype=np.int64)
-    far_kept = np.zeros((len(far), window), dtype=bool)
-    kept_idx = {}  # row -> its kept indices
-    for j, f in enumerate(far):
-        r, x0 = rows[f], x0s[f]
-        if r not in kept_idx:
-            kept_idx[r] = np.flatnonzero(kept[r])
-        # the nearest `window` kept points, ties to the lower index
-        idx = kept_idx[r]
-        p = int(np.searchsorted(idx, x0))
-        idx = idx[max(p - window, 0):p + window]
-        idx = idx[np.argsort(np.abs(idx - x0), kind="stable")[:window]]
-        far_idx[j, :len(idx)] = r * length + idx
-        far_kept[j, :len(idx)] = True
-    near = np.ones(len(x0s), dtype=bool)
-    near[far] = False
-    base = rows * length
-    return _ExactFits(base + x0s, base + lo, width, kept.reshape(-1), np.flatnonzero(near), far,
-                      far_idx, far_kept)
-
-
 # A masked window's moment fit is kept only when the centred second moment
 # sxx = S2 - S1^2/S0 keeps this share of S2, so that its cancellation costs at
 # most a factor 10 in precision; thinner windows (few kept points, or all on
@@ -246,14 +169,18 @@ def _correlate(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 class _Plan:
     """What a Loess smoother of one window over a (k, L) matrix, fitted at the
     coordinates -ext..L-1+ext of each row, needs that depends only on the
-    shape, the window and the mask (see :func:`_plan`).
+    shape, the window and the mask (see :func:`_plan`). Positions are flat.
 
     The interior columns ``half..L-1-half`` are the correlations of the kept
     values with ``kernels``: the tricube kernel K, and with a mask also K·d
     (d the offset). There a window that keeps every point is the first
-    correlation T0 (the convolution), and each flat interior position in
+    correlation T0 (the convolution), and each interior position in
     ``moment_at`` is ``A·T0 - B·T1`` with (A, B) from ``moment_coef``. Every
-    other output (flat positions ``exact_at``) is an exact fit.
+    other output (``exact_at``) is an exact fit at the coordinate ``x0``:
+    first the near fits, over the window from each ``start`` with ``kept``
+    marking the points that count, then the far fits, whose window keeps no
+    point, over the nearest kept points of the row, ``far_idx`` (padded to
+    the window; ``far_kept`` marks the real entries).
     """
 
     ext: int
@@ -263,7 +190,10 @@ class _Plan:
     moment_at: np.ndarray
     moment_coef: np.ndarray
     exact_at: np.ndarray
-    exact: _ExactFits
+    x0: np.ndarray
+    start: np.ndarray
+    far_idx: np.ndarray
+    far_kept: np.ndarray
 
     def fit(self, Y: np.ndarray) -> np.ndarray:
         """The smoothed (k, L + 2·ext) values of the (k, L) ``Y``."""
@@ -277,7 +207,18 @@ class _Plan:
                 t0 = t[0].reshape(-1)
                 t0[at] = a * t0[at] - b * t[1].reshape(-1)[at]
             out[:, self.ext + self.half:self.ext + n - self.half] = t[0]
-        out.reshape(-1)[self.exact_at] = self.exact.fit(Y)
+        flat, values, kept = out.reshape(-1), Y.reshape(-1), self.kept.reshape(-1)
+        width = min(2 * self.half + 1, n)
+        near = len(self.start)
+        step = max(1, _GATHER_BLOCK // width)
+        for a in range(0, near, step):
+            b = min(a + step, near)
+            idx = self.start[a:b, None] + np.arange(width)
+            wts = _tricube_weights(idx - self.x0[a:b, None], kept[idx])
+            flat[self.exact_at[a:b]] = np.einsum("bw,bw->b", wts, values[idx])
+        if len(self.far_idx):
+            wts = _tricube_weights(self.far_idx - self.x0[near:, None], self.far_kept)
+            flat[self.exact_at[near:]] = np.einsum("bw,bw->b", wts, values[self.far_idx])
         return out
 
 
@@ -285,7 +226,8 @@ class _Plan:
 def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes) -> _Plan:
     """The plan of the smoother of odd ``window`` over a ``shape`` (k, L)
     matrix, fitted at -ext..L-1+ext, with the points of ``mask`` (the bytes of
-    a (k, L) bool array; all False keeps every point) excluded. A mask that
+    a (k, L) bool array; all False keeps every point) excluded. A row with
+    every point excluded keeps them all: it is fitted unmasked. A mask that
     keeps every point gets the one-kernel correlation of the unmasked
     smoother.
 
@@ -298,12 +240,16 @@ def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes) -> _Plan:
     coefficients, unless the conditioning guard (``S0 > 0`` and
     ``sxx > _MOMENT_GUARD * S2``) turns it away. Every other fit (the row
     ends, windows that keep neither end point, guarded windows, and every fit
-    when the window is longer than a row) is exact, planned by
-    :func:`_exact_fits`.
+    when the window is longer than a row) is exact, over the nearest
+    ``window`` kept points of its row when its window keeps none. One count
+    of the kept points finds the windows of both kinds.
     """
     k, n = shape
     half = window // 2
-    kept = _kept_mask(np.frombuffer(mask, bool).reshape(shape))
+    kept = ~np.frombuffer(mask, bool).reshape(shape)
+    kept[~kept.any(axis=1)] = True
+    counts = np.zeros((k, n + 1), dtype=np.int64)
+    np.cumsum(kept, axis=1, out=counts[:, 1:])
     exact = np.ones((k, n + 2 * ext), dtype=bool)
     kernels = None
     moment_at = np.zeros(0, dtype=np.int64)
@@ -318,9 +264,7 @@ def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes) -> _Plan:
         interior[:] = False
         if not kept.all():
             kernels = np.stack([kernel, kernel * d], axis=1)
-            counts = np.zeros((k, n + 1), dtype=np.int64)
-            np.cumsum(~kept, axis=1, out=counts[:, 1:])
-            touched = counts[:, window:] > counts[:, :inner]
+            touched = counts[:, window:] - counts[:, :inner] < window
             candidates = np.flatnonzero(touched & (kept[:, :inner] | kept[:, 2 * half:]))
             s0, s1, s2 = _correlate(kept.astype(float), np.stack(
                 [kernel, kernel * d, kernel * d * d], axis=1)).reshape(3, -1)[:, candidates]
@@ -335,8 +279,28 @@ def _plan(shape: tuple[int, int], window: int, ext: int, mask: bytes) -> _Plan:
             touched.reshape(-1)[moment_at] = False
             interior[:] = touched
     rows, cols = np.nonzero(exact)
-    return _Plan(ext, half, kernels, kept, moment_at, moment_coef, np.flatnonzero(exact),
-                 _exact_fits(kept, rows, cols - ext, window, n))
+    cols -= ext
+    width = min(window, n)
+    lo = np.clip(cols - half, 0, n - width)
+    far = counts[rows, lo + width] == counts[rows, lo]
+    order = np.argsort(far, kind="stable")  # the near fits first
+    rows, cols, lo = rows[order], cols[order], lo[order]
+    near = len(far) - int(far.sum())
+    far_idx = np.zeros((len(order) - near, window), dtype=np.int64)
+    far_kept = np.zeros(far_idx.shape, dtype=bool)
+    kept_idx = [np.flatnonzero(row) for row in kept] if len(far_idx) else []
+    for j, (r, x0) in enumerate(zip(rows[near:].tolist(), cols[near:].tolist())):
+        # the nearest `window` kept points, ties to the lower index
+        idx = kept_idx[r]
+        p = int(np.searchsorted(idx, x0))
+        idx = idx[max(p - window, 0):p + window]
+        idx = idx[np.argsort(np.abs(idx - x0), kind="stable")[:window]]
+        far_idx[j, :len(idx)] = r * n + idx
+        far_kept[j, :len(idx)] = True
+    base = rows * n
+    return _Plan(ext, half, kernels, kept, moment_at, moment_coef,
+                 np.flatnonzero(exact)[order], (base + cols).astype(float), (base + lo)[:near],
+                 far_idx, far_kept)
 
 
 def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarray:
@@ -344,7 +308,8 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
 
     ``excluded`` marks positions whose values must not influence the fit
     (they still receive a fitted value, interpolated from their neighbours);
-    ``None`` excludes none.
+    ``None`` excludes none, and so does a mask that excludes every position:
+    with nothing left to fit from, the series is smoothed unmasked.
     The fits follow the routes of :func:`_plan`, whose plan is built once per
     length, window and mask and reused by later calls.
     """
@@ -353,8 +318,6 @@ def loess_smooth(y, window: int, excluded: np.ndarray | None = None) -> np.ndarr
     if n == 0:
         raise ValueError("empty input")
     excluded = np.zeros(n, bool) if excluded is None else np.asarray(excluded, dtype=bool)
-    if excluded.all():
-        raise ValueError("all positions excluded")
     return _plan((1, n), _odd_at_least(window), 0, excluded.tobytes()).fit(y[None, :])[0]
 
 

@@ -89,6 +89,18 @@ def rolling_origins(n: int, first_origin: int, step: int, horizon: int) -> list[
     return origins
 
 
+def check_scored(ts: TimeSeries, spec: ModelSpec, origins: list[int], horizon: int) -> None:
+    """Raise :class:`DataError`, before any seeding or search, for an
+    observation the forecasts from ``origins`` cannot be scored on (see
+    :func:`~hwdims.hw.check_observations`), or a zero one in a forecast window."""
+    check_observations(ts, spec, origins[-1])
+    cells = np.add.outer(origins, np.arange(horizon))
+    zeros = cells[ts.values[cells] == 0.0]
+    if zeros.size:
+        raise DataError(f"a percentage error needs a nonzero actual; "
+                        f"observation {zeros.min()} is 0.0")
+
+
 def mforecast(
     ts: TimeSeries,
     spec: ModelSpec,
@@ -102,10 +114,10 @@ def mforecast(
 ) -> ForecastGrid:
     """Forecast ``horizon`` steps from every origin ``first_origin``,
     ``first_origin + step``, ... while the horizon window stays inside the
-    series; origins whose window would run past the end are dropped. A
-    nonpositive observation before the last origin in a multiplicative model
-    is a :class:`~hwdims.timeseries.DataError` before any seeding or search
-    (see :func:`~hwdims.hw.check_observations`).
+    series; origins whose window would run past the end are dropped. An
+    observation the grid cannot be scored on is a
+    :class:`~hwdims.timeseries.DataError` before any seeding or search (see
+    :func:`check_scored`).
 
     ``policy="fixed"`` keeps the given ``params`` and updates the state as
     each observation arrives: the model is seeded once from the first
@@ -136,7 +148,7 @@ def mforecast(
         raise ValueError("policy 'fixed' requires params")
 
     origins = rolling_origins(n, first_origin, step, horizon)
-    check_observations(ts, spec, origins[-1])
+    check_scored(ts, spec, origins, horizon)
 
     forecasts = np.empty((len(origins), horizon))
     actuals = np.empty((len(origins), horizon))

@@ -132,6 +132,14 @@ class DimsSpec:
             raise DataError(f"dims {self.id!r}: negative occurrence start {self.occurrences[0]}")
 
 
+def check_clock(start: datetime, step: timedelta) -> None:
+    """Raise ``ValueError`` unless ``start`` is naive and ``step`` positive."""
+    if start.tzinfo is not None:
+        raise ValueError(f"start {start.isoformat()} must be naive, without a UTC offset")
+    if step <= timedelta(0):
+        raise ValueError(f"step must be a positive duration, not {step}")
+
+
 def _slot_table(spec: DimsSpec, start: int, stop: int) -> np.ndarray:
     """Within-block offset of each position in ``[start, stop)``, -1 outside
     every occurrence block of ``spec``."""
@@ -189,8 +197,7 @@ class TimeSeries:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.step <= timedelta(0):
-            raise ValueError("step must be a positive duration")
+        check_clock(self.start, self.step)
         object.__setattr__(self, "seasons", tuple(self.seasons))
         object.__setattr__(self, "dims", tuple(self.dims))
         n = len(values)
@@ -300,15 +307,17 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def iso_stamps(start: datetime, step: timedelta, count: int) -> list[str]:
-    """``(start + i * step).isoformat()`` for every ``i < count``.
-
-    A naive ``start`` is formatted by numpy, one call per block of rows (one
-    call for the whole series would hold a wide fixed-width string array),
-    and the ``.000000`` that ``isoformat`` leaves out is stripped. An aware
-    one, whose offset numpy cannot show, goes through ``isoformat``.
+    """``(start + i * step).isoformat()`` for every ``i < count`` from a naive
+    ``start``; a stamp past the year 9999 is a :class:`DataError`. numpy
+    formats them, one call per block of rows (one call for the whole series
+    would hold a wide fixed-width string array), and the ``.000000`` that
+    ``isoformat`` leaves out is stripped.
     """
-    if start.tzinfo is not None:
-        return [(start + i * step).isoformat() for i in range(count)]
+    try:
+        start + max(count - 1, 0) * step
+    except OverflowError:
+        raise DataError(f"{count} steps of {step} from {start.isoformat()} run past "
+                        f"the year 9999") from None
     first, delta = np.datetime64(start, "us"), np.timedelta64(step, "us")
     stamps = []
     for a in range(0, count, _CSV_BLOCK_ROWS):

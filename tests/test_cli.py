@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hwdims.evaluate
 import hwdims.timeseries
 from hwdims import (
     DataError, DimsSpec, ModelSpec, ModelState, SeasonSpec, SmoothingParams, forecast, mape,
@@ -24,7 +25,7 @@ from hwdims import (
 )
 from hwdims import cli
 from hwdims.cli import (
-    _parse_timestamp, cmd_forecast, ingest, load_artifact, main, parse_config, read_calendar_csv,
+    _parse_timestamp, ingest, load_artifact, main, parse_config, read_calendar_csv,
     save_artifact,
 )
 from hwdims.hw import TREND_KINDS
@@ -691,7 +692,8 @@ class TestCommands:
         cfg = write_fit_config(tmp_path)
         out = tmp_path / "out"
         main(["fit", "--config", str(cfg), "--out", str(out)])
-        spec, params, state, dims, doc = load_artifact(out / "model.json")
+        spec, params, state, dims, (start, step) = load_artifact(out / "model.json")
+        assert (start, step) == (datetime(2023, 1, 2), timedelta(hours=1))
         reloaded = json.loads((out / "model.json").read_text())
         assert reloaded["state"]["level"] == state.level
         assert reloaded["params"]["alpha"] == params.alpha
@@ -736,7 +738,7 @@ class TestCommands:
                             project_dims(ts, state.position, horizon))
         path = tmp_path_factory.mktemp("artifact") / "model.json"
         save_artifact(path, ts, spec, params, state, 1.0)
-        spec2, params2, state2, dims2, _doc = load_artifact(path)
+        spec2, params2, state2, dims2, _clock = load_artifact(path)
         got = forecast(state2, spec2, params2, horizon,
                        project_dims(dims2, state2.position, horizon))
         np.testing.assert_array_equal(got, expected)
@@ -787,10 +789,18 @@ class TestCommands:
          "malformed artifact SeasonSpec: season 'daily': unknown init_method 'stl_based'"),
         ("dims.0.init_method", "stl_based",
          "malformed artifact DimsSpec: dims 'event': unknown init_method 'stl_based'"),
+        ("series.step_seconds", 1e300, "malformed artifact: Python int too large"),
+        ("series.step_seconds", -3600, "malformed artifact: step must be a positive duration, "
+                                       "not -1 day, 23:00:00"),
+        ("series.step_seconds", 0, "malformed artifact: step must be a positive duration"),
+        ("series.start", "2023-01-02T00:00:00+01:00",
+         r"malformed artifact: start 2023-01-02T00:00:00\+01:00 must be naive"),
+        ("series.start", "tomorrow", "malformed artifact: Invalid isoformat string"),
     ], ids=["spec-field", "params-type", "params-deltas", "ring-text", "ring-ragged",
             "spec-trend", "params-range", "season-id", "dims-length", "delta-count",
             "dims-start-float", "dims-start-text", "dims-start-bool", "spec-damping",
-            "spec-ar", "season-stl-based", "dims-stl-based"])
+            "spec-ar", "season-stl-based", "dims-stl-based", "step-overflow", "step-negative",
+            "step-zero", "start-aware", "start-text"])
     def test_artifact_field_of_wrong_kind_is_a_data_error(self, tmp_path, capsys, path, value,
                                                           match):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)],
@@ -832,7 +842,7 @@ class TestCommands:
         model = tmp_path_factory.mktemp("artifact") / "model.json"
         model.write_text(json.dumps(doc))
         try:
-            spec, params, state, dims, _doc = load_artifact(model)
+            spec, params, state, dims, _clock = load_artifact(model)
         except DataError:
             return
         forecast(state, spec, params, 48, project_dims(dims, state.position, 48))
@@ -897,7 +907,7 @@ class TestCommands:
         expected = forecast(fit.final_state, spec, params, 48)
         path = tmp_path / "model.json"
         save_artifact(path, ts, spec, params, fit.final_state, fit.objective)
-        spec2, params2, state2, _dims, _doc = load_artifact(path)
+        spec2, params2, state2, _dims, _clock = load_artifact(path)
         assert list(state2.seasonal) == ["zz_daily", "aa_weekly"]
         got = forecast(state2, spec2, params2, 48)
         np.testing.assert_array_equal(got, expected)
@@ -951,6 +961,22 @@ class TestCommands:
             "seasonal_daily.csv",
             "trend.csv",
         ]
+
+    def test_decompose_with_every_step_in_a_block(self, tmp_path):
+        # Trend and seasonals are fitted unmasked, as without the calendar;
+        # the event profile takes what they leave.
+        demand_fixture(tmp_path, weeks=2)
+        (tmp_path / "events.csv").write_text(
+            "event_id,group,date_start,span_days\nall,Everything,2023-01-02,14\n")
+        cfg = write_fit_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["decompose", "--config", str(cfg), "--out", str(out / "plain")]) == 0
+        cfg.write_text(cfg.read_text()
+                       + "calendar = events.csv\ndims = Everything additive neutral\n")
+        assert main(["decompose", "--config", str(cfg), "--out", str(out / "blocked")]) == 0
+        for name in ("trend.csv", "seasonal_daily.csv"):
+            assert (out / "blocked" / name).read_text() == (out / "plain" / name).read_text()
+        assert (out / "blocked" / "dims_Everything_profile.csv").exists()
 
     @pytest.mark.parametrize("lines, names", [
         ("season = 24 multiplicative ratio_to_ma a/b\n"
@@ -1129,6 +1155,55 @@ class TestCommands:
         assert "positive observations" in err and "observation 400 is 0.0" in err
         assert calls == []
 
+    @pytest.mark.parametrize("policy", ["fixed", "refit_per_origin"])
+    @pytest.mark.parametrize("at, code", [(400, 2), (500, 2), (470, 0)])
+    def test_zero_actual_stops_evaluate_before_search(self, tmp_path, capsys, monkeypatch,
+                                                      policy, at, code):
+        # An additive model fits a zero reading, but a forecast cannot be
+        # scored on it: a zero in a forecast window (origins 336, 384, 432 and
+        # 480 with horizon 24; the last window ends at 504) is a data error
+        # before any search. One between the windows is never scored.
+        calls = []
+        real = cli.find_params
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_params", spy)
+        monkeypatch.setattr(hwdims.evaluate, "find_params", spy)
+        y, _ = demand_fixture(tmp_path, weeks=3)
+        y[at] = 0.0
+        write_hourly_csv(tmp_path / "demand.csv", y)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = demand.csv\nseason = 24 additive difference_to_ma daily\n"
+                       "horizon = 24\nfirst_origin = 336\norigin_step = 48\n"
+                       f"policy = {policy}\n")
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert (f"a percentage error needs a nonzero actual; observation {at} is 0.0"
+                    in capsys.readouterr().err)
+        assert bool(calls) == (code == 0)
+
+    @pytest.mark.parametrize("years, match", [
+        (40, "malformed artifact: date value out of range"),
+        (23, "24 steps of 8400 days, 18:00:00 from 9751-03-01T00:00:00 run past the year 9999"),
+    ], ids=["at-the-position", "in-the-horizon"])
+    def test_clock_past_the_year_9999_is_a_data_error(self, tmp_path, capsys, years, match):
+        # With a step of years, the 336-step model's position (40) or the
+        # last forecast stamp (23) lies past the year 9999.
+        demand_fixture(tmp_path, weeks=2)
+        cfg = write_fit_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        doc["series"]["step_seconds"] = years * 365.25 * 86400
+        (out / "model.json").write_text(json.dumps(doc))
+        assert main(["forecast", "--config", str(cfg), "--out", str(out),
+                     "--model", str(out / "model.json")]) == 2
+        assert re.search(match, capsys.readouterr().err)
+        assert not (out / "forecast.csv").exists()
+
     @pytest.mark.parametrize("key", [
         "alpha", "phi", "[]", "null", "state=5",
         "seasons=5", "dims={}", "state.seasonal=5", "state.dims=[]", "state.seasonal.daily",
@@ -1165,11 +1240,7 @@ class TestCommands:
         if key.startswith("state.seasonal.daily"):  # a ring the model check rejects
             match = r"state ring for season 'daily' missing or not of shape \(24,\)"
         model.write_text(json.dumps(doc))
-        if key.startswith("series"):  # read by the forecast command
-            with pytest.raises(DataError, match=match):
-                cmd_forecast(parse_config(cfg), out, model)
-        else:
-            with pytest.raises(DataError, match=match):
-                load_artifact(model)
+        with pytest.raises(DataError, match=match):
+            load_artifact(model)
         assert main(["forecast", "--config", str(cfg), "--out", str(out),
                      "--model", str(model)]) == 2

@@ -115,11 +115,14 @@ def scalar_subseries(u, s, window, excluded=None):
 
 
 def other_mask(excluded, shift):
-    """A different mask of the same shape and kept count: ``excluded`` rolled."""
+    """A different mask of the same shape: ``excluded`` rolled, of the same
+    kept count when some point is kept (a mask that keeps none gets its
+    first point kept)."""
     other = np.roll(excluded, shift)
     if (other == excluded).all():
         other[np.flatnonzero(excluded)[0]] = False
-        other[np.flatnonzero(~excluded)[0]] = True
+        if not excluded.all():
+            other[np.flatnonzero(~excluded)[0]] = True
     return other
 
 
@@ -136,8 +139,6 @@ def masked_series(draw):
         st.tuples(st.integers(0, n - 1), st.integers(1, 2 * window)), min_size=1, max_size=3,
     )):
         excluded[start:start + length] = True
-    if excluded.all():
-        excluded[draw(st.integers(0, n - 1))] = False
     return y, window, excluded
 
 
@@ -160,6 +161,8 @@ class TestLoess:
     @example(masked_example(60, 13, (15, 52)))
     # windows inside a block keep no point at all (the nearest-points fallback)
     @example(masked_example(48, 9, (10, 40)))
+    # every point excluded: the series is smoothed unmasked
+    @example(masked_example(30, 7, (0, 30)))
     @settings(max_examples=300, deadline=None)
     def test_masked_equals_scalar_fit_point(self, case):
         y, window, excluded = case
@@ -186,8 +189,7 @@ class TestLoess:
             np.testing.assert_allclose(loess_smooth(vals, window, mask),
                                        scalar_loess(vals, window, mask), rtol=0, atol=atol)
 
-    def test_masked_trend_smooth_fits_only_edges_and_guarded_windows_exactly(
-            self, monkeypatch):
+    def test_masked_trend_smooth_fits_only_edges_and_guarded_windows_exactly(self):
         # Eight weeks hourly with six one-day holidays and a four-day block,
         # smoothed with the daily (43) and weekly (281) trend windows.
         t = np.arange(24 * 7 * 8)
@@ -199,17 +201,10 @@ class TestLoess:
         for day in (4, 12, 19, 27, 33, 50):
             excluded[24 * day:24 * day + 24] = True
         excluded[24 * 40:24 * 44] = True
-        sent = []
-        real = decompose._exact_fits
-
-        def recording(kept, rows, x0s, *args):
-            sent.extend(np.asarray(x0s, dtype=int).tolist())
-            return real(kept, rows, x0s, *args)
-
-        monkeypatch.setattr(decompose, "_exact_fits", recording)
-        decompose._plan.cache_clear()   # plans are built, and recorded, on first use
         for window, guarded in ((43, 32), (281, 0)):
-            sent.clear()
+            # one row and no extension: the exact fits' flat positions are
+            # their positions in the series
+            sent = decompose._plan((1, n), window, 0, excluded.tobytes()).exact_at.tolist()
             got = loess_smooth(y, window, excluded)
             half = window // 2
             interior = [p for p in sent if half <= p < n - half]
@@ -260,13 +255,10 @@ class TestLoess:
         assert np.std(smoothed - np.sin(np.arange(200) / 30.0)) < 0.15
 
 
-def fit_grid(Y, x0s, window, excluded=None):
-    """The batched exact fits of every row of ``Y`` at every coordinate of ``x0s``."""
-    k, n = Y.shape
-    kept = decompose._kept_mask(np.zeros((k, n), bool) if excluded is None else excluded)
-    fits = decompose._exact_fits(kept, np.repeat(np.arange(k), len(x0s)), np.tile(x0s, k),
-                                 window, n)
-    return fits.fit(Y).reshape(k, len(x0s))
+def fit_grid(Y, window, excluded=None):
+    """The fits of every row of ``Y`` at -1..n by one plan of the odd ``window``."""
+    mask = np.zeros(Y.shape, bool) if excluded is None else excluded
+    return decompose._plan(Y.shape, window, 1, mask.tobytes()).fit(Y)
 
 
 def scalar_fit_grid(Y, x0s, window, excluded=None):
@@ -283,7 +275,7 @@ def scalar_fit_grid(Y, x0s, window, excluded=None):
 def fit_grid_cases(draw):
     k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 30))
-    window = draw(st.integers(1, n + 8))       # includes window >= n
+    window = 2 * draw(st.integers(1, n // 2 + 4)) + 1   # odd, >= 3, includes window > n
     y = np.array(draw(st.lists(
         st.floats(-1e4, 1e4, allow_nan=False), min_size=k * n, max_size=k * n,
     ))).reshape(k, n)
@@ -304,7 +296,7 @@ class TestFitGrid:
     def test_matches_scalar_fit_point(self, case):
         y, window, excluded = case
         x0s = np.arange(-1, y.shape[1] + 1)   # every point and both extensions
-        got = fit_grid(y, x0s, window, excluded)
+        got = fit_grid(y, window, excluded)
         want = scalar_fit_grid(y, x0s, window, excluded)
         np.testing.assert_allclose(
             got, want, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(y))))
@@ -345,8 +337,6 @@ class TestFitGrid:
             st.tuples(st.integers(0, n - 1), st.integers(1, 3 * window * s)), max_size=3,
         )):
             excluded[start:start + length] = True
-        if excluded.all():
-            excluded[data.draw(st.integers(0, n - 1))] = False
         none = np.zeros(n, bool)
         other = other_mask(excluded, data.draw(st.integers(1, n))) if excluded.any() else none
         decompose._plan.cache_clear()
@@ -401,6 +391,24 @@ class TestMstlBasics:
         np.testing.assert_allclose(result.seasonals["daily"], 0.0, atol=1e-9)
         np.testing.assert_allclose(result.remainder, 0.0, atol=1e-9)
         assert result.converged
+
+    def test_every_step_in_a_block_decomposes_unmasked(self):
+        # No step is left outside the blocks, so every smoother row of the
+        # regular components keeps no point and is fitted unmasked: trend and
+        # seasonals are those of the series without moving seasonalities.
+        rng = np.random.default_rng(23)
+        t = np.arange(24 * 7 * 3)
+        y = (500 + 40 * np.sin(2 * np.pi * t / 24) + 20 * np.cos(2 * np.pi * t / 168)
+             + rng.normal(0, 3.0, len(t)))
+        seasons = [SeasonSpec("daily", 24, mode="additive"),
+                   SeasonSpec("weekly", 168, mode="additive")]
+        weeks = DimsSpec("weeks", "additive", 168, occurrences=(0, 168, 336))
+        masked = mstl(hourly_series(y, seasons=seasons, dims=[weeks]))
+        plain = mstl(hourly_series(y, seasons=seasons))
+        np.testing.assert_array_equal(masked.trend, plain.trend)
+        for sid in ("daily", "weekly"):
+            np.testing.assert_array_equal(masked.seasonals[sid], plain.seasonals[sid])
+        assert_identity(masked)
 
     def test_pure_sinusoid_captured_by_seasonal(self):
         result = mstl(sinusoid_fixture())

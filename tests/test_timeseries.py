@@ -148,6 +148,19 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="step must be a positive duration"):
             TimeSeries(values=demand(48), step=step)
 
+    def test_aware_start_rejected(self):
+        start = datetime(2021, 6, 1, tzinfo=timezone(timedelta(hours=2)))
+        with pytest.raises(ValueError, match=r"start 2021-06-01T00:00:00\+02:00 must be naive"):
+            TimeSeries(values=demand(48), start=start)
+
+    def test_iso_stamps_past_the_year_9999_are_a_data_error(self):
+        # numpy would format them with five-digit years, or wrap around
+        step = timedelta(days=365)
+        assert iso_stamps(datetime(9998, 1, 1), step, 2)[-1] == "9999-01-01T00:00:00"
+        with pytest.raises(DataError, match="3 steps of 365 days, 0:00:00 from "
+                                            "9998-01-01T00:00:00 run past the year 9999"):
+            iso_stamps(datetime(9998, 1, 1), step, 3)
+
     def test_unknown_dims_id_rejected(self):
         with pytest.raises(KeyError, match="unknown dims id 'ghost'"):
             hourly_series(demand()).recurrence("ghost")
@@ -188,8 +201,6 @@ class TestTimeSeries:
         # microseconds at the start, and a step that adds and clears them
         (datetime(2019, 12, 31, 23, 0, 0, 250000), timedelta(hours=1)),
         (datetime(2019, 12, 31, 23, 0, 0, 250000), timedelta(microseconds=250000)),
-        # an aware start keeps its offset
-        (datetime(2021, 6, 1, tzinfo=timezone(timedelta(hours=2))), timedelta(hours=1)),
     ])
     def test_iso_stamps_equal_isoformat(self, start, step):
         count = 2500  # three blocks of rows, the last one partial

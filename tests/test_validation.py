@@ -196,9 +196,12 @@ class TestLoessEdges:
         with pytest.raises(ValueError, match="empty"):
             loess_smooth([], 7)
 
-    def test_all_excluded_rejected(self):
-        with pytest.raises(ValueError, match="excluded"):
-            loess_smooth(np.ones(10), 5, excluded=np.ones(10, bool))
+    def test_all_excluded_smooths_unmasked(self):
+        # with no point left to fit from, the mask is dropped, as for a
+        # cycle-subseries with every point excluded
+        y = np.sin(np.arange(10.0)) + 0.3 * np.arange(10.0)
+        np.testing.assert_array_equal(loess_smooth(y, 5, excluded=np.ones(10, bool)),
+                                      loess_smooth(y, 5))
 
 
 class TestCalendarValidation:
