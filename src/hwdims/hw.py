@@ -248,6 +248,24 @@ def check_observations(ts: TimeSeries, spec: ModelSpec, n: int) -> None:
                         f"observation {first} is {float(values[first])!r}")
 
 
+def check_start(ts: TimeSeries, spec: ModelSpec, seeds: ModelState, n: int) -> None:
+    """Raise for a start no parameter point can repair: a
+    :class:`FitInfeasibleError` (``step=-1``) for a nonpositive seed level,
+    multiplicative trend seed or multiplicative seed index, then
+    :func:`check_observations` over the first ``n`` observations."""
+    if _is_multiplicative(ts, spec) and seeds.level <= 0:
+        raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
+    if spec.trend == "multiplicative" and seeds.trend <= 0:
+        raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
+    rings = [seeds.seasonal[s.id] for s in ts.seasons] + [seeds.dims[d.id] for d in ts.dims]
+    for c, ring in zip(ts.seasons + ts.dims, rings):
+        if c.mode == "multiplicative" and min(ring) <= 0.0:
+            raise FitInfeasibleError(
+                f"multiplicative seed index of {c.id!r} must be positive", step=-1
+            )
+    check_observations(ts, spec, n)
+
+
 def _run_loop(comps: tuple[tuple[bool, bool, bool], ...], live: list[int],
               has_mult: bool, mult_trend: bool, damped: bool) -> list[str]:
     """Source lines, unindented, of the step loop over one run
@@ -449,6 +467,7 @@ def smooth_pass(
     warm = warmup_length(ts)
     if n <= warm:
         raise DataError(f"series length {n} does not exceed warm-up window {warm}")
+    check_start(ts, spec, seeds, n)
 
     specs = ts.seasons + ts.dims
     ids = tuple(c.id for c in specs)
@@ -460,16 +479,6 @@ def smooth_pass(
     deltas = eff.deltas + eff.deltas_dims
 
     has_mult = _is_multiplicative(ts, spec)
-    if has_mult and seeds.level <= 0:
-        raise FitInfeasibleError("seed level must be positive for a multiplicative model", step=-1)
-    if mult_trend and seeds.trend <= 0:
-        raise FitInfeasibleError("multiplicative trend seed must be positive", step=-1)
-    for cid, vals, is_mult in zip(ids, values, mults):
-        if is_mult and min(vals) <= 0.0:
-            raise FitInfeasibleError(
-                f"multiplicative seed index of {cid!r} must be positive", step=-1
-            )
-    check_observations(ts, spec, n)
     n_seasons = len(ts.seasons)
     kinds, runs = ts.step_runs
     kernel = _step_kernel(mult_trend, has_mult, spec.damping_enabled, tuple(

@@ -25,6 +25,7 @@ from .hw import (
     ModelSpec,
     ModelState,
     SmoothingParams,
+    check_start,
     smooth_pass,
     warmup_length,
 )
@@ -36,6 +37,7 @@ OBJECTIVES = ("rmse", "mape")
 INFEASIBLE_PENALTY = 1e10
 AR1_LIMIT = 0.999
 EDGE = 1e-6  # a start's place in its box is held this far inside (0, 1)
+COARSE = 4  # a search without a given start first converges on 1/COARSE of its window
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,10 @@ def init_values(ts: TimeSeries, spec: ModelSpec) -> ModelState:
 # Derivative-free minimizer
 # ---------------------------------------------------------------------------
 
+class _BudgetSpent(Exception):
+    """The next evaluation of a :func:`nelder_mead` run would exceed its budget."""
+
+
 def nelder_mead(f, x0, config: OptimConfig, step: float | None = None) -> MinimizeResult:
     """Simplex search: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
@@ -180,73 +186,88 @@ def nelder_mead(f, x0, config: OptimConfig, step: float | None = None) -> Minimi
     the diameter and the objective spread are both below ``tolerance``, or
     once the spread is below ``tolerance * |f_best|`` and the centroid does
     not beat ``f_best`` by more than that; a centroid that does (the simplex
-    straddles the optimum) replaces the worst vertex.
+    straddles the optimum) replaces the worst vertex. Every evaluation, the
+    first simplex's too, counts against ``max_evals``, and the run ends,
+    within a step if need be, rather than exceed it. Returns the best vertex
+    of the last simplex, or the best point evaluated when the budget ends
+    the run within a step.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     steps = np.full(n, step) if step is not None else np.where(x0 != 0.0, 0.05 * x0, 0.00025)
-    sim = [x0.copy(), *(x0 + np.diag(steps))]
-    fs = [f(v) for v in sim]
-    evals = n + 1
+    evals = 0
+    x_best, f_best = x0.copy(), math.inf
+
+    def g(x):
+        nonlocal evals, x_best, f_best
+        if evals == config.max_evals:
+            raise _BudgetSpent
+        evals += 1
+        value = f(x)
+        if value < f_best:
+            x_best, f_best = x.copy(), value
+        return value
+
     history = []
     iterations = 0
     converged = False
-
-    while True:
-        order = np.argsort(fs, kind="stable")
-        sim = [sim[i] for i in order]
-        fs = [fs[i] for i in order]
-        history.append(fs[0])
-        if evals >= config.max_evals:
-            break
-        diameter = max(float(np.max(np.abs(v - sim[0]))) for v in sim[1:]) if n else 0.0
-        spread = fs[-1] - fs[0]
-        if diameter < config.tolerance and spread < config.tolerance:
-            converged = True
-            break
-        iterations += 1
-        relative = config.tolerance * abs(fs[0])
-        if spread < relative:
-            xm = np.mean(sim, axis=0)
-            fm = f(xm)
-            evals += 1
-            if not fm < fs[0] - relative:
+    try:
+        sim = [x0.copy(), *(x0 + np.diag(steps))]
+        fs = [g(v) for v in sim]
+        while True:
+            order = np.argsort(fs, kind="stable")
+            sim = [sim[i] for i in order]
+            fs = [fs[i] for i in order]
+            history.append(fs[0])
+            if evals >= config.max_evals:
+                break
+            diameter = max(float(np.max(np.abs(v - sim[0]))) for v in sim[1:]) if n else 0.0
+            spread = fs[-1] - fs[0]
+            if diameter < config.tolerance and spread < config.tolerance:
                 converged = True
                 break
-            sim[-1], fs[-1] = xm, fm
-        else:
-            centroid = np.mean(sim[:-1], axis=0)
-            worst = sim[-1]
-            xr = centroid + (centroid - worst)
-            fr = f(xr)
-            evals += 1
-            if fr < fs[0]:
-                xe = centroid + 2.0 * (centroid - worst)
-                fe = f(xe)
-                evals += 1
-                if fe < fr:
-                    sim[-1], fs[-1] = xe, fe
-                else:
-                    sim[-1], fs[-1] = xr, fr
-            elif fr < fs[-2]:
-                sim[-1], fs[-1] = xr, fr
+            iterations += 1
+            relative = config.tolerance * abs(fs[0])
+            if spread < relative:
+                xm = np.mean(sim, axis=0)
+                fm = g(xm)
+                if not fm < fs[0] - relative:
+                    converged = True
+                    break
+                sim[-1], fs[-1] = xm, fm
             else:
-                if fr < fs[-1]:
-                    xc = centroid + 0.5 * (centroid - worst)
+                centroid = np.mean(sim[:-1], axis=0)
+                worst = sim[-1]
+                xr = centroid + (centroid - worst)
+                fr = g(xr)
+                if fr < fs[0]:
+                    xe = centroid + 2.0 * (centroid - worst)
+                    fe = g(xe)
+                    if fe < fr:
+                        sim[-1], fs[-1] = xe, fe
+                    else:
+                        sim[-1], fs[-1] = xr, fr
+                elif fr < fs[-2]:
+                    sim[-1], fs[-1] = xr, fr
                 else:
-                    xc = centroid - 0.5 * (centroid - worst)
-                fc = f(xc)
-                evals += 1
-                if fc < min(fr, fs[-1]):
-                    sim[-1], fs[-1] = xc, fc
-                else:
-                    for i in range(1, n + 1):
-                        sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                        fs[i] = f(sim[i])
-                    evals += n
+                    if fr < fs[-1]:
+                        xc = centroid + 0.5 * (centroid - worst)
+                    else:
+                        xc = centroid - 0.5 * (centroid - worst)
+                    fc = g(xc)
+                    if fc < min(fr, fs[-1]):
+                        sim[-1], fs[-1] = xc, fc
+                    else:
+                        for i in range(1, n + 1):
+                            sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
+                            fs[i] = g(sim[i])
+    except _BudgetSpent:  # ends within a step: the best point evaluated
+        pass
+    else:
+        x_best, f_best = sim[0].copy(), fs[0]
 
     return MinimizeResult(
-        x=sim[0].copy(), fun=fs[0], evals=evals, iterations=iterations,
+        x=x_best, fun=f_best, evals=evals, iterations=iterations,
         f_history=tuple(history), converged=converged,
     )
 
@@ -336,16 +357,25 @@ def find_params(
     """Search the smoothing-parameter box for the best post-warm-up fit.
 
     Runs over ``z`` with ``x = lo + (hi - lo) * sigma(z)``, in unit steps from
-    the logit of the start's place in the box. Deterministic for a given
-    ``rng_seed``. Raises :class:`~hwdims.hw.FitInfeasibleError` when the
-    evaluation budget is exhausted without a single feasible parameter point,
-    and at the first evaluation when the seeds themselves are infeasible
-    (``step=-1``).
+    the logit of the start's place in the box. Without a given ``start`` the
+    search is coarse to fine: one Nelder-Mead run from the default start
+    scores passes that stop after the first ``len(ts) // COARSE``
+    observations, and the search over the whole window starts from its
+    optimum. Every pass counts as one evaluation against ``max_evals``
+    whatever its length; only a pass over the whole window can be returned.
+    Deterministic for a given ``rng_seed``. Raises
+    :class:`~hwdims.hw.FitInfeasibleError` when the evaluation budget is
+    exhausted without a single feasible parameter point. Before the first
+    pass, :func:`~hwdims.hw.check_start` raises for infeasible seeds
+    (``step=-1``) and for a nonpositive observation of a multiplicative
+    model.
     """
     config = config or OptimConfig()
     lows, highs = np.array(_resolve_bounds(ts, spec, config)).T
     if seeds is None:
         seeds = init_values(ts, spec)
+    n = len(ts)
+    check_start(ts, spec, seeds, n)
     widths = highs - lows
     warm = warmup_length(ts)
 
@@ -354,41 +384,47 @@ def find_params(
         return np.clip(lows + widths * (0.5 + 0.5 * np.tanh(0.5 * z)), lows, highs)
 
     def to_z(x):
-        u = np.divide(x - lows, widths, out=np.full(len(x), 0.5), where=widths > 0)
+        # clipped first: a start outside a subnormal-width box would overflow
+        u = np.divide(np.clip(x, lows, highs) - lows, widths, out=np.full(len(x), 0.5),
+                      where=widths > 0)
         u = np.clip(u, EDGE, 1.0 - EDGE)
         return np.log(u / (1.0 - u))
 
     best: dict = {"x": None, "f": math.inf, "fit": None}
 
-    def objective(z):
+    def objective(z, stop=n):
         x = to_x(z)
         try:
-            fit = smooth_pass(ts, spec, vector_to_params(x, ts, spec), seeds)
-        except FitInfeasibleError as exc:
-            if exc.step == -1:  # the seeds are at fault; no parameter point can repair them
-                raise
-            return INFEASIBLE_PENALTY
-        except (ZeroDivisionError, OverflowError):
+            fit = smooth_pass(ts, spec, vector_to_params(x, ts, spec), seeds, [stop])
+        except (FitInfeasibleError, ZeroDivisionError, OverflowError):
             return INFEASIBLE_PENALTY
         value = fit.objective if config.objective == "rmse" \
-            else mape(ts.values[warm:], fit.fitted[warm:])
+            else mape(ts.values[warm:stop], fit.fitted[warm:])
         if not math.isfinite(value):
             return INFEASIBLE_PENALTY
-        if value < best["f"]:
+        if stop == n and value < best["f"]:
             best.update(x=x, f=value, fit=fit)
         return value
 
     z0 = to_z(default_start(ts, spec) if start is None else np.asarray(start, dtype=float))
+    # A start's first simplex costs k + 1 evaluations. The coarse stage
+    # leaves the full stage at least that many.
+    k = len(z0)
+    budget = config.max_evals
+    if start is None and n // COARSE > 2 * warm and budget > 2 * (k + 1):
+        coarse = nelder_mead(lambda z: objective(z, n // COARSE), z0,
+                             replace(config, max_evals=budget - (k + 1)), step=1.0)
+        z0, budget = coarse.x, budget - coarse.evals
 
-    # nelder_mead is the one-start case: the whole budget, from the start. A
-    # start's first simplex costs k + 1 evaluations, so the budget caps the starts.
+    # nelder_mead is the one-start case: the whole budget, from the start.
+    # The budget caps the starts.
     restarts = config.restarts if config.algorithm == "random_restart_nelder_mead" else 1
-    restarts = min(restarts, max(1, config.max_evals // (len(z0) + 1)))
-    run_config = replace(config, max_evals=max(1, config.max_evals // restarts))
+    restarts = min(restarts, max(1, budget // (k + 1)))
+    run_config = replace(config, max_evals=budget // restarts)
     for r in range(restarts):
         if r == 1:  # numpy.random loads lazily (~6 MB): a one-start search never imports it
             rng = np.random.default_rng(config.rng_seed)
-        zs = z0 if r == 0 else to_z(lows + rng.uniform(size=len(z0)) * widths)
+        zs = z0 if r == 0 else to_z(lows + rng.uniform(size=k) * widths)
         nelder_mead(objective, zs, run_config, step=1.0)
 
     if best["x"] is None:

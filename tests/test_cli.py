@@ -1103,7 +1103,7 @@ class TestCommands:
         )
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "seed level" in capsys.readouterr().err
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate"])
     @pytest.mark.parametrize("bad", [0.0, -3.0])
@@ -1126,9 +1126,8 @@ class TestCommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "positive observations" in err and "observation 200" in err
-        # evaluate checks the series before its search; fit and forecast stop
-        # at the search's first pass
-        assert len(calls) == (0 if command == "evaluate" else 1)
+        # every command checks the series before its search's first pass
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("policy", ["fixed", "refit_per_origin"])
     def test_nonpositive_reading_after_first_origin_stops_evaluate_before_search(

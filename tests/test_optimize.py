@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import hwdims.optimize
@@ -30,7 +30,7 @@ from hwdims import (
     parameter_names,
     params_to_vector,
 )
-from hwdims.optimize import ALGORITHMS, INFEASIBLE_PENALTY
+from hwdims.optimize import ALGORITHMS, COARSE, INFEASIBLE_PENALTY, default_start
 
 from helpers import hourly_series, simulate_double_seasonal
 
@@ -245,6 +245,21 @@ class TestNelderMead:
         nelder_mead(f, [0.5, -2.0], OptimConfig(max_evals=3), step=1.0)
         np.testing.assert_array_equal(seen, [[0.5, -2.0], [1.5, -2.0], [0.5, -1.0]])
 
+    @pytest.mark.parametrize("max_evals", range(1, 31))
+    def test_budget_caps_every_evaluation(self, max_evals):
+        # The three evaluations of the first simplex count, and a run whose
+        # budget ends within a step stops there: it never evaluates past
+        # max_evals, and returns the best point it evaluated.
+        seen = []
+
+        def rosen(x):
+            seen.append((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+            return seen[-1]
+
+        result = nelder_mead(rosen, [-1.2, 1.0], OptimConfig(max_evals=max_evals), step=1.0)
+        assert len(seen) == result.evals <= max_evals
+        assert result.fun == min(seen) == rosen(result.x)
+
     def test_best_value_history_is_monotone(self):
         def rosen(x):
             return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
@@ -346,6 +361,57 @@ class TestFindParams:
                                           max_evals=max_evals, restarts=20))
         assert len(passes) <= 2 * max_evals
 
+    @staticmethod
+    def recorded_stops(monkeypatch):
+        """The observations each of the search's passes reads, one entry per
+        pass, in order."""
+        real_pass, stops = hwdims.optimize.smooth_pass, []
+
+        def recorded(ts, spec, params, seeds, pass_stops=None):
+            stops.append(len(ts) if pass_stops is None else pass_stops[-1])
+            return real_pass(ts, spec, params, seeds, pass_stops)
+
+        monkeypatch.setattr(hwdims.optimize, "smooth_pass", recorded)
+        return stops
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("max_evals", [1, 3, 7, 8, 9, 10, 12, 40])
+    def test_two_stage_search_stays_within_the_budget(self, monkeypatch, algorithm, max_evals):
+        # k = 3, so the coarse stage runs only for budgets above 2 * (k + 1) = 8,
+        # and it leaves the full stage at least one first simplex.
+        t = np.arange(24 * 7 * 4)
+        ts = hourly_series(100.0 + 10.0 * np.sin(2 * np.pi * t / 24) + 0.01 * t,
+                           seasons=[SeasonSpec("d", 24, mode="additive")])
+        spec = ModelSpec.for_series(ts, trend="additive")
+        n, k = len(ts), len(parameter_names(ts, spec))
+        stops = self.recorded_stops(monkeypatch)
+        _, fit = find_params(ts, spec, OptimConfig(algorithm=algorithm, max_evals=max_evals,
+                                                   restarts=3))
+        assert len(stops) <= max_evals
+        assert set(stops) == ({n // COARSE, n} if max_evals > 2 * (k + 1) else {n})
+        assert stops.count(n) >= min(max_evals, k + 1)
+        assert len(fit.fitted) == n and fit.final_state.position == n
+
+    def test_given_start_makes_only_full_passes(self, monkeypatch):
+        ts = self.make_series()
+        spec = ModelSpec.for_series(ts)
+        stops = self.recorded_stops(monkeypatch)
+        _, fit = find_params(ts, spec, OptimConfig(max_evals=150),
+                             start=default_start(ts, spec))
+        assert stops and set(stops) == {len(ts)}
+        assert len(fit.fitted) == len(ts) and fit.final_state.position == len(ts)
+
+    @pytest.mark.parametrize("n, coarse", [(192, False), (196, True)])
+    def test_coarse_stage_needs_twice_the_warmup(self, monkeypatch, n, coarse):
+        # Cycles of 8 and 24: a warm-up of 24, so a coarse pass must read
+        # more than 48 observations.
+        ts = self.make_series(n=n)
+        spec = ModelSpec.for_series(ts)
+        stops = self.recorded_stops(monkeypatch)
+        _, fit = find_params(ts, spec, OptimConfig(max_evals=150))
+        assert set(stops) == ({n // COARSE, n} if coarse else {n})
+        assert len(fit.fitted) == n and fit.final_state.position == n
+
     def test_mape_objective_scale_free_selection(self):
         ts = self.make_series()
         spec = ModelSpec.for_series(ts)
@@ -388,8 +454,8 @@ class TestFindParams:
         real_pass, real_search = hwdims.optimize.smooth_pass, hwdims.optimize.nelder_mead
         failed, seen = [], []
 
-        def flaky(ts, spec, params, seeds):
-            fit = real_pass(ts, spec, params, seeds)
+        def flaky(ts, spec, params, seeds, stops=None):
+            fit = real_pass(ts, spec, params, seeds, stops)
             failed.append(params.alpha > 0.3)
             if not failed[-1]:
                 return fit
@@ -439,13 +505,13 @@ class TestFindParams:
 
 
 @st.composite
-def bounded_searches(draw):
-    """A short series, a model, user bounds inside the hard box (some of them
-    a single point), a finite start inside, on an edge of or outside those
-    bounds, and an algorithm."""
+def bounded_searches(draw, cycles=6, max_evals=40):
+    """A series of ``cycles`` cycles, a model, user bounds inside the hard box
+    (some of them a single point), a finite start inside, on an edge of or
+    outside those bounds, an algorithm and a budget of up to ``max_evals``."""
     cycle = draw(st.sampled_from([4, 6]))
-    y = np.array(draw(st.lists(st.floats(50.0, 150.0), min_size=6 * cycle,
-                               max_size=6 * cycle)))
+    y = np.array(draw(st.lists(st.floats(50.0, 150.0), min_size=cycles * cycle,
+                               max_size=cycles * cycle)))
     seasons = [SeasonSpec("c", cycle, mode=draw(st.sampled_from(["multiplicative",
                                                                   "additive"])))]
     ts = hourly_series(y, seasons=seasons)
@@ -461,18 +527,42 @@ def bounded_searches(draw):
         start.append(draw(st.one_of(st.floats(a, b), st.sampled_from([a, b]),
                                     st.floats(-10.0, 10.0))))
     config = OptimConfig(algorithm=draw(st.sampled_from(ALGORITHMS)),
-                         max_evals=draw(st.integers(1, 40)), bounds=tuple(bounds),
+                         max_evals=draw(st.integers(1, max_evals)), bounds=tuple(bounds),
                          restarts=2, rng_seed=draw(st.integers(0, 2 ** 31)))
     return ts, spec, config, np.array(start)
 
 
-@given(bounded_searches())
-@settings(max_examples=150, deadline=None)
-def test_find_params_stays_inside_the_bounds(case):
-    ts, spec, config, start = case
+def _subnormal_ar_box():
+    # A start far outside an ar1 box of subnormal width: its place in the
+    # box, (4 - lo) / (hi - lo), overflows unless the start is clipped first.
+    ts = hourly_series(np.full(24, 50.0), seasons=[SeasonSpec("c", 4)])
+    spec = ModelSpec.for_series(ts, trend="additive", damping_enabled=True,
+                                ar_adjustment_enabled=True)
+    bounds = ((0.0, 0.0),) * 4 + ((-2.2250738585072014e-308, 0.0),)
+    config = OptimConfig(max_evals=1, bounds=bounds, restarts=2)
+    return ts, spec, config, np.array([0.0, 0.0, 0.0, 0.0, 4.0])
+
+
+def _assert_inside_the_bounds(case, start):
+    ts, spec, config, _ = case
     try:
         params, _ = find_params(ts, spec, config, start=start)
     except FitInfeasibleError:  # no point it tried fits, so none is returned
         reject()
     for value, (lo, hi) in zip(params_to_vector(params, spec), config.bounds, strict=True):
         assert lo <= value <= hi
+
+
+@given(bounded_searches())
+@example(_subnormal_ar_box())
+@settings(max_examples=150, deadline=None)
+def test_find_params_stays_inside_the_bounds(case):
+    _assert_inside_the_bounds(case, case[3])
+
+
+# Twelve cycles: a quarter of the series is three cycles, past twice the
+# warm-up, so budgets above 2 * (k + 1) run the coarse stage.
+@given(bounded_searches(cycles=12, max_evals=60))
+@settings(max_examples=100, deadline=None)
+def test_two_stage_search_stays_inside_the_bounds(case):
+    _assert_inside_the_bounds(case, None)
