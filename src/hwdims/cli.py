@@ -25,17 +25,8 @@ import numpy as np
 from .calendars import CalendarEvent, build_dims
 from .decompose import mstl, panel_names, stlplot_export
 from .evaluate import POLICIES, accuracy, check_scored, grid_to_csv, mforecast, rolling_origins
-from .hw import (
-    TREND_KINDS,
-    FitInfeasibleError,
-    ModelSpec,
-    ModelState,
-    SmoothingParams,
-    _check_consistency,
-    forecast,
-    project_dims,
-    reduce_check,
-)
+from .hw import TREND_KINDS, FitInfeasibleError, ModelSpec, ModelState, SmoothingParams
+from .hw import _check_consistency, forecast, project_dims, reduce_check
 from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
 from .timeseries import DIMS_INIT_METHODS, DataError, DimsSpec, SeasonSpec, TimeSeries
 from .timeseries import check_clock, check_init_method, iso_stamps, read_csv, write_csv
@@ -59,10 +50,10 @@ def _parse_timestamp(text: str, row: int) -> datetime:
         text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if stamp.tzinfo is not None:  # in UTC it may leave the range of datetime
+            stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"row {row}: unparseable timestamp {text!r}") from exc
-    if stamp.tzinfo is not None:
-        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
     return stamp
 
 
@@ -217,12 +208,14 @@ def parse_config(path) -> RunConfig:
     dims: list[DimsDecl] = []
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "\0" in line:  # no path can hold one
+            raise UsageError(f"{path}:{lineno}: NUL byte")
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
@@ -440,16 +433,18 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
+    # The stamps come first: a horizon past the year 9999 fails before any search.
     if model_path is not None:
         spec, params, state, dims, (start, step) = load_artifact(model_path)
+        stamps = iso_stamps(start + state.position * step, step, cfg.horizon)
     else:
         ts = load_series(cfg)
+        stamps = iso_stamps(ts.timestamp_at(len(ts)), ts.step, cfg.horizon)
         spec = cfg.model_spec(ts)
         params, fit = find_params(ts, spec, cfg.optim)
-        state, dims, start, step = fit.final_state, ts.dims, ts.start, ts.step
-    origin = state.position
-    values = forecast(state, spec, params, cfg.horizon, project_dims(dims, origin, cfg.horizon))
-    stamps = iso_stamps(start + origin * step, step, cfg.horizon)
+        state, dims = fit.final_state, ts.dims
+    values = forecast(state, spec, params, cfg.horizon,
+                      project_dims(dims, state.position, cfg.horizon))
     write_csv(out / "forecast.csv", "timestamp,forecast", stamps, map(repr, values.tolist()))
     return 0
 
@@ -530,14 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.optim = _search_config(cfg.optim, rng_seed=args.seed)
@@ -554,12 +545,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, DataError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except FitInfeasibleError as exc:
         print(f"fit infeasible: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

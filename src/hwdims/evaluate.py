@@ -56,6 +56,7 @@ class AccuracyReport:
     params: SmoothingParams
 
 
+@np.errstate(over="ignore")  # errors past 1e154 score inf, as in the pass
 def accuracy(fit: FitResult) -> AccuracyReport:
     """Score a fitted pass: RMSE/MAPE/AIC over the post-warm-up window."""
     errors = fit.one_step_errors[fit.warmup:]

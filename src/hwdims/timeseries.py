@@ -221,7 +221,11 @@ class TimeSeries:
         return len(self.values)
 
     def timestamp_at(self, index: int) -> datetime:
-        return self.start + index * self.step
+        """The stamp of step ``index``; one past the year 9999 is a :class:`DataError`."""
+        try:
+            return self.start + index * self.step
+        except OverflowError:
+            raise DataError(f"step {index} of the series lies past the year 9999") from None
 
     @cached_property
     def _recurrences(self) -> dict[str, np.ndarray]:
@@ -286,19 +290,23 @@ class TimeSeries:
 def read_csv(path, header: str):
     """Yield ``(line number, fields)`` for each non-blank row of a CSV file whose
     first line starts with the column names ``header`` (case and spaces ignored).
-    A row with fewer fields than ``header`` names is a :class:`DataError`."""
+    A row with fewer fields than ``header`` names, bytes that are not UTF-8
+    and a row the ``csv`` module cannot split are a :class:`DataError`."""
     names = header.split(",")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [c.strip().lower() for c in first[:len(names)]] != names:
-            raise DataError(f"{path}: expected header '{header}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < len(names):
-                raise DataError(f"row {lineno}: expected {len(names)} columns, got {len(row)}")
-            yield lineno, row
+        try:
+            first = next(reader, None)
+            if first is None or [c.strip().lower() for c in first[:len(names)]] != names:
+                raise DataError(f"{path}: expected header '{header}'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < len(names):
+                    raise DataError(f"row {lineno}: expected {len(names)} columns, got {len(row)}")
+                yield lineno, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 # Rows joined per write in write_csv: one join per block of rows is as fast
@@ -364,7 +372,7 @@ def ape(actual, forecast) -> np.ndarray:
     """Per-point absolute percentage errors (in percent)."""
     a, f = _paired(actual, forecast)
     if np.any(a == 0.0):
-        raise ValueError("actual contains zeros; percentage error undefined")
+        raise DataError("actual contains zeros; percentage error undefined")
     return 100.0 * np.abs(a - f) / np.abs(a)
 
 

@@ -9,7 +9,7 @@ import json
 import logging
 import re
 import tempfile
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from hwdims.cli import (
 from hwdims.hw import TREND_KINDS
 from hwdims.timeseries import MODES, TimeSeries, read_csv
 
-from helpers import hourly_series, smooth_daily_pattern
+from helpers import HOUR, hourly_series, smooth_daily_pattern
 
 
 def write_hourly_csv(path, values, start=datetime(2023, 1, 2), skip=(), dup=()):
@@ -1243,3 +1243,255 @@ class TestCommands:
             load_artifact(model)
         assert main(["forecast", "--config", str(cfg), "--out", str(out),
                      "--model", str(model)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The command line as a whole: every run ends in one of the four exit codes
+# ---------------------------------------------------------------------------
+
+# Fields no reader accepts: bytes that are not UTF-8, a NUL byte, a field
+# longer than the csv module's limit, and UTC-offset stamps that leave the
+# range of datetime in UTC.
+BYTE_FAULTS = [b"caf\xe9", b"1\x00", b"1" * 131_073]
+EDGE_STAMPS = [b"0001-01-01T00:00:00+01:00", b"9999-12-31T23:00:00-01:00"]
+
+
+@st.composite
+def csv_file(draw, rows, faults):
+    """A CSV file of ``rows``, the header first, as bytes; a third of the
+    time with one or two rows spoilt: a field replaced by one of ``faults``
+    for its column or by a byte-level fault, a row dropped, repeated, swapped
+    with the next or cut to one field."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["field", "bytes", "drop", "repeat", "swap", "short"]))
+        if kind in ("field", "bytes"):
+            col = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][col] = draw(st.sampled_from(faults[col] if kind == "field" else BYTE_FAULTS))
+        elif kind == "drop" and len(rows) > 1:
+            del rows[i]
+        elif kind == "repeat":
+            rows.insert(i, rows[i])
+        elif kind == "swap" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        elif kind == "short":
+            rows[i] = rows[i][:1]
+    return b"".join(b",".join(row) + b"\n" for row in rows)
+
+
+@st.composite
+def cli_inputs(draw):
+    """An hourly data file of 2 to 120 rows, from 2023-01-02 or ending in the
+    last hour of the year 9999, at one of four scales, and a calendar of two
+    to six one-day events on distinct days around its start."""
+    n = draw(st.integers(2, 120))
+    start = draw(st.sampled_from([datetime(2023, 1, 2)] * 3
+                                 + [datetime(9999, 12, 31, 23) - (n - 1) * HOUR]))
+    scale = draw(st.sampled_from([1.0] * 3 + [1e-300, 1e300, -1.0]))
+    t = np.arange(n)
+    values = scale * (100.0 + 20.0 * np.sin(2 * np.pi * t / 24) + np.cos(t))
+    data = [[(start + i * HOUR).isoformat().encode(), repr(v).encode()]
+            for i, v in zip(t.tolist(), values.tolist())]
+    half_hour = (start + HOUR / 2).isoformat().encode()
+    data = draw(csv_file([[b"timestamp", b"value"], *data],
+                         [[*EDGE_STAMPS, b"tomorrow", half_hour, b""],
+                          [b"0", b"-5", b"nan", b"inf", b"1e400", b"x", b""]]))
+    first_day = start.date().toordinal()
+    days = draw(st.lists(st.integers(-1, 5), unique=True, min_size=2, max_size=6))
+    events = [[b"e%d" % i, draw(st.sampled_from([b"Holidays", b"Easter"] * 3 + [b"Other"])),
+               date.fromordinal(min(first_day + d, date.max.toordinal())).isoformat().encode(),
+               b"1"] for i, d in enumerate(days)]
+    calendar = draw(csv_file([[b"event_id", b"group", b"date_start", b"span_days"], *events],
+                             [[b""], [b""], [b"June 1st", b"2023-02-30"],
+                              [b"2", b"0", b"-1", b"x", b"9" * 5000]]))
+    return data, calendar
+
+
+# Config values no command accepts, per key.
+BAD_CONFIG_VALUES = {
+    "trend": ["bogus", ""], "damping": ["maybe", "2"], "ar": ["yes"],
+    "algorithm": ["pattern_search"], "objective": ["mae"], "max_evals": ["0", "-1", "x"],
+    "tolerance": ["nan", "inf", "-1", "x"], "restarts": ["0", "1.5"], "rng_seed": ["-1"],
+    "horizon": ["0", "-24", ""], "first_origin": ["0", "x"], "origin_step": ["0"],
+    "policy": ["sometimes"],
+}
+BAD_CONFIG_LINES = [
+    "horizon 24", "wat = 7", "season = 24 multiplicative", "season = daily additive neutral",
+    "season = 1 multiplicative ratio_to_ma", "season = 24 additive ratio_to_ma",
+    "season = 24 multiplicative stl_based", "dims = Holidays multiplicative",
+    "dims = Holidays additive ratio_to_ma", "dims = Holidays bogus neutral",
+    "season = 4 multiplicative ratio_to_ma a/b\nseason = 6 additive difference_to_ma a_b",
+    "# caf\udce9",
+]
+
+
+@st.composite
+def cli_configs(draw, command):
+    """A run config in the README grammar for ``command``, as bytes, and
+    whether every value in it is valid: valid ones are declared consistently
+    (distinct seasons and groups, a calendar for every ``dims`` line, a
+    ``first_origin`` of two longest cycles for ``evaluate``), and an invalid
+    one has up to two values or lines no command accepts."""
+    seasons = draw(st.lists(st.sampled_from([2, 3, 4, 6, 24]), unique=True, max_size=2))
+    lines = ["data = data.csv"]
+    for cycle in seasons:
+        mode = draw(st.sampled_from(MODES))
+        method = "ratio_to_ma" if mode == "multiplicative" else "difference_to_ma"
+        sid = draw(st.sampled_from(["", f" c{cycle}", f" Cycle-{cycle}"]))
+        lines.append(f"season = {cycle} {mode} {method}{sid}")
+    groups = draw(st.lists(st.sampled_from(["Holidays", "Easter"]), unique=True, max_size=2))
+    for group in groups:
+        mode = draw(st.sampled_from(MODES))
+        method = draw(st.sampled_from(
+            ["neutral", "ratio_to_ma" if mode == "multiplicative" else "difference_to_ma"]))
+        lines.append(f"dims = {group} {mode} {method}")
+    if groups or draw(st.booleans()):
+        lines.append("calendar = calendar.csv")
+    longest = max(seasons, default=1)
+    valid_values = {
+        "trend": st.sampled_from(TREND_KINDS), "damping": st.sampled_from(["on", "OFF", "true"]),
+        "ar": st.sampled_from(["off", "True"]),
+        "algorithm": st.sampled_from(["nelder_mead", "random_restart_nelder_mead"]),
+        "objective": st.sampled_from(["rmse", "mape"]), "max_evals": st.integers(1, 40),
+        "tolerance": st.sampled_from(["0", "3e-3", "1e-6", "0.5"]),
+        "restarts": st.integers(1, 4), "rng_seed": st.integers(0, 2**64),
+        "horizon": st.integers(1, 30) | st.sampled_from([10**9, 10**20]),
+        "first_origin": st.integers(2 * longest, 2 * longest + 100),
+        "origin_step": st.integers(1, 30), "policy": st.sampled_from(["fixed", "refit_per_origin"]),
+    }
+    for key, values in valid_values.items():
+        if draw(st.booleans()) or (key == "first_origin" and command == "evaluate"):
+            lines.append(f"{key} = {draw(values)}")
+    ok = draw(st.sampled_from([True, True, False]))
+    if not ok:
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(["value", "line", "drop", "repeat", "nul"]))
+            i = draw(st.integers(0, len(lines) - 1))
+            key = lines[i].partition(" =")[0]
+            if kind == "value" and key in BAD_CONFIG_VALUES:
+                lines[i] = f"{key} = {draw(st.sampled_from(BAD_CONFIG_VALUES[key]))}"
+            elif kind == "line":
+                lines.append(draw(st.sampled_from(BAD_CONFIG_LINES)))
+            elif kind == "drop":
+                del lines[i]
+            elif kind == "repeat":
+                lines.append(lines[i])
+            else:
+                lines[i] += "\0"
+    lines = draw(st.permutations(lines))
+    return "".join(f"{line}\n" for line in lines).encode(errors="surrogateescape"), ok
+
+
+def run_cli(tmp: Path, command: str, config: bytes, data: bytes | None = None,
+            calendar: bytes | None = None, extra=()):
+    """``main``'s exit code for ``command`` on the given files, written to
+    ``tmp`` (``None`` writes none), and whether it called ``ingest``."""
+    for name, content in (("run.cfg", config), ("data.csv", data), ("calendar.csv", calendar)):
+        if content is not None:
+            (tmp / name).write_bytes(content)
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return ingest(path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ingest", spy)
+        code = main([command, "--config", str(tmp / "run.cfg"), "--out", str(tmp / "out"),
+                     *extra])
+    return code, bool(calls)
+
+
+# ``--seed`` arguments, each with whether it is valid.
+SEED_ARGS = [((), True)] * 3 + [(("--seed", "7"), True), (("--seed", "-1"), False),
+                                (("--seed", "x"), False)]
+
+
+def hourly_rows(n, start=datetime(2023, 1, 2), zero_at=None):
+    """``n`` hourly rows of a daily pattern from ``start``, as bytes."""
+    return [b"%s,%r" % ((start + i * HOUR).isoformat().encode(),
+                        0.0 if i == zero_at else float(100.0 + 20.0 * np.sin(2 * np.pi * i / 24)))
+            for i in range(n)]
+
+
+def data_csv(rows) -> bytes:
+    return b"".join(row + b"\n" for row in [b"timestamp,value", *rows])
+
+
+CLEAN = data_csv(hourly_rows(48))
+LAST_HOURS = hourly_rows(48, start=datetime(9999, 12, 30))  # ends at 9999-12-31T23:00
+SEASON = b"data = data.csv\nseason = 24 multiplicative ratio_to_ma\nmax_evals = 10\n"
+EVENT = b"event_id,group,date_start,span_days\nnye,Eve,9999-12-31,1\n"
+
+# command, config, data, calendar, exit code, message
+FAULT_CASES = {
+    "config-not-utf8": ("fit", b"data = data.csv\n# caf\xe9\n", CLEAN, None, 1,
+                        "cannot read config"),
+    "config-nul-byte": ("fit", b"data = data\0.csv\n", CLEAN, None, 1, "run.cfg:1: NUL byte"),
+    "field-over-limit": ("fit", SEASON, data_csv([*hourly_rows(47), b"1" * 131_073]), None, 2,
+                         "data.csv: field larger than field limit (131072)"),
+    "data-not-utf8": ("fit", SEASON, CLEAN.replace(b",1", b",\xff1", 1), None, 2,
+                      "data.csv: 'utf-8' codec can't decode byte 0xff"),
+    "calendar-not-utf8": ("fit", SEASON + b"calendar = calendar.csv\n"
+                          b"dims = Eve multiplicative neutral\n", CLEAN,
+                          EVENT.replace(b"nye", b"caf\xe9"), 2,
+                          "calendar.csv: 'utf-8' codec can't decode byte 0xe9"),
+    "stamp-year-1": ("fit", SEASON, data_csv([b"0001-01-01T00:00:00+01:00,1",
+                                              *hourly_rows(47)]), None, 2,
+                     "row 2: unparseable timestamp '0001-01-01T00:00:00+01:00'"),
+    "stamp-year-9999": ("fit", SEASON, data_csv([*hourly_rows(47),
+                                                 b"9999-12-31T23:00:00-01:00,1"]), None, 2,
+                        "row 49: unparseable timestamp '9999-12-31T23:00:00-01:00'"),
+    "forecast-after-9999": ("forecast", SEASON, data_csv(LAST_HOURS), None, 2,
+                            "step 48 of the series lies past the year 9999"),
+    "block-past-9999": ("decompose", SEASON + b"calendar = calendar.csv\n"
+                        b"dims = Eve multiplicative neutral\n", data_csv(LAST_HOURS), EVENT, 2,
+                        "step 48 of the series lies past the year 9999"),
+    "zero-actual-in-fit": ("fit", b"data = data.csv\nseason = 24 additive difference_to_ma\n"
+                           b"max_evals = 10\n", data_csv(hourly_rows(48, zero_at=30)), None, 2,
+                           "actual contains zeros; percentage error undefined"),
+    "rmse-past-1e154": ("fit", SEASON + b"objective = mape\n", data_csv([row + b"e300" for row in hourly_rows(48)]), None, 0, ""),
+}
+
+
+class TestExitCodes:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_run_ends_in_an_exit_code(self, data):
+        # main never raises; a config fault is exit 1 before any data is
+        # read, and a config of valid values is never exit 1.
+        command = data.draw(st.sampled_from(["fit", "forecast", "decompose", "evaluate"]))
+        config, valid = data.draw(cli_configs(command))
+        files = data.draw(st.sampled_from([True] * 7 + [False]).flatmap(
+            lambda written: cli_inputs() if written else st.just((None, None))))
+        extra, seed_ok = data.draw(st.sampled_from(SEED_ARGS))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, read = run_cli(Path(tmp), command, config, *files, extra=extra)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert not read and not (valid and seed_ok)
+
+    @pytest.mark.parametrize("name", sorted(FAULT_CASES))
+    def test_fault_has_its_exit_code(self, tmp_path, capsys, name):
+        # Faults the property once found, or that leaked a traceback.
+        command, config, data, calendar, code, message = FAULT_CASES[name]
+        assert run_cli(tmp_path, command, config, data, calendar) == (code, code != 1)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("saved", [False, True], ids=["inline", "saved-model"])
+    @pytest.mark.parametrize("horizon", [10**9, 10**20])
+    def test_horizon_past_9999_fails_before_the_search(self, tmp_path, capsys, horizon, saved):
+        # The first would allocate the horizon's forecasts (8 GB) first.
+        data = data_csv(hourly_rows(20 * 24))
+        extra = ()
+        if saved:
+            assert run_cli(tmp_path, "fit", SEASON, data)[0] == 0
+            extra = ("--model", str(tmp_path / "out" / "model.json"))
+        config = SEASON + b"horizon = %d\n" % horizon
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "find_params", lambda *args: pytest.fail("searched"))
+            assert run_cli(tmp_path, "forecast", config, data, extra=extra)[0] == 2
+        assert f"{horizon} steps of 1:00:00 from 2023-01-22T00:00:00 run past the year 9999" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "forecast.csv").exists()

@@ -55,6 +55,20 @@ def test_fit_and_evaluate_cannot_decompose():
     assert not bad, "imports of the decomposition:\n" + "\n".join(bad)
 
 
+def test_main_has_one_handler_per_exit_code():
+    # cli.main catches each fault class once, for its exit code; any other
+    # exception is a bug and surfaces as a traceback, not as a data error.
+    path = ROOT / "src" / "hwdims" / "cli.py"
+    main = next(node for node in ast.parse(path.read_text(), str(path)).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught += [ast.unparse(t) if t else "(bare except)" for t in types]
+    assert sorted(caught) == ["DataError", "FitInfeasibleError", "OSError", "UsageError"], caught
+
+
 def test_readme_quickstart():
     # The library quickstart must run as printed, on a synthetic 52-week
     # hourly series standing in for the user's data, and forecast the holiday

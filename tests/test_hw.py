@@ -18,12 +18,14 @@ from hwdims import (
     OptimConfig,
     SeasonSpec,
     SmoothingParams,
+    default_bounds,
     find_params,
     forecast,
     init_values,
     project_dims,
     reduce_check,
     smooth_pass,
+    vector_to_params,
 )
 from hwdims.hw import (
     TREND_KINDS,
@@ -1127,3 +1129,50 @@ class TestContinuedPass:
         future = project_dims(ts, n, horizon)
         assert bits(forecast(continued.final_state, spec, params, horizon, future)) \
             == bits(forecast(whole.final_state, spec, params, horizon, future))
+
+
+@st.composite
+def searched_cases(draw):
+    """What a search hands the engine: finite readings at a scale from 1e-300
+    to 1e300, at times near or below zero; up to two cycles and two moving
+    seasonalities in either mode, the events seeded neutral or informed;
+    every trend kind with damping and autocorrelation on or off; and a point
+    inside the search box."""
+    cycles = draw(st.lists(st.integers(2, 8), unique=True, max_size=2))
+    n = draw(st.integers(2 * max(cycles, default=1), 60))
+    t = np.arange(n)
+    shape = 1 + 0.3 * np.sin(2 * np.pi * t / 6) \
+        + np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n)))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(-2.0, 1e-6)),
+                              max_size=2)):
+        shape[i] = v
+    modes = st.sampled_from(MODES)
+    seasons = [SeasonSpec(f"s{c}", c, mode=draw(modes)) for c in cycles]
+    dims = []
+    for k in range(draw(st.integers(0, 2))):
+        length = draw(st.integers(1, min(4, n)))
+        starts = draw(st.lists(st.integers(0, n // length - 1), unique=True, max_size=4))
+        mode = draw(modes)
+        informed = "ratio_to_ma" if mode == "multiplicative" else "difference_to_ma"
+        dims.append(DimsSpec(f"d{k}", mode, length, tuple(sorted(s * length for s in starts)),
+                             init_method=draw(st.sampled_from(["neutral", informed]))))
+    ts = hourly_series(10.0 ** draw(st.integers(-300, 300)) * shape, seasons=seasons, dims=dims)
+    spec = ModelSpec.for_series(ts, trend=draw(st.sampled_from(TREND_KINDS)),
+                                damping_enabled=draw(st.booleans()),
+                                ar_adjustment_enabled=draw(st.booleans()))
+    x = [draw(st.floats(lo, hi)) for lo, hi in default_bounds(ts, spec)]
+    return ts, spec, vector_to_params(x, ts, spec)
+
+
+class TestEngineFaults:
+    @given(searched_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pass_raises_only_engine_faults(self, case):
+        # Seeds from init_values and a point inside the box: the seeding and
+        # the pass fail, if at all, as data or as an infeasible point, which
+        # the command line maps to exit 2 and 3.
+        ts, spec, params = case
+        try:
+            smooth_pass(ts, spec, params, init_values(ts, spec))
+        except (DataError, FitInfeasibleError):
+            pass
