@@ -1358,7 +1358,8 @@ def cli_configs(draw, command):
         "restarts": st.integers(1, 4), "rng_seed": st.integers(0, 2**64),
         "horizon": st.integers(1, 30) | st.sampled_from([10**9, 10**20]),
         "first_origin": st.integers(2 * longest, 2 * longest + 100),
-        "origin_step": st.integers(1, 30), "policy": st.sampled_from(["fixed", "refit_per_origin"]),
+        "origin_step": st.integers(1, 30),
+        "policy": st.sampled_from(["fixed", "refit_per_origin"]),
     }
     for key, values in valid_values.items():
         if draw(st.booleans()) or (key == "first_origin" and command == "evaluate"):
@@ -1451,7 +1452,8 @@ FAULT_CASES = {
     "zero-actual-in-fit": ("fit", b"data = data.csv\nseason = 24 additive difference_to_ma\n"
                            b"max_evals = 10\n", data_csv(hourly_rows(48, zero_at=30)), None, 2,
                            "actual contains zeros; percentage error undefined"),
-    "rmse-past-1e154": ("fit", SEASON + b"objective = mape\n", data_csv([row + b"e300" for row in hourly_rows(48)]), None, 0, ""),
+    "rmse-past-1e154": ("fit", SEASON + b"objective = mape\n",
+                        data_csv([row + b"e300" for row in hourly_rows(48)]), None, 0, ""),
 }
 
 
