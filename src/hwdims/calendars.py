@@ -44,9 +44,10 @@ def build_dims(
     end, and forecasts read them. Events that start before the series are
     dropped with a warning. ``mode`` / ``init_method`` apply to every group,
     or per group when given as a mapping. A calendar the series cannot carry,
-    overlapping events of one group among its faults, raises
-    :class:`DataError`; an unknown mode, or an ``init_method`` that does not
-    seed it, is a ``ValueError`` of :class:`DimsSpec`.
+    a block longer than the series or overlapping events of one group among
+    its faults, raises :class:`DataError`; an unknown mode, or an
+    ``init_method`` that does not seed it, is a ``ValueError`` of
+    :class:`DimsSpec`.
     """
     steps_per_day, rem = divmod(timedelta(days=1), ts.step)
     if rem:
@@ -67,6 +68,9 @@ def build_dims(
             )
         span = spans.pop()
         length = span * steps_per_day
+        if length > len(ts):  # no data could seed or update the block's tail
+            raise DataError(f"group {group!r}: a block of {span} days is {length} steps, "
+                            f"longer than the series ({len(ts)} steps)")
         occurrences = []
         for ev in members:
             start_dt = datetime.combine(ev.date_start, datetime.min.time())

@@ -26,7 +26,8 @@ from .calendars import CalendarEvent, build_dims
 from .decompose import mstl, panel_names, stlplot_export
 from .evaluate import POLICIES, accuracy, check_scored, grid_to_csv, mforecast, rolling_origins
 from .hw import TREND_KINDS, FitInfeasibleError, ModelSpec, ModelState, SmoothingParams
-from .hw import _check_consistency, forecast, project_dims, reduce_check
+from .hw import _check_consistency, _is_multiplicative, forecast, project_dims, reduce_check
+from .hw import warmup_length
 from .optimize import ALGORITHMS, OBJECTIVES, OptimConfig, find_params
 from .timeseries import DIMS_INIT_METHODS, DataError, DimsSpec, SeasonSpec, TimeSeries
 from .timeseries import check_clock, check_init_method, iso_stamps, read_csv, write_csv
@@ -109,7 +110,8 @@ def ingest(path) -> TimeSeries:
     end = int(bad[0]) if bad.size else gaps.size
 
     holes = np.flatnonzero(steps[:end] == 2)
-    fills = (means[holes] + means[holes + 1]) / 2.0
+    with np.errstate(over="ignore"):  # an inf fill fails as a non-finite value
+        fills = (means[holes] + means[holes + 1]) / 2.0
     for i, fill in zip(holes.tolist(), fills.tolist()):
         log.warning("missing step at %s interpolated as %s",
                     (stamps[first[i]] + step).isoformat(), fill)
@@ -420,6 +422,11 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
 def cmd_fit(cfg: RunConfig, out: Path) -> int:
     ts = load_series(cfg)
     spec = cfg.model_spec(ts)
+    warm = warmup_length(ts)
+    # accuracy.json scores every step after the warm-up; in a multiplicative
+    # model the search rejects a nonpositive reading before its first pass
+    if not _is_multiplicative(ts, spec):
+        check_scored(ts, spec, [warm], len(ts) - warm)
     params, fit = find_params(ts, spec, cfg.optim)
     save_artifact(out / "model.json", ts, spec, params, fit.final_state, fit.objective)
     report = accuracy(fit)
@@ -436,10 +443,10 @@ def cmd_forecast(cfg: RunConfig, out: Path, model_path: Path | None) -> int:
     # The stamps come first: a horizon past the year 9999 fails before any search.
     if model_path is not None:
         spec, params, state, dims, (start, step) = load_artifact(model_path)
-        stamps = iso_stamps(start + state.position * step, step, cfg.horizon)
+        stamps = iso_stamps(start, step, range(state.position, state.position + cfg.horizon))
     else:
         ts = load_series(cfg)
-        stamps = iso_stamps(ts.timestamp_at(len(ts)), ts.step, cfg.horizon)
+        stamps = iso_stamps(ts.start, ts.step, range(len(ts), len(ts) + cfg.horizon))
         spec = cfg.model_spec(ts)
         params, fit = find_params(ts, spec, cfg.optim)
         state, dims = fit.final_state, ts.dims
@@ -486,8 +493,9 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> int:
     _write_json(out / "summary.json", {
         "grand_mape": grid.grand_mape,
         "per_origin": [
-            {"origin_timestamp": ts.timestamp_at(o - 1).isoformat(), "mape": m}
-            for o, m in zip(grid.origins, grid.per_origin_mape.tolist())
+            {"origin_timestamp": stamp, "mape": m} for stamp, m in zip(
+                iso_stamps(ts.start, ts.step, [o - 1 for o in grid.origins]),
+                grid.per_origin_mape.tolist())
         ],
         "per_horizon": [
             {"horizon_step": k + 1, "mape": m}

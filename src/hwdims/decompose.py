@@ -510,7 +510,7 @@ def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
     dims_names = panel_names("dims_", [d.id for d in ts.dims])
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
-    stamps = iso_stamps(ts.start, ts.step, len(ts))
+    stamps = iso_stamps(ts.start, ts.step, range(len(ts)))
     panels = [("original", ts.values), ("trend", result.trend)]
     panels += [(name, result.seasonals[s.id]) for name, s in zip(season_names, ts.seasons)]
     panels.append(("remainder", result.remainder))
@@ -523,7 +523,7 @@ def stlplot_export(result: DecompositionResult, out_dir) -> list[Path]:
                                  map(str, range(len(profile))), map(repr, profile.tolist())))
         written.append(write_csv(
             out / f"{name}_locations.csv", "start_timestamp,end_timestamp",
-            [ts.timestamp_at(occ).isoformat() for occ in dspec.occurrences],
-            [ts.timestamp_at(occ + dspec.length).isoformat() for occ in dspec.occurrences],
+            iso_stamps(ts.start, ts.step, dspec.occurrences),
+            iso_stamps(ts.start, ts.step, [occ + dspec.length for occ in dspec.occurrences]),
         ))
     return written

@@ -18,7 +18,7 @@ from .hw import (
     warmup_length,
 )
 from .optimize import OptimConfig, find_params, init_values, params_to_vector
-from .timeseries import DataError, TimeSeries, aic, ape, mape, rmse, write_csv
+from .timeseries import DataError, TimeSeries, aic, ape, iso_stamps, mape, rmse, write_csv
 
 POLICIES = ("fixed", "refit_per_origin")
 
@@ -186,7 +186,7 @@ def grid_to_csv(grid: ForecastGrid, ts: TimeSeries, path) -> Path:
 
     The origin timestamp is the last observed instant before the forecast.
     """
-    stamps = [ts.timestamp_at(o - 1).isoformat() for o in grid.origins]
+    stamps = iso_stamps(ts.start, ts.step, [o - 1 for o in grid.origins])
     steps = [str(k) for k in range(1, grid.horizon + 1)]
     return write_csv(
         path, "origin_timestamp,horizon_step,actual,forecast,ape",

@@ -210,8 +210,9 @@ def _check_consistency(seasons: Sequence[SeasonSpec], dims: Sequence[DimsSpec],
                        spec: ModelSpec, params: SmoothingParams, state: ModelState) -> None:
     """Raise ``ValueError`` unless ``spec``, ``params`` and ``state`` fit the
     index components ``seasons`` and ``dims``: per component, in order, one
-    mode, one smoothing weight and one ring of shape ``(size,)``. The one
-    model check of :func:`smooth_pass` and of a loaded ``model.json``."""
+    mode, one smoothing weight and one ring of shape ``(size,)``; and unless
+    the state's level, trend, last residual and ring values are finite. The
+    one model check of :func:`smooth_pass` and of a loaded ``model.json``."""
     if len(spec.season_modes) != len(seasons):
         raise ValueError("spec season_modes do not match series seasons")
     if len(spec.dims_modes) != len(dims):
@@ -229,6 +230,11 @@ def _check_consistency(seasons: Sequence[SeasonSpec], dims: Sequence[DimsSpec],
             if c.id not in rings or np.shape(rings[c.id]) != (size,):
                 raise ValueError(f"state ring for {kind} {c.id!r} missing or "
                                  f"not of shape ({size},)")
+            if not np.isfinite(rings[c.id]).all():
+                raise ValueError(f"state ring for {kind} {c.id!r} is not finite")
+    for name in ("level", "trend", "last_residual"):
+        if not np.isfinite(getattr(state, name)):
+            raise ValueError(f"state {name} is not finite")
 
 
 def _is_multiplicative(ts: TimeSeries, spec: ModelSpec) -> bool:

@@ -195,6 +195,9 @@ class TimeSeries:
             raise DataError(
                 f"{bad.size} non-finite value(s), first at index {bad[0]}: {values[bad[0]]}"
             )
+        with np.errstate(over="ignore"):  # then no sum of the observations overflows
+            if not np.isfinite(np.abs(values).sum()):
+                raise DataError("the observations sum past the float limit in absolute value")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         check_clock(self.start, self.step)
@@ -219,13 +222,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def timestamp_at(self, index: int) -> datetime:
-        """The stamp of step ``index``; one past the year 9999 is a :class:`DataError`."""
-        try:
-            return self.start + index * self.step
-        except OverflowError:
-            raise DataError(f"step {index} of the series lies past the year 9999") from None
 
     @cached_property
     def _recurrences(self) -> dict[str, np.ndarray]:
@@ -314,22 +310,24 @@ def read_csv(path, header: str):
 _CSV_BLOCK_ROWS = 1024
 
 
-def iso_stamps(start: datetime, step: timedelta, count: int) -> list[str]:
-    """``(start + i * step).isoformat()`` for every ``i < count`` from a naive
-    ``start``; a stamp past the year 9999 is a :class:`DataError`. numpy
-    formats them, one call per block of rows (one call for the whole series
-    would hold a wide fixed-width string array), and the ``.000000`` that
+def iso_stamps(start: datetime, step: timedelta, positions) -> list[str]:
+    """``(start + i * step).isoformat()`` for each ``i`` of the ascending step
+    ``positions`` (a ``range``, list or int array) from a naive ``start``; the
+    last position past the year 9999 is a :class:`DataError` before any array
+    is built. numpy formats one block of rows per call (one call for a whole
+    series would hold a wide fixed-width string array); the ``.000000`` that
     ``isoformat`` leaves out is stripped.
     """
+    last = int(max(positions[-1:], default=0))  # len() of a huge range overflows
     try:
-        start + max(count - 1, 0) * step
+        start + last * step
     except OverflowError:
-        raise DataError(f"{count} steps of {step} from {start.isoformat()} run past "
+        raise DataError(f"{last} steps of {step} from {start.isoformat()} run past "
                         f"the year 9999") from None
     first, delta = np.datetime64(start, "us"), np.timedelta64(step, "us")
     stamps = []
-    for a in range(0, count, _CSV_BLOCK_ROWS):
-        block = first + delta * np.arange(a, min(a + _CSV_BLOCK_ROWS, count))
+    for a in range(0, len(positions), _CSV_BLOCK_ROWS):
+        block = first + delta * np.asarray(positions[a:a + _CSV_BLOCK_ROWS], dtype=np.int64)
         stamps += [s.removesuffix(".000000")
                    for s in np.datetime_as_string(block, unit="us").tolist()]
     return stamps

@@ -1186,7 +1186,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("years, match", [
         (40, "malformed artifact: date value out of range"),
-        (23, "24 steps of 8400 days, 18:00:00 from 9751-03-01T00:00:00 run past the year 9999"),
+        (23, "359 steps of 8400 days, 18:00:00 from 2023-01-02T00:00:00 run past the year 9999"),
     ], ids=["at-the-position", "in-the-horizon"])
     def test_clock_past_the_year_9999_is_a_data_error(self, tmp_path, capsys, years, match):
         # With a step of years, the 336-step model's position (40) or the
@@ -1210,10 +1210,12 @@ class TestCommands:
         "state.trend=null",
         "state.last_residual=[]", "state.position=1.5", "state.position=true",
         "series=5", "series.start=5", "series.step_seconds=null",
+        "state.level=NaN", "state.seasonal.daily.5=Infinity",
     ])
     def test_artifact_missing_params_key_is_a_data_error(self, tmp_path, key):
         # Also well-formed JSON that is not an object where one is expected,
-        # a missing ring and a field of the wrong JSON type below the top level.
+        # a missing ring, a field of the wrong JSON type below the top level
+        # and state that is not finite (Python's json reads NaN and Infinity).
         demand_fixture(tmp_path, weeks=2)
         cfg = write_fit_config(tmp_path)
         out = tmp_path / "out"
@@ -1231,13 +1233,15 @@ class TestCommands:
             node = doc
             for name in parents:
                 node = node[name]
-            node[leaf] = json.loads(value)
+            node[int(leaf) if isinstance(node, list) else leaf] = json.loads(value)
             match = f"artifact {path.replace('.', ' ')} must be a"
         else:
             doc = json.loads(key)
             match = "artifact must be a JSON object"
         if key.startswith("state.seasonal.daily"):  # a ring the model check rejects
             match = r"state ring for season 'daily' missing or not of shape \(24,\)"
+        if key.endswith(("NaN", "Infinity")):
+            match = r"malformed artifact: state (level|ring for season 'daily') is not finite"
         model.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_artifact(model)
@@ -1283,12 +1287,14 @@ def csv_file(draw, rows, faults):
 @st.composite
 def cli_inputs(draw):
     """An hourly data file of 2 to 120 rows, from 2023-01-02 or ending in the
-    last hour of the year 9999, at one of four scales, and a calendar of two
-    to six one-day events on distinct days around its start."""
+    last hour of the year 9999, at one of five scales (the largest makes
+    readings near the float limit), and a calendar of two to six events on
+    distinct days around its start, all of one day or all of a span no
+    series can hold."""
     n = draw(st.integers(2, 120))
     start = draw(st.sampled_from([datetime(2023, 1, 2)] * 3
                                  + [datetime(9999, 12, 31, 23) - (n - 1) * HOUR]))
-    scale = draw(st.sampled_from([1.0] * 3 + [1e-300, 1e300, -1.0]))
+    scale = draw(st.sampled_from([1.0] * 3 + [1e-300, 1e300, 1e306, -1.0]))
     t = np.arange(n)
     values = scale * (100.0 + 20.0 * np.sin(2 * np.pi * t / 24) + np.cos(t))
     data = [[(start + i * HOUR).isoformat().encode(), repr(v).encode()]
@@ -1299,9 +1305,10 @@ def cli_inputs(draw):
                           [b"0", b"-5", b"nan", b"inf", b"1e400", b"x", b""]]))
     first_day = start.date().toordinal()
     days = draw(st.lists(st.integers(-1, 5), unique=True, min_size=2, max_size=6))
+    span = draw(st.sampled_from([b"1"] * 5 + [b"10000000000000"]))
     events = [[b"e%d" % i, draw(st.sampled_from([b"Holidays", b"Easter"] * 3 + [b"Other"])),
                date.fromordinal(min(first_day + d, date.max.toordinal())).isoformat().encode(),
-               b"1"] for i, d in enumerate(days)]
+               span] for i, d in enumerate(days)]
     calendar = draw(csv_file([[b"event_id", b"group", b"date_start", b"span_days"], *events],
                              [[b""], [b""], [b"June 1st", b"2023-02-30"],
                               [b"2", b"0", b"-1", b"x", b"9" * 5000]]))
@@ -1445,13 +1452,25 @@ FAULT_CASES = {
                                                  b"9999-12-31T23:00:00-01:00,1"]), None, 2,
                         "row 49: unparseable timestamp '9999-12-31T23:00:00-01:00'"),
     "forecast-after-9999": ("forecast", SEASON, data_csv(LAST_HOURS), None, 2,
-                            "step 48 of the series lies past the year 9999"),
+                            "71 steps of 1:00:00 from 9999-12-30T00:00:00 run past the year 9999"),
     "block-past-9999": ("decompose", SEASON + b"calendar = calendar.csv\n"
                         b"dims = Eve multiplicative neutral\n", data_csv(LAST_HOURS), EVENT, 2,
-                        "step 48 of the series lies past the year 9999"),
+                        "48 steps of 1:00:00 from 9999-12-30T00:00:00 run past the year 9999"),
+    "block-longer-than-series": ("fit", SEASON + b"calendar = calendar.csv\n"
+                                 b"dims = G multiplicative ratio_to_ma\n", CLEAN,
+                                 b"event_id,group,date_start,span_days\n"
+                                 b"big,G,2023-01-02,10000000000000\n", 2,
+                                 "group 'G': a block of 10000000000000 days is "
+                                 "240000000000000 steps, longer than the series (48 steps)"),
     "zero-actual-in-fit": ("fit", b"data = data.csv\nseason = 24 additive difference_to_ma\n"
                            b"max_evals = 10\n", data_csv(hourly_rows(48, zero_at=30)), None, 2,
-                           "actual contains zeros; percentage error undefined"),
+                           "a percentage error needs a nonzero actual; observation 30 is 0.0"),
+    "readings-near-the-float-limit": ("fit", SEASON, data_csv(
+        [row + b"e306" for row in hourly_rows(48)]), None, 2,
+        "the observations sum past the float limit in absolute value"),
+    "gap-between-readings-near-the-float-limit": ("fit", SEASON, data_csv(
+        [row + b"e306" for i, row in enumerate(hourly_rows(48)) if i != 10]), None, 2,
+        "1 non-finite value(s), first at index 10: inf"),
     "rmse-past-1e154": ("fit", SEASON + b"objective = mape\n",
                         data_csv([row + b"e300" for row in hourly_rows(48)]), None, 0, ""),
 }
@@ -1476,9 +1495,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", sorted(FAULT_CASES))
     def test_fault_has_its_exit_code(self, tmp_path, capsys, name):
-        # Faults the property once found, or that leaked a traceback.
+        # Faults the property once found, or that leaked a traceback; each
+        # fails before any search.
         command, config, data, calendar, code, message = FAULT_CASES[name]
-        assert run_cli(tmp_path, command, config, data, calendar) == (code, code != 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if code:
+                mp.setattr(cli, "find_params", lambda *args: pytest.fail("searched"))
+            assert run_cli(tmp_path, command, config, data, calendar) == (code, code != 1)
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("saved", [False, True], ids=["inline", "saved-model"])
@@ -1494,6 +1517,6 @@ class TestExitCodes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "find_params", lambda *args: pytest.fail("searched"))
             assert run_cli(tmp_path, "forecast", config, data, extra=extra)[0] == 2
-        assert f"{horizon} steps of 1:00:00 from 2023-01-22T00:00:00 run past the year 9999" \
+        assert f"{479 + horizon} steps of 1:00:00 from 2023-01-02T00:00:00 run past the year 9999" \
             in capsys.readouterr().err
         assert not (tmp_path / "out" / "forecast.csv").exists()

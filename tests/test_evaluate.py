@@ -368,7 +368,7 @@ class TestGridExport:
         assert list(rows[0]) == ["origin_timestamp", "horizon_step", "actual",
                                  "forecast", "ape"]
         first = rows[0]
-        assert first["origin_timestamp"] == ts.timestamp_at(119).isoformat()
+        assert first["origin_timestamp"] == (ts.start + 119 * ts.step).isoformat()
         assert float(first["actual"]) == ts.values[120]
         recomputed = abs(float(first["actual"]) - float(first["forecast"])) \
             / abs(float(first["actual"])) * 100

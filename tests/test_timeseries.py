@@ -154,12 +154,14 @@ class TestTimeSeries:
             TimeSeries(values=demand(48), start=start)
 
     def test_iso_stamps_past_the_year_9999_are_a_data_error(self):
-        # numpy would format them with five-digit years, or wrap around
+        # numpy would format them with five-digit years, or wrap around; the
+        # last position is checked before any array of the positions exists
         step = timedelta(days=365)
-        assert iso_stamps(datetime(9998, 1, 1), step, 2)[-1] == "9999-01-01T00:00:00"
-        with pytest.raises(DataError, match="3 steps of 365 days, 0:00:00 from "
-                                            "9998-01-01T00:00:00 run past the year 9999"):
-            iso_stamps(datetime(9998, 1, 1), step, 3)
+        assert iso_stamps(datetime(9998, 1, 1), step, range(2))[-1] == "9999-01-01T00:00:00"
+        for positions in (range(3), [0, 5], range(1, 10**20)):
+            with pytest.raises(DataError, match=f"{positions[-1]} steps of 365 days, 0:00:00 "
+                                                "from 9998-01-01T00:00:00 run past the year 9999"):
+                iso_stamps(datetime(9998, 1, 1), step, positions)
 
     def test_unknown_dims_id_rejected(self):
         with pytest.raises(KeyError, match="unknown dims id 'ghost'"):
@@ -203,9 +205,11 @@ class TestTimeSeries:
         (datetime(2019, 12, 31, 23, 0, 0, 250000), timedelta(microseconds=250000)),
     ])
     def test_iso_stamps_equal_isoformat(self, start, step):
-        count = 2500  # three blocks of rows, the last one partial
-        assert iso_stamps(start, step, count) == [
-            (start + i * step).isoformat() for i in range(count)]
+        # range(2500) makes three blocks of rows, the last one partial
+        for positions in (range(2500), list(range(7, 7500, 3)), np.arange(0, 5000, 2),
+                          [], np.arange(0)):
+            assert iso_stamps(start, step, positions) == [
+                (start + int(i) * step).isoformat() for i in positions]
 
 
 @given(
