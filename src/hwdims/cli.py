@@ -61,6 +61,15 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 _TICK = timedelta(microseconds=1)  # the resolution of datetime
 
 
+def _check_sum(what: str, readings: list[tuple[float, str]]) -> None:
+    """Raise :class:`DataError` naming ``readings``, ``(value, label)`` pairs
+    whose sum overflowed in ``what``, if all are finite; a non-finite reading
+    among them fails later, as a non-finite value."""
+    if all(np.isfinite(value) for value, _ in readings):
+        named = " and ".join(f"{value!r}{label}" for value, label in readings)
+        raise DataError(f"{what}: readings {named} sum past the float limit")
+
+
 def ingest(path) -> TimeSeries:
     """Read a ``timestamp,value`` CSV into a gap-free series.
 
@@ -100,6 +109,10 @@ def ingest(path) -> TimeSeries:
     group = np.cumsum(starts) - 1
     counts = np.bincount(group)
     means = np.bincount(group, weights=values) / counts
+    for g in np.flatnonzero(np.isinf(means)).tolist():
+        rows = range(first[g], first[g] + counts[g])
+        _check_sum(f"duplicated timestamp {stamps[first[g]].isoformat()}",
+                   [(values[r], "") for r in rows])
 
     gaps = diffs[diffs != 0]
     lengths, freq = np.unique(gaps, return_counts=True)
@@ -110,8 +123,11 @@ def ingest(path) -> TimeSeries:
     end = int(bad[0]) if bad.size else gaps.size
 
     holes = np.flatnonzero(steps[:end] == 2)
-    with np.errstate(over="ignore"):  # an inf fill fails as a non-finite value
+    with np.errstate(over="ignore"):  # an overflowing fill is named below
         fills = (means[holes] + means[holes + 1]) / 2.0
+    for i in holes[np.isinf(fills)].tolist():
+        _check_sum(f"missing step at {(stamps[first[i]] + step).isoformat()}",
+                   [(means[j].item(), f" at {stamps[first[j]].isoformat()}") for j in (i, i + 1)])
     for i, fill in zip(holes.tolist(), fills.tolist()):
         log.warning("missing step at %s interpolated as %s",
                     (stamps[first[i]] + step).isoformat(), fill)

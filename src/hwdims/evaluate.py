@@ -28,19 +28,28 @@ class ForecastGrid:
     """Matrix of k-ahead forecasts over successive fit-window end positions.
 
     Row i holds the forecasts made with the first ``origins[i]`` observations;
-    column k-1 holds the k-step-ahead values.
+    column k-1 holds the k-step-ahead values; ``ape`` holds their absolute
+    percentage errors, and every MAPE below is a mean of it.
     """
 
     origins: tuple[int, ...]
     horizon: int
     forecasts: np.ndarray
     actuals: np.ndarray
-    per_origin_mape: np.ndarray
-    per_horizon_mape: np.ndarray
+    ape: np.ndarray
+
+    @property
+    def per_origin_mape(self) -> np.ndarray:
+        return self.ape.mean(axis=1)
+
+    @property
+    def per_horizon_mape(self) -> np.ndarray:
+        # each column made contiguous sums in the order mape() of it would
+        return np.ascontiguousarray(self.ape.T).mean(axis=1)
 
     @property
     def grand_mape(self) -> float:
-        return mape(self.actuals.ravel(), self.forecasts.ravel())
+        return float(self.ape.mean())
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,6 @@ def mforecast(
     check_scored(ts, spec, origins, horizon)
 
     forecasts = np.empty((len(origins), horizon))
-    actuals = np.empty((len(origins), horizon))
     if policy == "fixed":
         seeds = init_values(ts.prefix(first_origin), spec)
         states = smooth_pass(ts, spec, params, seeds, stops=origins).states
@@ -167,19 +175,15 @@ def mforecast(
             state = fit.final_state
         projection = project_dims(ts, origin, horizon)
         forecasts[i] = forecast(state, spec, run_params, horizon, projection)
-        actuals[i] = ts.values[origin:origin + horizon]
 
-    per_origin = np.array([mape(actuals[i], forecasts[i]) for i in range(len(origins))])
-    per_horizon = np.array([mape(actuals[:, k], forecasts[:, k]) for k in range(horizon)])
+    actuals = ts.values[np.add.outer(origins, np.arange(horizon))]
     return ForecastGrid(
         origins=tuple(origins),
         horizon=horizon,
         forecasts=forecasts,
         actuals=actuals,
-        per_origin_mape=per_origin,
-        per_horizon_mape=per_horizon,
+        ape=ape(actuals, forecasts).reshape(actuals.shape),
     )
-
 
 def grid_to_csv(grid: ForecastGrid, ts: TimeSeries, path) -> Path:
     """Write the grid as ``origin_timestamp,horizon_step,actual,forecast,ape``.
@@ -192,5 +196,5 @@ def grid_to_csv(grid: ForecastGrid, ts: TimeSeries, path) -> Path:
         path, "origin_timestamp,horizon_step,actual,forecast,ape",
         (stamp for stamp in stamps for _ in steps), steps * len(stamps),
         *(map(repr, column.ravel().tolist())
-          for column in (grid.actuals, grid.forecasts, ape(grid.actuals, grid.forecasts))),
+          for column in (grid.actuals, grid.forecasts, grid.ape)),
     )

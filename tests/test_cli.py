@@ -1431,6 +1431,7 @@ CLEAN = data_csv(hourly_rows(48))
 LAST_HOURS = hourly_rows(48, start=datetime(9999, 12, 30))  # ends at 9999-12-31T23:00
 SEASON = b"data = data.csv\nseason = 24 multiplicative ratio_to_ma\nmax_evals = 10\n"
 EVENT = b"event_id,group,date_start,span_days\nnye,Eve,9999-12-31,1\n"
+NEAR_LIMIT = [row.split(b",")[0] + b",1.5e308" for row in hourly_rows(48)]
 
 # command, config, data, calendar, exit code, message
 FAULT_CASES = {
@@ -1470,7 +1471,13 @@ FAULT_CASES = {
         "the observations sum past the float limit in absolute value"),
     "gap-between-readings-near-the-float-limit": ("fit", SEASON, data_csv(
         [row + b"e306" for i, row in enumerate(hourly_rows(48)) if i != 10]), None, 2,
-        "1 non-finite value(s), first at index 10: inf"),
+        "missing step at 2023-01-02T10:00:00: readings 1.1414213562373095e+308 at "
+        "2023-01-02T09:00:00 and 1.0517638090205042e+308 at 2023-01-02T11:00:00 sum past "
+        "the float limit"),
+    "duplicate-readings-near-the-float-limit": ("fit", SEASON, data_csv(
+        [*NEAR_LIMIT[:11], b"2023-01-02T10:00:00,1.6e308", *NEAR_LIMIT[11:]]), None, 2,
+        "duplicated timestamp 2023-01-02T10:00:00: readings 1.5e+308 and 1.6e+308 sum past "
+        "the float limit"),
     "rmse-past-1e154": ("fit", SEASON + b"objective = mape\n",
                         data_csv([row + b"e300" for row in hourly_rows(48)]), None, 0, ""),
 }
