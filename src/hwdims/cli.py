@@ -47,8 +47,6 @@ class UsageError(ValueError):
 
 def _parse_timestamp(text: str, row: int) -> datetime:
     text = text.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
         if stamp.tzinfo is not None:  # in UTC it may leave the range of datetime
@@ -225,7 +223,7 @@ def parse_config(path) -> RunConfig:
     seasons: list[SeasonSpec] = []
     dims: list[DimsDecl] = []
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
@@ -340,7 +338,7 @@ def load_series(cfg: RunConfig) -> TimeSeries:
 
 def _write_json(path, doc) -> None:
     """Write ``doc`` as sorted, indented JSON; arrays are written as lists."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
@@ -396,7 +394,7 @@ def load_artifact(path) -> tuple[ModelSpec, SmoothingParams, ModelState, list[Di
     The state's rings are put in declaration order (the engine pairs them
     with the spec's modes by position, and the JSON has sorted keys), then
     the engine's own model check and the series' clock rule run."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:

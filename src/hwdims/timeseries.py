@@ -9,9 +9,10 @@ step, -1 outside its blocks. Containers are immutable: every mutating
 operation returns a new instance, so series can be shared freely across
 concurrent fitting jobs.
 
-CSV files have one header line of column names; :func:`read_csv` checks it
-and :func:`write_csv` writes it. Callers format the fields: timestamps as
-ISO-8601, floats as ``repr``, which reads back bit-exact.
+CSV files are UTF-8 under any locale, with one header line of column names;
+:func:`read_csv` skips a byte-order mark and checks the header, and
+:func:`write_csv` writes the header and no mark. Callers format the fields:
+timestamps as ISO-8601, floats as ``repr``, which reads back bit-exact.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def read_csv(path, header: str):
     A row with fewer fields than ``header`` names, bytes that are not UTF-8
     and a row the ``csv`` module cannot split are a :class:`DataError`."""
     names = header.split(",")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
@@ -338,7 +339,7 @@ def write_csv(path, header: str, *columns) -> Path:
     long ``columns`` of formatted fields; returns the path."""
     path = Path(path)
     rows = map(",".join, zip(*columns, strict=True))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         while block := list(islice(rows, _CSV_BLOCK_ROWS)):
             block.append("")

@@ -847,6 +847,14 @@ class TestCommands:
             return
         forecast(state, spec, params, 48, project_dims(dims, state.position, 48))
 
+    def test_artifact_with_a_byte_order_mark_loads(self, tmp_path):
+        demand_fixture(tmp_path, weeks=2)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(write_fit_config(tmp_path)), "--out", str(out)]) == 0
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(BOM + (out / "model.json").read_bytes())
+        assert repr(load_artifact(marked)) == repr(load_artifact(out / "model.json"))
+
     def test_truncated_artifact_is_a_data_error(self, tmp_path, capsys):
         ts = hourly_series(np.full(96, 100.0), seasons=[SeasonSpec("daily", 24)])
         state = ModelState(level=100.0, trend=0.0, seasonal={"daily": np.ones(24)})
@@ -1051,6 +1059,34 @@ class TestCommands:
         )
         assert result.returncode == 1
         assert "usage error" in result.stderr
+
+    def test_utf8_calendar_under_an_ascii_locale(self, tmp_path):
+        # With locale coercion and UTF-8 mode off, the C locale's encoding is
+        # ASCII; hwdims still reads its files as UTF-8.
+        import os
+        import subprocess
+        import sys
+        demand_fixture(tmp_path, weeks=4, dips=(4, 18))
+        (tmp_path / "events.csv").write_text(
+            "event_id,group,date_start,span_days\n"
+            "Día de Reyes,Holidays,2023-01-06,1\n"
+            "d2,Holidays,2023-01-20,1\n", encoding="utf-8")
+        cfg = write_fit_config(
+            tmp_path, extra="calendar = events.csv\ndims = Holidays multiplicative neutral\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        encoding = subprocess.run(
+            [sys.executable, "-c", "import codecs, locale; "
+             "print(codecs.lookup(locale.getpreferredencoding(False)).name)"],
+            capture_output=True, text=True, env=env, check=True).stdout.strip()
+        assert encoding == "ascii"
+        result = subprocess.run(
+            [sys.executable, "-m", "hwdims", "decompose", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_exit_codes(self, tmp_path):
         # usage error: missing config file
@@ -1432,6 +1468,7 @@ LAST_HOURS = hourly_rows(48, start=datetime(9999, 12, 30))  # ends at 9999-12-31
 SEASON = b"data = data.csv\nseason = 24 multiplicative ratio_to_ma\nmax_evals = 10\n"
 EVENT = b"event_id,group,date_start,span_days\nnye,Eve,9999-12-31,1\n"
 NEAR_LIMIT = [row.split(b",")[0] + b",1.5e308" for row in hourly_rows(48)]
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that spreadsheet exports write
 
 # command, config, data, calendar, exit code, message
 FAULT_CASES = {
@@ -1446,6 +1483,14 @@ FAULT_CASES = {
                           b"dims = Eve multiplicative neutral\n", CLEAN,
                           EVENT.replace(b"nye", b"caf\xe9"), 2,
                           "calendar.csv: 'utf-8' codec can't decode byte 0xe9"),
+    "config-with-bom": ("fit", BOM + SEASON, CLEAN, None, 0, ""),
+    "data-with-bom": ("fit", SEASON, BOM + CLEAN, None, 0, ""),
+    "calendar-with-bom": ("fit", SEASON + b"calendar = calendar.csv\n"
+                          b"dims = Eve multiplicative neutral\n", CLEAN,
+                          BOM + EVENT.replace(b"9999-12-31", b"2023-01-03"), 0, ""),
+    "stamp-lowercase-z": ("fit", SEASON, data_csv([b"2023-01-02T00:00:00z,1",
+                                                   *hourly_rows(48)[1:]]), None, 2,
+                          "row 2: unparseable timestamp '2023-01-02T00:00:00z'"),
     "stamp-year-1": ("fit", SEASON, data_csv([b"0001-01-01T00:00:00+01:00,1",
                                               *hourly_rows(47)]), None, 2,
                      "row 2: unparseable timestamp '0001-01-01T00:00:00+01:00'"),
